@@ -23,6 +23,7 @@ L = 1, gamma = 1.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -657,17 +658,18 @@ class SweepResult:
     def to_csv(self, path) -> None:
         from .cli import format_float
 
-        with open(path, "w") as fh:
-            fh.write("alpha,w,z,kind,eta,g,residual,flags\n")
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["alpha", "w", "z", "kind", "eta", "g", "residual", "flags"])
             for row in self.rows:
-                fh.write(",".join([
+                out.writerow([
                     format_float(row["alpha"]), format_float(row["w"]),
                     format_float(row["z"]), row["kind"],
                     format_float(row["eta"]) if row["eta"] is not None else "",
                     format_float(row["g"]) if row["g"] is not None else "",
                     format_float(row["residual"]) if row["residual"] is not None else "",
                     ";".join(row["flags"]),
-                ]) + "\n")
+                ])
 
     def to_json(self) -> list[dict]:
         return [dict(row) for row in self.rows]

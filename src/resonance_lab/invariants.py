@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import CartesianState, IntegralValues, IntegrationError
+from .model import CartesianState, IntegralValues, IntegrationError, _complex_step_jacobian
 
 __all__ = [
     "PiVector",
@@ -30,8 +30,6 @@ __all__ = [
     "EmptyReducedSpaceError",
     "pi_map",
     "klj_map",
-    "orbit_map_2",
-    "orbit_map_3",
     "second_space_residuals",
     "thrice_map",
     "bracket_computed",
@@ -159,16 +157,6 @@ def klj_map(pv: PiVector) -> KLJVector:
     )
 
 
-def orbit_map_2(pv: PiVector) -> KLJVector:
-    """Second-stage orbit map (the rotation-block recombination)."""
-    return klj_map(pv)
-
-
-def orbit_map_3(kv: KLJVector) -> ThriceReducedPoint:
-    """Third-stage orbit map onto the final reduced space."""
-    return thrice_map(kv)
-
-
 def second_space_residuals(kv: KLJVector) -> tuple[float, float]:
     """Residuals of the two relations cutting out the second reduced space.
 
@@ -184,12 +172,18 @@ def second_space_residuals(kv: KLJVector) -> tuple[float, float]:
     return r1, r2
 
 
-def thrice_map(kv: KLJVector) -> ThriceReducedPoint:
-    """Invariants of the L1 action on the second reduced space."""
+def _mnzs(kv: KLJVector) -> tuple:
+    """(M, N, Z, S) of a (K, L) vector; float or complex-step entries."""
     m = 0.5 * (kv.k2 * kv.k2 + kv.k3 * kv.k3 + kv.l2 * kv.l2 + kv.l3 * kv.l3)
     n = 0.5 * (kv.k2 * kv.k2 + kv.k3 * kv.k3 - kv.l2 * kv.l2 - kv.l3 * kv.l3)
     z = kv.k2 * kv.l2 + kv.k3 * kv.l3
     s = kv.k2 * kv.l3 - kv.k3 * kv.l2
+    return m, n, z, s
+
+
+def thrice_map(kv: KLJVector) -> ThriceReducedPoint:
+    """Invariants of the L1 action on the second reduced space."""
+    m, n, z, s = _mnzs(kv)
     return ThriceReducedPoint(
         M=m, N=n, Z=z, S=s, K=kv.k1,
         integrals=IntegralValues(n=kv.h2, xi=kv.xi, l=kv.l1),
@@ -207,87 +201,19 @@ def eo3_residuals(pt: ThriceReducedPoint) -> tuple[float, float, float]:
 
 # -- bracket table ----------------------------------------------------------
 
-class _Grad:
-    """Value of a phase-space polynomial together with its exact gradient."""
-
-    __slots__ = ("v", "g")
-
-    def __init__(self, v: float, g: np.ndarray):
-        self.v = v
-        self.g = g
-
-    def __add__(self, other):
-        return _Grad(self.v + other.v, self.g + other.g)
-
-    def __sub__(self, other):
-        return _Grad(self.v - other.v, self.g - other.g)
-
-    def __mul__(self, other):
-        if isinstance(other, _Grad):
-            return _Grad(self.v * other.v, self.v * other.g + other.v * self.g)
-        return _Grad(self.v * other, self.g * other)
-
-    __rmul__ = __mul__
-
-
-def _pi_grads(state: CartesianState) -> list[_Grad]:
-    """All sixteen pi invariants with exact gradients in (q, Q) order."""
-    x = state.as_array()
-    q, Q = x[:4], x[4:]
-    out = []
-    for i in range(4):
-        g = np.zeros(8)
-        g[i] = 2.0 * q[i]
-        g[4 + i] = 2.0 * Q[i]
-        out.append(_Grad(Q[i] * Q[i] + q[i] * q[i], g))
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for a, b in pairs:  # pi5..pi10: Qa Qb + qa qb
-        g = np.zeros(8)
-        g[a] = q[b]
-        g[b] = q[a]
-        g[4 + a] = Q[b]
-        g[4 + b] = Q[a]
-        out.append(_Grad(Q[a] * Q[b] + q[a] * q[b], g))
-    for a, b in pairs:  # pi11..pi16: qa Qb - Qa qb
-        g = np.zeros(8)
-        g[a] = Q[b]
-        g[b] = -Q[a]
-        g[4 + a] = -q[b]
-        g[4 + b] = q[a]
-        out.append(_Grad(q[a] * Q[b] - Q[a] * q[b], g))
-    return out
-
-
-def _six_invariant_grads(state: CartesianState) -> list[_Grad]:
-    """(M, N, Z, S, K, L1) as functions of the state, with exact gradients."""
-    p = _pi_grads(state)
-    # pi indices are zero-based here.
-    k1 = 0.5 * (-1.0 * p[0] - 1.0 * p[1] + p[2] + p[3])
-    k2 = p[7] - p[6]
-    k3 = -1.0 * p[5] - 1.0 * p[8]
-    l1 = p[15] - p[10]
-    l2 = p[11] + p[14]
-    l3 = p[13] - p[12]
-    m = 0.5 * (k2 * k2 + k3 * k3 + l2 * l2 + l3 * l3)
-    n = 0.5 * (k2 * k2 + k3 * k3 - 1.0 * (l2 * l2) - 1.0 * (l3 * l3))
-    z = k2 * l2 + k3 * l3
-    s = k2 * l3 - 1.0 * (k3 * l2)
-    return [m, n, z, s, k1, l1]
-
-
-def _bracket(f: _Grad, g: _Grad) -> float:
-    return float(f.g[:4] @ g.g[4:] - f.g[4:] @ g.g[:4])
-
-
 def bracket_computed(state: CartesianState) -> np.ndarray:
-    """6x6 matrix of canonical brackets of (M, N, Z, S, K, L1) at a state."""
-    inv = _six_invariant_grads(state)
-    out = np.zeros((6, 6))
-    for i in range(6):
-        for j in range(i + 1, 6):
-            out[i, j] = _bracket(inv[i], inv[j])
-            out[j, i] = -out[i, j]
-    return out
+    """6x6 matrix of canonical brackets of (M, N, Z, S, K, L1) at a state.
+
+    The 6x8 Jacobian D of the invariants is taken by complex step through
+    ``pi_map`` and ``klj_map``; then {f_i, f_j} = (D_q D_Q^T - D_Q D_q^T)_ij.
+    """
+    def six(*x):
+        kv = klj_map(pi_map(CartesianState(q=x[:4], Q=x[4:])))
+        return (*_mnzs(kv), kv.k1, kv.l1)
+
+    jac = _complex_step_jacobian(six, state.as_array())
+    a = jac[:, :4] @ jac[:, 4:].T
+    return a - a.T
 
 
 def bracket_expected(M: float, N: float, Z: float, S: float, K: float, L1: float) -> np.ndarray:
@@ -311,9 +237,8 @@ def bracket_expected(M: float, N: float, Z: float, S: float, K: float, L1: float
 
 def bracket_table_check(state: CartesianState) -> float:
     """Max |computed - tabulated| bracket over all 15 invariant pairs."""
-    inv = _six_invariant_grads(state)
-    values = [f.v for f in inv]
-    expected = bracket_expected(*values)
+    pt = thrice_map(klj_map(pi_map(state)))
+    expected = bracket_expected(pt.M, pt.N, pt.Z, pt.S, pt.K, pt.integrals.l)
     computed = bracket_computed(state)
     return float(np.max(np.abs(computed - expected)))
 

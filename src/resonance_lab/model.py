@@ -23,6 +23,7 @@ layers use as ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,13 @@ __all__ = [
     "integrate",
     "canonical_bracket",
 ]
+
+
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        v = getattr(obj, name)
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,7 @@ class ModelParams:
     gamma: float | None = None
 
     def __post_init__(self):
+        _require_finite(self, "omega", "epsilon", "beta", "gamma")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.epsilon < 0.0:
@@ -114,6 +123,7 @@ class IntegralValues:
     l: float
 
     def __post_init__(self):
+        _require_finite(self, "n", "xi", "l")
         if not self.n > 0.0:
             raise ValueError(f"n must be positive, got {self.n}")
         if abs(self.xi) > self.n:
@@ -325,3 +335,24 @@ def canonical_bracket(f, g, state: CartesianState, step: float = 1e-5) -> float:
     gf = grad(f)
     gg = grad(g)
     return float(gf[:4] @ gg[4:] - gf[4:] @ gg[:4])
+
+
+# Complex step h: Im f(x + ih)/h = f'(x) + O(h^2) takes no difference, so h can
+# sit far below roundoff and the partial is exact to working precision.
+_COMPLEX_STEP = 1e-30
+
+
+def _complex_step_jacobian(fn, x) -> np.ndarray:
+    """Jacobian d fn_i / d x_k of a real-analytic fn by complex step.
+
+    ``fn`` takes len(x) scalars and returns a sequence of scalars, using only
+    analytic operations on them (no abs, comparisons or clipping on a complex
+    value).  Column k is Im fn(x + ih e_k) / h; the other inputs stay real.
+    """
+    x = [float(v) for v in x]
+    cols = []
+    for k in range(len(x)):
+        z = list(x)
+        z[k] = complex(x[k], _COMPLEX_STEP)
+        cols.append([v.imag / _COMPLEX_STEP for v in fn(*z)])
+    return np.array(cols).T

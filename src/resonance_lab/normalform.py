@@ -20,17 +20,23 @@ of (R1 - K1) with respect to ell, and the second-order kernel is
 The second-order coefficients frozen here were derived by exact harmonic
 algebra from W1 and R1 and are regression-tested against an independent
 finite-difference bracket oracle (``second_order_oracle``).
+
+Partials of the averaged kernels (the normalized flow, and through
+``order1_coeff_partials`` the branch equations of the equilibria) are taken
+by complex step through these same closed forms, so a partial cannot drift
+from the value it differentiates.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import charts
-from .model import ModelParams, h_sextic
+from .model import ModelParams, _complex_step_jacobian, h_sextic
 from .charts import DelaunayPoint, kepler_solve
 
 __all__ = [
@@ -102,70 +108,17 @@ def average_over_ell(fn, quadrature_n: int = 512) -> float:
     return float(np.mean([fn(float(x)) for x in nodes]))
 
 
-# -- forward-mode duals for the momentum partials -----------------------------
-
-class _Dual:
-    """Scalar with exact partials w.r.t. (L, G, U1, U3)."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d):
-        self.v = float(v)
-        self.d = d
-
-    @staticmethod
-    def var(v, index):
-        d = np.zeros(4)
-        d[index] = 1.0
-        return _Dual(v, d)
-
-    @staticmethod
-    def const(v):
-        return _Dual(v, np.zeros(4))
-
-    def __add__(self, o):
-        o = o if isinstance(o, _Dual) else _Dual.const(o)
-        return _Dual(self.v + o.v, self.d + o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        o = o if isinstance(o, _Dual) else _Dual.const(o)
-        return _Dual(self.v - o.v, self.d - o.d)
-
-    def __rsub__(self, o):
-        return _Dual.const(o).__sub__(self)
-
-    def __mul__(self, o):
-        o = o if isinstance(o, _Dual) else _Dual.const(o)
-        return _Dual(self.v * o.v, self.v * o.d + o.v * self.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = o if isinstance(o, _Dual) else _Dual.const(o)
-        inv = 1.0 / o.v
-        return _Dual(self.v * inv, (self.d - self.v * inv * o.d) * inv)
-
-    def __rtruediv__(self, o):
-        return _Dual.const(o).__truediv__(self)
-
-    def __neg__(self):
-        return _Dual(-self.v, -self.d)
-
-    def __pow__(self, n: int):
-        out = _Dual(1.0, np.zeros(4))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def sqrt(self):
-        r = math.sqrt(self.v)
-        return _Dual(r, self.d / (2.0 * r))
+def _sqrt(x):
+    """sqrt for the closed forms: clips float roundoff below 0, keeps a complex step."""
+    if isinstance(x, complex):
+        if x.real < 0.0:
+            raise ValueError(f"momenta outside the chart domain: sqrt({x.real!r})")
+        return cmath.sqrt(x)
+    return math.sqrt(max(0.0, x))
 
 
 def _kernel1_terms(L, G, U1, U3, beta: float, gamma: float):
-    """(C01, C11, C21) for plain floats or _Dual inputs."""
+    """(C01, C11, C21) for float or complex-step inputs."""
     alpha = beta * beta - 1.0
     a = L * L * (1.0 / gamma)
     eta = G / L
@@ -174,9 +127,9 @@ def _kernel1_terms(L, G, U1, U3, beta: float, gamma: float):
     c2 = U3 / G
     s1sq = 1.0 - c1 * c1
     s2sq = 1.0 - c2 * c2
-    e = esq.sqrt() if isinstance(esq, _Dual) else math.sqrt(max(0.0, esq))
-    s1 = s1sq.sqrt() if isinstance(s1sq, _Dual) else math.sqrt(max(0.0, s1sq))
-    s2 = s2sq.sqrt() if isinstance(s2sq, _Dual) else math.sqrt(max(0.0, s2sq))
+    e = _sqrt(esq)
+    s1 = _sqrt(s1sq)
+    s2 = _sqrt(s2sq)
     a2 = a * a
     c01 = (1.0 / 16.0) * a2 * (2.0 + 3.0 * esq) * (2.0 + alpha * (2.0 * c1 * c1 * c2 * c2 + s1sq * s2sq))
     c11 = (-1.0 / 4.0) * a2 * alpha * (4.0 + esq) * e * c1 * c2 * s1 * s2
@@ -193,15 +146,13 @@ def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: 
 
 
 def order1_coeff_partials(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> dict:
-    """Partials of (C01, C11, C21) w.r.t. (L, G, U1, U3), exact forward mode."""
-    Ld, Gd = _Dual.var(L, 0), _Dual.var(G, 1)
-    U1d, U3d = _Dual.var(U1, 2), _Dual.var(U3, 3)
-    c01, c11, c21 = _kernel1_terms(Ld, Gd, U1d, U3d, beta, gamma)
-    return {"C01": c01.d.copy(), "C11": c11.d.copy(), "C21": c21.d.copy()}
+    """Partials of (C01, C11, C21) w.r.t. (L, G, U1, U3), exact by complex step."""
+    jac = _complex_step_jacobian(lambda *m: _kernel1_terms(*m, beta, gamma), (L, G, U1, U3))
+    return dict(zip(("C01", "C11", "C21"), jac))
 
 
 def _kernel2_terms(L, G, U1, U3, beta: float, gamma: float):
-    """(C02, C12, C22, C32, C42) for plain floats or _Dual inputs.
+    """(C02, C12, C22, C32, C42) for float or complex-step inputs.
 
     Exact second-order averages of the bracket kernel; uniform prefactor
     a^5/gamma.  The alpha-linear blocks reuse the same angular combinations
@@ -215,9 +166,9 @@ def _kernel2_terms(L, G, U1, U3, beta: float, gamma: float):
     c2 = U3 / G
     s1sq = 1.0 - c1 * c1
     s2sq = 1.0 - c2 * c2
-    e = e2.sqrt() if isinstance(e2, _Dual) else math.sqrt(max(0.0, e2))
-    s1 = s1sq.sqrt() if isinstance(s1sq, _Dual) else math.sqrt(max(0.0, s1sq))
-    s2 = s2sq.sqrt() if isinstance(s2sq, _Dual) else math.sqrt(max(0.0, s2sq))
+    e = _sqrt(e2)
+    s1 = _sqrt(s1sq)
+    s2 = _sqrt(s2sq)
     e4 = e2 * e2
     e6 = e4 * e2
     c1sq = c1 * c1
@@ -278,15 +229,6 @@ def order2_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: 
         raise ValueError(f"need 0 < G <= L, got G={G}, L={L}")
     c02, c12, c22, c32, c42 = _kernel2_terms(L, G, U1, U3, beta, gamma)
     return NFCoefficientsOrder2(C02=c02, C12=c12, C22=c22, C32=c32, C42=c42)
-
-
-def order2_coeff_partials(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> dict:
-    """Partials of (C02..C42) w.r.t. (L, G, U1, U3), exact forward mode."""
-    Ld, Gd = _Dual.var(L, 0), _Dual.var(G, 1)
-    U1d, U3d = _Dual.var(U1, 2), _Dual.var(U3, 3)
-    vals = _kernel2_terms(Ld, Gd, U1d, U3d, beta, gamma)
-    names = ("C02", "C12", "C22", "C32", "C42")
-    return {n: v.d.copy() for n, v in zip(names, vals)}
 
 
 # -- generating function -------------------------------------------------------
@@ -467,32 +409,29 @@ def normalized_rhs(dp: DelaunayPoint, p: ModelParams, order: int = 1) -> Delauna
 
     L, U1 and U3 are exact integrals of the truncation (their conjugate
     angles are absent), so only (g, G) carry the slow dynamics while ell,
-    u1, u3 rotate by quadrature.  Momentum partials are exact (forward-mode
-    differentiation of the closed-form coefficients).
+    u1, u3 rotate by quadrature.  The partials of P in (g, L, G, U1, U3) are
+    exact (complex-step differentiation of the closed-form coefficients).
     """
     gamma = _require_chart_params(p)
     eps = p.epsilon
-    Ld, Gd = _Dual.var(dp.L, 0), _Dual.var(dp.G, 1)
-    U1d, U3d = _Dual.var(dp.U1, 2), _Dual.var(dp.U3, 3)
-    c01, c11, c21 = _kernel1_terms(Ld, Gd, U1d, U3d, p.beta, gamma)
-    cg, sg = math.cos(dp.g), math.sin(dp.g)
-    c2g, s2g = math.cos(2 * dp.g), math.sin(2 * dp.g)
-    P = c01 + cg * c11 + c2g * c21
-    dP_dg = -(c11.v * sg + 2.0 * c21.v * s2g)
-    if order == 2:
-        t2 = _kernel2_terms(Ld, Gd, U1d, U3d, p.beta, gamma)
-        cs = [math.cos(k * dp.g) for k in range(5)]
-        sn = [math.sin(k * dp.g) for k in range(5)]
-        P = P + 0.5 * eps * sum(t2[k] * cs[k] for k in range(5))
-        dP_dg += -0.5 * eps * sum(k * t2[k].v * sn[k] for k in range(5))
-    elif order != 1:
+    if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    grad = P.d  # (dP/dL, dP/dG, dP/dU1, dP/dU3)
+
+    def P(g, L, G, U1, U3):
+        cos = cmath.cos if isinstance(g, complex) else math.cos
+        val = sum(c * cos(k * g) for k, c in enumerate(_kernel1_terms(L, G, U1, U3, p.beta, gamma)))
+        if order == 2:
+            t2 = _kernel2_terms(L, G, U1, U3, p.beta, gamma)
+            val += 0.5 * eps * sum(c * cos(k * g) for k, c in enumerate(t2))
+        return (val,)
+
+    dP_dg, dP_dL, dP_dG, dP_dU1, dP_dU3 = _complex_step_jacobian(
+        P, (dp.g, dp.L, dp.G, dp.U1, dp.U3))[0]
     return DelaunayTangent(
-        ell=gamma ** 2 / dp.L ** 3 + eps * grad[0],
-        g=eps * grad[1],
-        u1=eps * grad[2],
-        u3=eps * grad[3],
+        ell=gamma ** 2 / dp.L ** 3 + eps * dP_dL,
+        g=eps * dP_dG,
+        u1=eps * dP_dU1,
+        u3=eps * dP_dU3,
         L=0.0,
         G=-eps * dP_dg,
         U1=0.0,

@@ -151,9 +151,8 @@ def suite_bracket_table(rng, fault: str | None = None, n: int = 1000) -> SuiteRe
     worst = 0.0
     for _ in range(n):
         s = _random_state(rng)
-        inv = invariants._six_invariant_grads(s)
-        values = [f.v for f in inv]
-        expected = invariants.bracket_expected(*values)
+        pt = invariants.thrice_map(invariants.klj_map(invariants.pi_map(s)))
+        expected = invariants.bracket_expected(pt.M, pt.N, pt.Z, pt.S, pt.K, pt.integrals.l)
         if fault == "bracket_table_sign":
             expected = expected.copy()
             expected[4, 1] = -expected[4, 1]  # flip the tabulated {K, N}

@@ -9,6 +9,11 @@ def run(args):
     return cli.main(args)
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -63,7 +68,7 @@ class TestIntegrateCommand:
             "t_end": 2 * math.pi, "tol": 1e-12, "n_out": 5, "out": "t.csv",
         })
         assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "t.csv")))
+        rows = read_rows(tmp_path / "t.csv")
         assert abs(float(rows[-1]["q1"]) - float(rows[0]["q1"])) < 1e-10
 
     def test_reduced_run_constant_K(self, tmp_path):
@@ -74,7 +79,7 @@ class TestIntegrateCommand:
             "t_end": 10.0, "tol": 1e-12, "n_out": 11, "angle": 0.9, "out": "r.csv",
         })
         assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "r.csv")))
+        rows = read_rows(tmp_path / "r.csv")
         ks = [float(r["K"]) for r in rows]
         assert max(ks) - min(ks) < 1e-10
 
@@ -87,7 +92,7 @@ class TestIntegrateCommand:
             "t_end": 50.0, "tol": 1e-11, "n_out": 21, "out": "n.csv",
         })
         assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "n.csv")))
+        rows = read_rows(tmp_path / "n.csv")
         assert set(rows[0].keys()) == {"t", "ell", "g", "u1", "u3", "L", "G", "U1", "U3"}
         g0, g1 = float(rows[0]["g"]), float(rows[-1]["g"])
         assert abs(g1 - g0) < 0.5  # slow variable moved only O(eps * t)
@@ -97,6 +102,12 @@ class TestIntegrateCommand:
     def test_missing_state_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "m.json", {"kind": "cartesian"})
         assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_param_is_config_error(self, tmp_path):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},'
+                       ' "params": {"epsilon": NaN}, "t_end": 1.0, "tol": 1e-10}')
+        assert run(["integrate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
 class TestReduceCommand:
@@ -121,7 +132,7 @@ class TestNfTableCommand:
             "eta_grid": [0.8], "c1_grid": [0.3], "c2_grid": [0.2], "out": "nf.csv",
         })
         assert run(["nf-table", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "nf.csv")))
+        rows = read_rows(tmp_path / "nf.csv")
         assert list(rows[0].keys()) == [
             "beta", "L", "G", "U1", "U3",
             "C01", "C11", "C21", "C02", "C12", "C22", "C32", "C42"]
@@ -137,7 +148,7 @@ class TestEquilibriaCommand:
             "out": "sweep.csv", "json_out": "sweep.json",
         })
         assert run(["equilibria", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+        rows = read_rows(tmp_path / "sweep.csv")
         by_alpha = {}
         for r in rows:
             by_alpha.setdefault(float(r["alpha"]), []).append(r)
@@ -146,6 +157,19 @@ class TestEquilibriaCommand:
         assert len(circular) == 1 and float(circular[0]["eta"]) == 1.0
         detail = json.loads((tmp_path / "sweep.json").read_text())
         assert len(detail) == len(rows)
+
+    def test_error_rows_keep_the_header_width(self, tmp_path):
+        # w = 1.0 fails its cell with a message that contains commas
+        cfg = write_config(tmp_path / "eq.json", {
+            "alpha_grid": [0.5], "w_grid": [0.2, 1.0], "z_grid": [0.1], "out": "s.csv",
+        })
+        run(["equilibria", "--config", cfg, "--out", str(tmp_path)])
+        with open(tmp_path / "s.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["alpha", "w", "z", "kind", "eta", "g", "residual", "flags"]
+        assert all(len(r) == 8 for r in rows)
+        errors = [r for r in rows if r[3] == "error"]
+        assert len(errors) == 1 and "|w| < 1, |z| < 1" in errors[0][7]
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "eq.json", {

@@ -126,9 +126,9 @@ class TestBracketTable:
     def test_k_n_bracket_value(self):
         # state engineered to have S = 1, N = 0
         s = state([0, 1, 1, 0], [0, 0, 1, 0])
-        grads = inv._six_invariant_grads(s)
-        assert grads[3].v == pytest.approx(1.0)  # S
-        assert grads[1].v == pytest.approx(0.0)  # N
+        pt = inv.thrice_map(inv.klj_map(inv.pi_map(s)))
+        assert pt.S == pytest.approx(1.0)
+        assert pt.N == pytest.approx(0.0)
         computed = inv.bracket_computed(s)
         assert computed[4, 1] == pytest.approx(-4.0, abs=1e-12)  # {K, N} = -4S
 

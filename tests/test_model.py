@@ -201,6 +201,20 @@ class TestParams:
         iv = IntegralValues.from_state(state([1, 0, 0, 0], [0, 1, 0, 0]))
         assert iv.n == 1.0 and iv.xi == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, base, name", [
+        (ModelParams, {}, "omega"),
+        (ModelParams, {}, "epsilon"),
+        (ModelParams, {}, "beta"),
+        (ModelParams, {}, "gamma"),
+        (IntegralValues, {"n": 1.0, "xi": 0.1, "l": 0.1}, "n"),
+        (IntegralValues, {"n": 1.0, "xi": 0.1, "l": 0.1}, "xi"),
+        (IntegralValues, {"n": 1.0, "xi": 0.1, "l": 0.1}, "l"),
+    ])
+    def test_non_finite_rejected(self, cls, base, name, bad):
+        with pytest.raises(ValueError):
+            cls(**{**base, name: bad})
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(finite, min_size=8, max_size=8))

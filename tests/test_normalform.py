@@ -213,6 +213,31 @@ class TestNormalizedField:
         assert abs(tan.g) < 1e-10 * p.epsilon or abs(tan.g) < 1e-12
         assert abs(tan.G) < 1e-12
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rates_match_kernel_differences(self, rng, order):
+        # every rate is eps times a central difference of the order's own kernel
+        p = params(eps=1e-2)
+        h = 1e-6
+        for _ in range(10):
+            dp = random_delaunay(rng)
+            args = {"g": dp.g, "L": dp.L, "G": dp.G, "U1": dp.U1, "U3": dp.U3}
+
+            def diff(name):
+                up, dn = dict(args), dict(args)
+                up[name] += h
+                dn[name] -= h
+                kp = nf.kernel(**up, beta=p.beta, gamma=p.gamma, order=order, epsilon=p.epsilon)
+                km = nf.kernel(**dn, beta=p.beta, gamma=p.gamma, order=order, epsilon=p.epsilon)
+                return (kp - km) / (2 * h)
+
+            tan = nf.normalized_rhs(dp, p, order=order)
+            eps = p.epsilon
+            assert tan.ell - p.gamma ** 2 / dp.L ** 3 == pytest.approx(eps * diff("L"), rel=1e-6)
+            assert tan.g == pytest.approx(eps * diff("G"), rel=1e-6)
+            assert tan.u1 == pytest.approx(eps * diff("U1"), rel=1e-6)
+            assert tan.u3 == pytest.approx(eps * diff("U3"), rel=1e-6)
+            assert tan.G == pytest.approx(-eps * diff("g"), rel=1e-6)
+
     def test_g_derivative_sign(self, rng):
         # dG/dt = -eps dP/dg checked by finite differences of the kernel
         p = params(eps=1e-2)
