@@ -6,13 +6,19 @@ workers and output directory), writes delimited text with 17 significant
 digits so reruns diff byte-identically, and uses exit codes
 
     0  success,
-    1  a verification suite failed,
-    2  configuration error.
+    1  a verification suite failed, an integration stopped early, or every
+       cell of a sweep failed,
+    2  configuration or domain error.
+
+This module is the only one that writes output files: numeric tables go
+through ``_write_csv``, JSON payloads through ``_write_json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import math
 import os
@@ -31,6 +37,24 @@ ENV_OUT_DIR = "RESONANCE_LAB_OUT"
 def format_float(x: float) -> str:
     """17-significant-digit fixed formatting: bit-faithful round trips."""
     return format(float(x), ".17g")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Numeric table: the header line, then one line per row of format_float cells.
+
+    Cells are joined with bare commas and never quoted, so every table
+    parses back to ``float(cell)`` exactly.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class ConfigError(Exception):
@@ -93,9 +117,7 @@ def cmd_verify(args) -> int:
     report = verify.run_suites(seed=args.seed, fault=fault, names=names)
     timings = report.pop("timings")
     out = _out_dir(args) / cfg.get("report", "verify_report.json")
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, report)
     for suite in report["suites"]:
         status = "pass" if suite["passed"] else "FAIL"
         print(f"[{status}] {suite['name']}: max residual {suite['max_residual']:.3e} "
@@ -107,22 +129,33 @@ def cmd_verify(args) -> int:
     return 0
 
 
+_BLOCKS = {
+    "state": lambda s: model.CartesianState(q=tuple(map(float, s["q"])),
+                                            Q=tuple(map(float, s["Q"]))),
+    "integrals": lambda d: model.IntegralValues(n=float(d["n"]), xi=float(d["xi"]),
+                                                l=float(d["l"])),
+    "delaunay": lambda d: charts.DelaunayPoint(**{k: float(v) for k, v in d.items()}),
+    "reduced_state": lambda d: [float(d[k]) for k in "KNS"],
+}
+
+
+def _block(cfg: dict, name: str):
+    """The value of config block ``name``; a missing or malformed block is a config error."""
+    if not cfg.get(name):
+        raise ConfigError(f"config needs a non-empty {name!r} block")
+    try:
+        return _BLOCKS[name](cfg[name])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} block: {exc}") from exc
+
+
 def _initial_state(cfg: dict, p: model.ModelParams) -> model.CartesianState:
     if "state" in cfg:
-        s = cfg["state"]
-        try:
-            return model.CartesianState(q=tuple(map(float, s["q"])), Q=tuple(map(float, s["Q"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad state block: {exc}") from exc
+        return _block(cfg, "state")
     if "delaunay" in cfg:
-        d = cfg["delaunay"]
         if p.gamma is None:
             raise ConfigError("a Delaunay initial state needs params.h or params.gamma")
-        try:
-            dp = charts.DelaunayPoint(**{k: float(v) for k, v in d.items()})
-        except TypeError as exc:
-            raise ConfigError(f"bad delaunay block: {exc}") from exc
-        return charts.delaunay_to_cartesian(dp, p.gamma)
+        return charts.delaunay_to_cartesian(_block(cfg, "delaunay"), p.gamma)
     raise ConfigError("config needs a 'state' or 'delaunay' initial condition")
 
 
@@ -139,33 +172,28 @@ def cmd_integrate(args) -> int:
         s0 = _initial_state(cfg, p)
         traj = model.integrate(s0, p, t_end, tol, n_out=n_out)
         path = out / cfg.get("out", "trajectory.csv")
-        traj.write_csv(path)
+        _write_csv(path, "t,q1,q2,q3,q4,Q1,Q2,Q3,Q4,H,Xi,L1",
+                   np.column_stack([traj.t, traj.states, traj.energy, traj.xi, traj.l1]))
         print(f"wrote {path} (max drift: H {traj.energy_drift:.3e}, "
               f"Xi {traj.xi_drift:.3e}, L1 {traj.l1_drift:.3e})")
         return 0
 
     if kind == "reduced":
-        ivc = cfg.get("integrals")
-        if not ivc:
-            raise ConfigError("reduced runs need an 'integrals' block {n, xi, l}")
-        try:
-            iv = model.IntegralValues(n=float(ivc["n"]), xi=float(ivc["xi"]), l=float(ivc["l"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad integrals block: {exc}") from exc
+        iv = _block(cfg, "integrals")
         beta = float(cfg.get("params", {}).get("beta", 0.0))
         if "reduced_state" in cfg:
-            rs = cfg["reduced_state"]
+            K, N, S = _block(cfg, "reduced_state")
             pt0 = invariants.ThriceReducedPoint(
-                M=0.5 * (iv.n ** 2 + iv.xi ** 2 - float(rs["K"]) ** 2 - iv.l ** 2),
-                N=float(rs["N"]), Z=iv.n * iv.xi - float(rs["K"]) * iv.l,
-                S=float(rs["S"]), K=float(rs["K"]), integrals=iv)
+                M=0.5 * (iv.n ** 2 + iv.xi ** 2 - K ** 2 - iv.l ** 2),
+                N=N, Z=iv.n * iv.xi - K * iv.l, S=S, K=K, integrals=iv)
         else:
             lo, hi = invariants.feasible_interval(iv)
             pt0 = invariants.reduced_point_on_surface(
                 0.5 * (lo + hi), iv, beta, angle=float(cfg.get("angle", 0.0)))
         traj = invariants.reduced_flow(pt0, beta, t_end, tol, n_out=n_out)
         path = out / cfg.get("out", "reduced_trajectory.csv")
-        traj.write_csv(path)
+        _write_csv(path, "t,K,N,S,H3,casimir_residual",
+                   np.column_stack([traj.t, traj.K, traj.N, traj.S, traj.h3, traj.casimir]))
         print(f"wrote {path} (casimir drift {traj.casimir_drift:.3e}, "
               f"H3 drift {traj.h3_drift:.3e})")
         return 0
@@ -174,12 +202,8 @@ def cmd_integrate(args) -> int:
         p = _params_from_config(cfg)
         if p.gamma is None:
             raise ConfigError("normalized runs need params.h or params.gamma")
-        d = cfg.get("delaunay")
-        if not d:
-            raise ConfigError("normalized runs need a 'delaunay' initial point")
-        dp0 = charts.DelaunayPoint(**{k: float(v) for k, v in d.items()})
+        dp0 = _block(cfg, "delaunay")
         order = int(cfg.get("order", 1))
-        from scipy.integrate import solve_ivp
 
         def fun(t, y):
             dp = charts.DelaunayPoint(ell=y[0], g=y[1], u1=y[2], u3=y[3],
@@ -187,19 +211,11 @@ def cmd_integrate(args) -> int:
             tan = normalform.normalized_rhs(dp, p, order=order)
             return [tan.ell, tan.g, tan.u1, tan.u3, tan.G]
 
-        sol = solve_ivp(fun, (0.0, t_end), [dp0.ell, dp0.g, dp0.u1, dp0.u3, dp0.G],
-                        method="DOP853", rtol=tol, atol=tol,
-                        t_eval=np.linspace(0.0, t_end, n_out))
-        if not sol.success:
-            print(f"integration failed: {sol.message}", file=sys.stderr)
-            return 1
+        sol = model._solve_ivp(fun, t_end, [dp0.ell, dp0.g, dp0.u1, dp0.u3, dp0.G],
+                               np.linspace(0.0, t_end, n_out), tol, tol)
         path = out / cfg.get("out", "normalized_trajectory.csv")
-        with open(path, "w") as fh:
-            fh.write("t,ell,g,u1,u3,L,G,U1,U3\n")
-            for k in range(len(sol.t)):
-                row = [sol.t[k], sol.y[0][k], sol.y[1][k], sol.y[2][k], sol.y[3][k],
-                       dp0.L, sol.y[4][k], dp0.U1, dp0.U3]
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+        _write_csv(path, "t,ell,g,u1,u3,L,G,U1,U3",
+                   ([t, *y[:4], dp0.L, y[4], dp0.U1, dp0.U3] for t, y in zip(sol.t, sol.y.T)))
         print(f"wrote {path}")
         return 0
 
@@ -211,9 +227,7 @@ def cmd_reduce(args) -> int:
     out = _out_dir(args)
     wrote = []
     if "state" in cfg:
-        s = model.CartesianState(q=tuple(map(float, cfg["state"]["q"])),
-                                 Q=tuple(map(float, cfg["state"]["Q"])))
-        pv = invariants.pi_map(s)
+        pv = invariants.pi_map(_block(cfg, "state"))
         kv = invariants.klj_map(pv)
         pt = invariants.thrice_map(kv)
         r1, r2 = invariants.second_space_residuals(kv)
@@ -228,22 +242,13 @@ def cmd_reduce(args) -> int:
             "eo3_residuals": list(invariants.eo3_residuals(pt)),
         }
         path = out / cfg.get("out", "invariants.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
         wrote.append(path)
     if "integrals" in cfg:
-        ivc = cfg["integrals"]
-        try:
-            iv = model.IntegralValues(n=float(ivc["n"]), xi=float(ivc["xi"]), l=float(ivc["l"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad integrals block: {exc}") from exc
+        iv = _block(cfg, "integrals")
         samples = invariants.surface_samples(iv, count=int(cfg.get("count", 200)))
         path = out / cfg.get("surface_out", "surface.csv")
-        with open(path, "w") as fh:
-            fh.write("K,sqrt_f_over_2\n")
-            for K, r in samples:
-                fh.write(format_float(K) + "," + format_float(r) + "\n")
+        _write_csv(path, "K,sqrt_f_over_2", samples)
         wrote.append(path)
     if not wrote:
         raise ConfigError("reduce needs a 'state' and/or an 'integrals' block")
@@ -261,22 +266,17 @@ def cmd_nf_table(args) -> int:
     etas = _grid(cfg.get("eta_grid", [0.6, 0.8]), "eta_grid")
     c1s = _grid(cfg.get("c1_grid", [0.0, 0.4]), "c1_grid")
     c2s = _grid(cfg.get("c2_grid", [0.0, 0.4]), "c2_grid")
+    rows = []
+    for beta, L, eta, c1, c2 in itertools.product(betas, Ls, etas, c1s, c2s):
+        G = eta * L
+        U1 = c1 * G
+        U3 = c2 * G
+        c = normalform.order1_coeffs(L, G, U1, U3, beta, gamma)
+        c2v = normalform.order2_coeffs(L, G, U1, U3, beta, gamma)
+        rows.append([beta, L, G, U1, U3, c.C01, c.C11, c.C21,
+                     c2v.C02, c2v.C12, c2v.C22, c2v.C32, c2v.C42])
     path = out / cfg.get("out", "nf_table.csv")
-    with open(path, "w") as fh:
-        fh.write("beta,L,G,U1,U3,C01,C11,C21,C02,C12,C22,C32,C42\n")
-        for beta in betas:
-            for L in Ls:
-                for eta in etas:
-                    G = eta * L
-                    for c1 in c1s:
-                        for c2 in c2s:
-                            U1 = c1 * G
-                            U3 = c2 * G
-                            c = normalform.order1_coeffs(L, G, U1, U3, beta, gamma)
-                            c2v = normalform.order2_coeffs(L, G, U1, U3, beta, gamma)
-                            row = [beta, L, G, U1, U3, c.C01, c.C11, c.C21,
-                                   c2v.C02, c2v.C12, c2v.C22, c2v.C32, c2v.C42]
-                            fh.write(",".join(format_float(v) for v in row) + "\n")
+    _write_csv(path, "beta,L,G,U1,U3,C01,C11,C21,C02,C12,C22,C32,C42", rows)
     print(f"wrote {path}")
     return 0
 
@@ -289,30 +289,27 @@ def cmd_equilibria(args) -> int:
     zs = _grid(cfg.get("z_grid", [0.0]), "z_grid")
     result = equilibria.sweep(alphas, ws, zs, workers=args.workers)
     path = out / cfg.get("out", "equilibria_sweep.csv")
-    result.to_csv(path)
+    # the flags cell is free text that may hold commas, so csv.writer quotes it
+    with open(path, "w", newline="") as fh:
+        table = csv.writer(fh, lineterminator="\n")
+        table.writerow(["alpha", "w", "z", "kind", "eta", "g", "residual", "flags"])
+        for row in result.rows:
+            table.writerow([
+                format_float(row["alpha"]), format_float(row["w"]),
+                format_float(row["z"]), row["kind"],
+                format_float(row["eta"]) if row["eta"] is not None else "",
+                format_float(row["g"]) if row["g"] is not None else "",
+                format_float(row["residual"]) if row["residual"] is not None else "",
+                ";".join(row["flags"]),
+            ])
     wrote = [path]
     if cfg.get("json_out"):
         jpath = out / cfg["json_out"]
-        with open(jpath, "w") as fh:
-            json.dump(result.to_json(), fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        _write_json(jpath, result.rows)
         wrote.append(jpath)
-    if cfg.get("cross_validate", True):
-        bad = 0
-        total = 0
-        for alpha in alphas:
-            if alpha < -1.0:
-                continue
-            beta = math.sqrt(alpha + 1.0)
-            for w in ws:
-                for z in zs:
-                    res = equilibria.solve_tori3(float(w), float(z), float(alpha))
-                    for rec in res.records:
-                        cv = equilibria.cross_validate(rec, beta)
-                        total += 1
-                        if cv.reduced_rhs_max > 1e-6:
-                            bad += 1
-        print(f"cross-validated {total} records, {bad} above tolerance")
+    checked = [row["reduced_rhs_max"] for row in result.rows if "reduced_rhs_max" in row]
+    print(f"cross-validated {len(checked)} records, "
+          f"{sum(r > 1e-6 for r in checked)} above tolerance")
     errors = sum(1 for row in result.rows if row["kind"] == "error")
     for path in wrote:
         print(f"wrote {path}")
@@ -348,6 +345,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except model.IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         ap.print_usage(sys.stderr)

@@ -23,7 +23,6 @@ L = 1, gamma = 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -402,7 +401,12 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
     The published degree-six polynomial is assembled alongside; each of its
     roots in (0, 1] is either matched to an accepted record or logged as
     spurious, so the squaring artifacts stay visible.
+
+    Raises ValueError for alpha < -1, where beta = sqrt(alpha + 1) is not
+    real, and for |w| >= 1 or |z| >= 1.
     """
+    if alpha < -1.0:
+        raise ValueError(f"alpha = beta^2 - 1 must be >= -1, got {alpha}")
     poly = assemble_eta_poly(w, z, alpha)
     bcoeffs = branch_product_coeffs(w, z, alpha)
     bscale = float(np.max(np.abs(bcoeffs)))
@@ -655,25 +659,6 @@ class SweepResult:
 
     rows: list[dict] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        from .cli import format_float
-
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["alpha", "w", "z", "kind", "eta", "g", "residual", "flags"])
-            for row in self.rows:
-                out.writerow([
-                    format_float(row["alpha"]), format_float(row["w"]),
-                    format_float(row["z"]), row["kind"],
-                    format_float(row["eta"]) if row["eta"] is not None else "",
-                    format_float(row["g"]) if row["g"] is not None else "",
-                    format_float(row["residual"]) if row["residual"] is not None else "",
-                    ";".join(row["flags"]),
-                ])
-
-    def to_json(self) -> list[dict]:
-        return [dict(row) for row in self.rows]
-
 
 def _sweep_cell(args) -> list[dict]:
     ia, iw, iz, alpha, w, z = args
@@ -681,6 +666,8 @@ def _sweep_cell(args) -> list[dict]:
     base = {"alpha": alpha, "w": w, "z": z, "ia": ia, "iw": iw, "iz": iz}
     try:
         res = solve_tori3(w, z, alpha)
+        beta = math.sqrt(alpha + 1.0)
+        rhs_max = [cross_validate(rec, beta).reduced_rhs_max for rec in res.records]
     except Exception as exc:  # per-cell failures must not kill the sweep
         rows.append({**base, "kind": "error", "eta": None, "g": None,
                      "residual": None, "flags": (f"error:{exc}",)})
@@ -689,9 +676,9 @@ def _sweep_cell(args) -> list[dict]:
         rows.append({**base, "kind": "continuum", "eta": None, "g": None,
                      "residual": None, "flags": ("degenerate_family",)})
         return rows
-    for rec in res.records:
+    for rec, rhs in zip(res.records, rhs_max):
         rows.append({**base, "kind": rec.kind, "eta": rec.eta, "g": rec.g,
-                     "residual": rec.residual, "flags": rec.flags})
+                     "residual": rec.residual, "flags": rec.flags, "reduced_rhs_max": rhs})
     for sp in res.spurious:
         rows.append({**base, "kind": "spurious", "eta": sp["eta"], "g": None,
                      "residual": None, "flags": (sp["reason"].replace(",", ";"),)})
@@ -704,8 +691,11 @@ def _sweep_cell(args) -> list[dict]:
 def sweep(alpha_grid, w_grid, z_grid, workers: int = 1) -> SweepResult:
     """Deterministic enumeration of solve_tori3 over a parameter grid.
 
-    Output ordering follows grid indices regardless of the worker count, so
-    sharded and serial runs produce identical tables.
+    Every record is cross-validated against the reduced Poisson flow in the
+    same cell, and its row carries ``reduced_rhs_max``; a cell that raises
+    becomes one ``error`` row.  Output ordering follows grid indices
+    regardless of the worker count, so sharded and serial runs produce
+    identical tables.
     """
     cells = [(ia, iw, iz, float(a), float(w), float(z))
              for ia, a in enumerate(alpha_grid)

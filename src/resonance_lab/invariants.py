@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .model import CartesianState, IntegralValues, IntegrationError, _complex_step_jacobian
+from .model import CartesianState, IntegralValues, _complex_step_jacobian, _solve_ivp
 
 __all__ = [
     "PiVector",
@@ -352,15 +351,6 @@ class ReducedTrajectory:
     def casimir_drift(self) -> float:
         return float(np.max(np.abs(self.casimir)))
 
-    def write_csv(self, path) -> None:
-        from .cli import format_float
-
-        with open(path, "w") as fh:
-            fh.write("t,K,N,S,H3,casimir_residual\n")
-            for k in range(len(self.t)):
-                row = [self.t[k], self.K[k], self.N[k], self.S[k], self.h3[k], self.casimir[k]]
-                fh.write(",".join(format_float(v) for v in row) + "\n")
-
 
 def reduced_flow(
     pt0: ThriceReducedPoint,
@@ -384,20 +374,7 @@ def reduced_flow(
     def fun(t, y):
         return reduced_rhs(y[0], y[1], y[2], iv, beta)
 
-    sol = solve_ivp(
-        fun,
-        (0.0, t_end),
-        [pt0.K, pt0.N, pt0.S],
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        t_eval=np.linspace(0.0, t_end, n_out),
-    )
-    if not sol.success:
-        t_last = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(
-            f"reduced flow failed at t={t_last}: {sol.message}", t_last, sol.y[:, -1]
-        )
+    sol = _solve_ivp(fun, t_end, [pt0.K, pt0.N, pt0.S], np.linspace(0.0, t_end, n_out), tol, tol)
     K, N, S = sol.y
     h3 = np.array([
         reduced_h3(ThriceReducedPoint(M=0.0, N=n_, Z=0.0, S=s_, K=k_, integrals=iv), beta)

@@ -248,14 +248,20 @@ class Trajectory:
     def state(self, i: int) -> CartesianState:
         return CartesianState.from_array(self.states[i])
 
-    def write_csv(self, path) -> None:
-        from .cli import format_float  # deterministic 17-digit formatting
 
-        with open(path, "w") as fh:
-            fh.write("t,q1,q2,q3,q4,Q1,Q2,Q3,Q4,H,Xi,L1\n")
-            for k in range(len(self.t)):
-                row = [self.t[k], *self.states[k], self.energy[k], self.xi[k], self.l1[k]]
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+def _solve_ivp(fun, t_end: float, y0, t_eval, rtol: float, atol: float):
+    """DOP853 run of dy/dt = fun(t, y) from t = 0 to t_end, sampled at t_eval.
+
+    Raises IntegrationError carrying the last sampled time and state when
+    the solver stops early.
+    """
+    sol = solve_ivp(fun, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
+                    t_eval=t_eval)
+    if not sol.success:
+        t_last = float(sol.t[-1]) if sol.t.size else 0.0
+        y_last = sol.y[:, -1] if sol.t.size else np.asarray(y0, dtype=float)
+        raise IntegrationError(f"solver stopped at t={t_last}: {sol.message}", t_last, y_last)
+    return sol
 
 
 def integrate(
@@ -278,7 +284,6 @@ def integrate(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x0 = state0.as_array()
 
     if time_scale is None:
         def fun(t, x):
@@ -287,25 +292,11 @@ def integrate(
         def fun(t, x):
             return time_scale(x) * _rhs(x, p)
 
-    t_eval = np.linspace(0.0, t_end, n_out)
-    sol = solve_ivp(
-        fun,
-        (0.0, t_end),
-        x0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        t_last = float(sol.t[-1]) if sol.t.size else 0.0
-        x_last = sol.y[:, -1] if sol.t.size else x0
-        raise IntegrationError(
-            f"integration failed at t={t_last}: {sol.message}",
-            t_last,
-            CartesianState.from_array(x_last),
-        )
+    try:
+        sol = _solve_ivp(fun, t_end, state0.as_array(), np.linspace(0.0, t_end, n_out), tol, tol)
+    except IntegrationError as exc:
+        exc.state_last = CartesianState.from_array(exc.state_last)
+        raise
 
     states = sol.y.T
     energy = np.array([hamiltonian(CartesianState.from_array(x), p) for x in states])

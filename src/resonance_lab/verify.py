@@ -15,7 +15,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import charts, equilibria, invariants, model, normalform
 
@@ -470,8 +469,7 @@ def _predictivity_error(eps: float, rng) -> tuple[float, float]:
         tan = normalform.normalized_rhs(dp, p, order=1)
         return [tan.g, tan.G]
 
-    soln = solve_ivp(nfun, (0.0, s_end), [dp0.g, dp0.G], method="DOP853",
-                     rtol=1e-11, atol=1e-12, t_eval=s_avg)
+    soln = model._solve_ivp(nfun, s_end, [dp0.g, dp0.G], s_avg, 1e-11, 1e-12)
     g_err = float(np.max(np.abs(np.unwrap(soln.y[0]) - g_avg)))
     G_err = float(np.max(np.abs(soln.y[1] - G_avg)))
     return g_err, G_err

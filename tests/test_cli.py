@@ -1,8 +1,13 @@
+import ast
 import csv
 import json
 import math
+from pathlib import Path
 
-from resonance_lab import cli
+import numpy as np
+import pytest
+
+from resonance_lab import cli, equilibria, invariants, model, normalform
 
 
 def run(args):
@@ -103,6 +108,18 @@ class TestIntegrateCommand:
         cfg = write_config(tmp_path / "m.json", {"kind": "cartesian"})
         assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_integration_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        def stopped(*args, **kwargs):
+            raise model.IntegrationError("solver stopped at t=0.5: step size too small",
+                                         0.5, np.zeros(8))
+
+        monkeypatch.setattr(model, "integrate", stopped)
+        cfg = write_config(tmp_path / "i.json", {
+            "kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]}, "t_end": 1.0,
+        })
+        assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "integration failed" in capsys.readouterr().err
+
     def test_non_finite_param_is_config_error(self, tmp_path):
         cfg = tmp_path / "nan.json"
         cfg.write_text('{"kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},'
@@ -157,13 +174,16 @@ class TestEquilibriaCommand:
         assert len(circular) == 1 and float(circular[0]["eta"]) == 1.0
         detail = json.loads((tmp_path / "sweep.json").read_text())
         assert len(detail) == len(rows)
+        assert all(("reduced_rhs_max" in d) == (d["kind"] == "torus3") for d in detail)
 
-    def test_error_rows_keep_the_header_width(self, tmp_path):
+    def test_error_rows_keep_the_header_width(self, tmp_path, capsys):
         # w = 1.0 fails its cell with a message that contains commas
         cfg = write_config(tmp_path / "eq.json", {
             "alpha_grid": [0.5], "w_grid": [0.2, 1.0], "z_grid": [0.1], "out": "s.csv",
         })
-        run(["equilibria", "--config", cfg, "--out", str(tmp_path)])
+        # the run completes: the failed cell is reported, not re-solved outside its guard
+        assert run(["equilibria", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "cross-validated" in capsys.readouterr().out
         with open(tmp_path / "s.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["alpha", "w", "z", "kind", "eta", "g", "residual", "flags"]
@@ -188,3 +208,126 @@ class TestEnvironment:
         })
         assert run(["equilibria", "--config", cfg]) == 0
         assert (tmp_path / "envout" / "s.csv").exists()
+
+
+class TestConfigBlocks:
+    @pytest.mark.parametrize("command, cfg", [
+        ("reduce", {"state": {"q": [0.7, 0.1, -0.3, 0.5]}}),
+        ("reduce", {"integrals": {"n": None, "xi": 0.2, "l": -0.1}}),
+        ("integrate", {"kind": "normalized", "delaunay": {"ell": 0.1, "g": 1.0},
+                       "params": {"epsilon": 1e-3, "h": 4.0}}),
+        ("integrate", {"kind": "reduced", "integrals": {"n": 1.0, "xi": 0.3, "l": 0.1},
+                       "reduced_state": {"N": 0.1, "S": 0.0}}),
+    ], ids=["state_without_Q", "null_n", "delaunay_without_momenta", "reduced_state_without_K"])
+    def test_malformed_block_is_config_error(self, command, cfg, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+# Every CSV the CLI writes: (command, config, file, header, library rows).  In
+# the library rows, None is an empty cell, a str is compared as text and
+# Ellipsis is not checked; every other cell must parse back to the float the
+# library returned.
+def _cartesian_rows():
+    traj = model.integrate(model.CartesianState(q=(1.0, 0.0, 0.0, 0.0), Q=(0.0, 1.0, 0.0, 0.0)),
+                           model.ModelParams(epsilon=1e-3, beta=1.5), 1.0, 1e-10, n_out=4)
+    return np.column_stack([traj.t, traj.states, traj.energy, traj.xi, traj.l1])
+
+
+def _reduced_rows():
+    iv = model.IntegralValues(n=1.0, xi=0.3, l=0.1)
+    lo, hi = invariants.feasible_interval(iv)
+    pt0 = invariants.reduced_point_on_surface(0.5 * (lo + hi), iv, 1.0, angle=0.3)
+    traj = invariants.reduced_flow(pt0, 1.0, 1.0, 1e-10, n_out=4)
+    return np.column_stack([traj.t, traj.K, traj.N, traj.S, traj.h3, traj.casimir])
+
+
+def _normalized_rows():
+    # the fast and slow angles come from a solver run inside the CLI; the
+    # sample times and the conserved momenta are known in advance
+    return [[t, ..., ..., ..., ..., 1.0, ..., 0.2, -0.1] for t in np.linspace(0.0, 2.0, 5)]
+
+
+def _surface_rows():
+    return invariants.surface_samples(model.IntegralValues(n=1.0, xi=0.2, l=-0.1), count=7)
+
+
+def _nf_table_rows():
+    G = 0.8 * 1.0
+    U1, U3 = 0.3 * G, 0.2 * G
+    c = normalform.order1_coeffs(1.0, G, U1, U3, 1.0, 1.0)
+    c2 = normalform.order2_coeffs(1.0, G, U1, U3, 1.0, 1.0)
+    return [[1.0, 1.0, G, U1, U3, c.C01, c.C11, c.C21, c2.C02, c2.C12, c2.C22, c2.C32, c2.C42]]
+
+
+def _sweep_rows():
+    return [[r["alpha"], r["w"], r["z"], r["kind"], r["eta"], r["g"], r["residual"],
+             ";".join(r["flags"])] for r in equilibria.sweep([1.0], [0.0, 0.2], [0.1]).rows]
+
+
+CSV_CASES = {
+    "cartesian": ("integrate", {
+        "kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},
+        "params": {"epsilon": 1e-3, "beta": 1.5}, "t_end": 1.0, "tol": 1e-10, "n_out": 4,
+        "out": "t.csv"}, "t.csv", "t,q1,q2,q3,q4,Q1,Q2,Q3,Q4,H,Xi,L1", _cartesian_rows),
+    "reduced": ("integrate", {
+        "kind": "reduced", "integrals": {"n": 1.0, "xi": 0.3, "l": 0.1}, "params": {"beta": 1.0},
+        "angle": 0.3, "t_end": 1.0, "tol": 1e-10, "n_out": 4, "out": "r.csv"},
+        "r.csv", "t,K,N,S,H3,casimir_residual", _reduced_rows),
+    "normalized": ("integrate", {
+        "kind": "normalized", "delaunay": {"ell": 0.1, "g": 1.0, "u1": 0.0, "u3": 0.0,
+                                           "L": 1.0, "G": 0.7, "U1": 0.2, "U3": -0.1},
+        "params": {"epsilon": 1e-3, "beta": 1.5, "h": 4.0}, "t_end": 2.0, "tol": 1e-10,
+        "n_out": 5, "out": "n.csv"}, "n.csv", "t,ell,g,u1,u3,L,G,U1,U3", _normalized_rows),
+    "surface": ("reduce", {
+        "integrals": {"n": 1.0, "xi": 0.2, "l": -0.1}, "count": 7, "surface_out": "s.csv"},
+        "s.csv", "K,sqrt_f_over_2", _surface_rows),
+    "nf_table": ("nf-table", {
+        "gamma": 1.0, "beta_grid": [1.0], "L_grid": [1.0], "eta_grid": [0.8],
+        "c1_grid": [0.3], "c2_grid": [0.2], "out": "nf.csv"},
+        "nf.csv", "beta,L,G,U1,U3,C01,C11,C21,C02,C12,C22,C32,C42", _nf_table_rows),
+    "sweep": ("equilibria", {
+        "alpha_grid": [1.0], "w_grid": [0.0, 0.2], "z_grid": [0.1], "out": "e.csv"},
+        "e.csv", "alpha,w,z,kind,eta,g,residual,flags", _sweep_rows),
+}
+
+
+class TestCsvOutputs:
+    @pytest.mark.parametrize("case", CSV_CASES)
+    def test_header_rows_and_round_trip(self, case, tmp_path):
+        command, cfg, name, header, library_rows = CSV_CASES[case]
+        path = write_config(tmp_path / "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == 0
+        # none of these tables holds a comma inside a cell, so a plain split
+        # also proves that no cell is quoted
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header
+        want = library_rows()
+        assert len(lines) == len(want) + 1
+        for line, row in zip(lines[1:], want):
+            cells = line.split(",")
+            assert len(cells) == len(row)
+            for cell, value in zip(cells, row):
+                if value is ...:
+                    continue
+                if value is None or isinstance(value, str):
+                    assert cell == (value or "")
+                else:
+                    assert float(cell) == value
+
+
+class TestLayering:
+    def test_only_cli_imports_cli(self):
+        importers = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any("cli" in name.split(".") for name in names):
+                    importers.append(path.name)
+        assert set(importers) <= {"cli.py"}

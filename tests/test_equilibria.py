@@ -236,25 +236,26 @@ class TestSweep:
         kinds = [row["kind"] for row in table.rows]
         assert kinds.count("torus3") == len(direct.records)
         assert kinds.count("spurious") == len(direct.spurious)
+        # each record row carries its cross-validation against the reduced flow
+        checked = [row["reduced_rhs_max"] for row in table.rows if row["kind"] == "torus3"]
+        assert checked == [eq.cross_validate(rec, math.sqrt(2.0)).reduced_rhs_max
+                           for rec in direct.records]
 
-    def test_sharded_is_identical(self, tmp_path):
+    def test_sharded_is_identical(self):
         grids = ([-0.75, 0.0, 1.0], [0.0, 0.2], [0.0, 0.1])
         a = eq.sweep(*grids, workers=1)
         b = eq.sweep(*grids, workers=2)
-        pa = tmp_path / "a.csv"
-        pb = tmp_path / "b.csv"
-        a.to_csv(pa)
-        b.to_csv(pb)
-        assert pa.read_bytes() == pb.read_bytes()
+        assert a.rows == b.rows
 
     def test_degenerate_cell_flagged(self):
         table = eq.sweep([-0.75], [0.0], [0.0])
         assert table.rows[0]["kind"] == "continuum"
         assert "degenerate_family" in table.rows[0]["flags"]
 
-    def test_csv_schema(self, tmp_path):
-        table = eq.sweep([1.0], [0.0], [0.0])
-        path = tmp_path / "sweep.csv"
-        table.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "alpha,w,z,kind,eta,g,residual,flags"
+    def test_alpha_below_minus_one_is_an_error_row(self):
+        # no real beta = sqrt(alpha + 1): the cell fails instead of reporting a record
+        with pytest.raises(ValueError, match="must be >= -1"):
+            eq.solve_tori3(0.0, 0.0, -1.5)
+        (row,) = eq.sweep([-1.5], [0.0], [0.0]).rows
+        assert row["kind"] == "error"
+        assert "must be >= -1" in row["flags"][0]

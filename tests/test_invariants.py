@@ -255,13 +255,3 @@ class TestReducedFlow:
         pt = inv.ThriceReducedPoint(M=0.0, N=5.0, Z=0.0, S=5.0, K=0.0, integrals=iv)
         with pytest.raises(ValueError):
             inv.reduced_flow(pt, beta=1.0, t_end=1.0, tol=1e-10)
-
-    def test_csv_schema(self, tmp_path):
-        iv = IntegralValues(n=1.0, xi=0.3, l=0.1)
-        pt0 = inv.reduced_point_on_surface(0.0, iv, beta=1.0, angle=0.3)
-        traj = inv.reduced_flow(pt0, beta=1.0, t_end=1.0, tol=1e-10, n_out=4)
-        path = tmp_path / "reduced.csv"
-        traj.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,K,N,S,H3,casimir_residual"
-        assert len(lines) == 5

@@ -149,18 +149,6 @@ class TestIntegrate:
         assert err.value.t_last >= 0.0
         assert isinstance(err.value.state_last, model.CartesianState)
 
-    def test_csv_schema(self, tmp_path):
-        s0 = state([1, 0, 0, 0], [0, 1, 0, 0])
-        traj = model.integrate(s0, ModelParams(omega=1.0), 1.0, 1e-10, n_out=4)
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,q1,q2,q3,q4,Q1,Q2,Q3,Q4,H,Xi,L1"
-        assert len(lines) == 5
-        # 17 significant digits round-trip
-        val = float(lines[1].split(",")[1])
-        assert val == traj.states[0][0]
-
 
 class TestBracket:
     def test_integrals_commute(self, rng):
