@@ -19,6 +19,12 @@ On this chain the rotation integrals are carried by the momenta:
 since the Andoyer block stores the Phi projection as U1 and the Psi
 projection as U3.  These signed identifications are measured numerically once
 and frozen here as regression constants (``XI_PER_PSI``, ``L1_PER_PHI``).
+
+The forward maps (Delaunay -> Andoyer -> Euler -> Cartesian and the Kepler
+solve) are written in numpy ufuncs: any field of a point may be an ndarray
+and the fields broadcast against each other.  A domain check raises when any
+element violates it and names the first such element; scalar input gives
+Python floats back.  The inverse maps are scalar.
 """
 
 from __future__ import annotations
@@ -117,6 +123,28 @@ class DelaunayPoint:
     U3: float
 
 
+def _require(ok, message: str, *values) -> None:
+    """Raise ChartDomainError unless ``ok`` holds at every element.
+
+    ``message`` is formatted with ``values`` at the first failing element.
+    """
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    ok = np.asarray(ok)
+    first = int(np.argmin(ok))
+    raise ChartDomainError(
+        message.format(*(float(np.broadcast_to(v, ok.shape).flat[first]) for v in values)))
+
+
+def _value(x):
+    """An ndarray result as is; a 0-d result as a Python float."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _point(cls, *fields):
+    return cls(*map(_value, fields))
+
+
 def integrals_from_momenta(U1: float, U3: float) -> tuple[float, float]:
     """(Xi, L1) carried by the Andoyer/Delaunay momenta (U1, U3) = (Phi, Psi)."""
     return XI_PER_PSI * U3, L1_PER_PHI * U1
@@ -131,34 +159,39 @@ def momenta_from_integrals(xi: float, l1: float) -> tuple[float, float]:
 
 def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
     """Forward chart map; the momenta follow by the cotangent lift."""
-    if not ep.rho > 0.0:
-        raise ChartDomainError(f"rho must be positive, got {ep.rho}")
-    st = math.sin(ep.theta)
-    if not st > SINGULARITY_GUARD:
-        raise ChartDomainError(f"theta={ep.theta} is too close to the chart singularity")
-    s = math.sin(0.5 * ep.theta)
-    c = math.cos(0.5 * ep.theta)
-    sr = math.sqrt(ep.rho)
+    _require(ep.rho > 0.0, "rho must be positive, got {}", ep.rho)
+    st = np.sin(ep.theta)
+    _require(st > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", ep.theta)
+    s = np.sin(0.5 * ep.theta)
+    c = np.cos(0.5 * ep.theta)
+    sr = np.sqrt(ep.rho)
     hm = 0.5 * (ep.phi - ep.psi)
     hp = 0.5 * (ep.phi + ep.psi)
-    q1 = sr * s * math.cos(hm)
-    q2 = sr * s * math.sin(hm)
-    q3 = sr * c * math.sin(hp)
-    q4 = sr * c * math.cos(hp)
+    q1 = sr * s * np.cos(hm)
+    q2 = sr * s * np.sin(hm)
+    q3 = sr * c * np.sin(hp)
+    q4 = sr * c * np.cos(hp)
 
-    # Columns: dq/d(rho, phi, theta, psi); momenta solve A^T Q = (P, Phi, Theta, Psi).
+    # The columns of A are dq/d(rho, phi, theta, psi) and the momenta solve
+    # A^T Q = (P, Phi, Theta, Psi), so Q = A x with x = (A^T A)^-1 (P, Phi,
+    # Theta, Psi).  A^T A is block diagonal: diag(1/(4 rho), rho/4) on the
+    # (rho, theta) columns and (rho/4) [[1, cos theta], [cos theta, 1]] on the
+    # (phi, psi) columns.
+    ct = np.cos(ep.theta)
+    w = 4.0 / (ep.rho * st * st)
+    x0 = 4.0 * ep.rho * ep.P
+    x1 = w * (ep.Phi - ct * ep.Psi)
+    x2 = 4.0 * ep.Theta / ep.rho
+    x3 = w * (ep.Psi - ct * ep.Phi)
     inv2rho = 0.5 / ep.rho
     cot = c / s
     tan = s / c
-    a = np.array([
-        [q1 * inv2rho, -0.5 * q2, 0.5 * cot * q1, 0.5 * q2],
-        [q2 * inv2rho, 0.5 * q1, 0.5 * cot * q2, -0.5 * q1],
-        [q3 * inv2rho, 0.5 * q4, -0.5 * tan * q3, 0.5 * q4],
-        [q4 * inv2rho, -0.5 * q3, -0.5 * tan * q4, -0.5 * q3],
-    ])
-    rhs = np.array([ep.P, ep.Phi, ep.Theta, ep.Psi])
-    Q = np.linalg.solve(a.T, rhs)
-    return CartesianState(q=(q1, q2, q3, q4), Q=tuple(Q))
+    Q1 = q1 * inv2rho * x0 - 0.5 * q2 * x1 + 0.5 * cot * q1 * x2 + 0.5 * q2 * x3
+    Q2 = q2 * inv2rho * x0 + 0.5 * q1 * x1 + 0.5 * cot * q2 * x2 - 0.5 * q1 * x3
+    Q3 = q3 * inv2rho * x0 + 0.5 * q4 * x1 - 0.5 * tan * q3 * x2 + 0.5 * q4 * x3
+    Q4 = q4 * inv2rho * x0 - 0.5 * q3 * x1 - 0.5 * tan * q4 * x2 - 0.5 * q3 * x3
+    return CartesianState(q=tuple(map(_value, (q1, q2, q3, q4))),
+                          Q=tuple(map(_value, (Q1, Q2, Q3, Q4))))
 
 
 def cartesian_to_euler(state: CartesianState) -> EulerPoint:
@@ -196,18 +229,18 @@ def h2_euler(ep: EulerPoint, omega: float = 1.0) -> float:
 
 # -- projective Andoyer -------------------------------------------------------
 
-def _andoyer_deltas(u2: float, c1: float, s1: float, c2: float, s2: float) -> tuple[float, float]:
+def _andoyer_deltas(su2, cu2, c1, s1, c2, s2, atan2):
     """Spherical-triangle offsets (phi - u1, psi - u3).
 
     The triangle has sides sigma1 (cos = U1/U2), sigma2 (cos = U3/U2) and
-    theta, with the dihedral angle u2 between the first two.  The vertex
-    angles, resolved in both sine and cosine, are the offsets between the
-    Euler angles and their Andoyer counterparts.
+    theta, with the dihedral angle u2 (sine su2, cosine cu2) between the
+    first two.  The vertex angles, resolved in both sine and cosine, are the
+    offsets between the Euler angles and their Andoyer counterparts.
+    ``atan2`` is ``math.atan2`` in the scalar inverse map and ``np.arctan2``
+    in the array forward map.
     """
-    su2 = math.sin(u2)
-    cu2 = math.cos(u2)
-    d1 = math.atan2(su2 * s2, c2 * s1 - s2 * c1 * cu2)
-    d3 = math.atan2(su2 * s1, c1 * s2 - s1 * c2 * cu2)
+    d1 = atan2(su2 * s2, c2 * s1 - s2 * c1 * cu2)
+    d3 = atan2(su2 * s1, c1 * s2 - s1 * c2 * cu2)
     return d1, d3
 
 
@@ -238,7 +271,7 @@ def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
     cu2 = (ct - c1 * c2) / (s1 * s2)
     su2 = ep.Theta * st / (U2 * s1 * s2)
     u2 = math.atan2(su2, cu2) % _TWO_PI
-    d1, d3 = _andoyer_deltas(u2, c1, s1, c2, s2)
+    d1, d3 = _andoyer_deltas(math.sin(u2), math.cos(u2), c1, s1, c2, s2, math.atan2)
     u1 = (ep.phi + d1) % _TWO_PI
     u3 = (ep.psi + d3) % _TWO_PI
     return AndoyerPoint(rho=ep.rho, u1=u1, u2=u2, u3=u3, P=ep.P, U1=U1, U2=U2, U3=U3)
@@ -246,81 +279,67 @@ def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
 
 def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
     """Inverse of ``euler_to_andoyer`` on the open domain |U1|, |U3| < U2."""
-    if not ap.U2 > 0.0:
-        raise ChartDomainError("U2 must be positive")
+    _require(ap.U2 > 0.0, "U2 must be positive")
     c1 = ap.U1 / ap.U2
     c2 = ap.U3 / ap.U2
     s1sq = 1.0 - c1 * c1
     s2sq = 1.0 - c2 * c2
-    if s1sq < SINGULARITY_GUARD ** 2 or s2sq < SINGULARITY_GUARD ** 2:
-        raise ChartDomainError("|U1| or |U3| too close to U2")
-    s1 = math.sqrt(s1sq)
-    s2 = math.sqrt(s2sq)
-    ct = c1 * c2 + s1 * s2 * math.cos(ap.u2)
+    _require((s1sq >= SINGULARITY_GUARD ** 2) & (s2sq >= SINGULARITY_GUARD ** 2),
+             "|U1| or |U3| too close to U2")
+    s1 = np.sqrt(s1sq)
+    s2 = np.sqrt(s2sq)
+    ct = c1 * c2 + s1 * s2 * np.cos(ap.u2)
     stsq = 1.0 - ct * ct
-    if stsq < SINGULARITY_GUARD ** 2:
-        raise ChartDomainError("image hits the theta singular set")
-    st = math.sqrt(stsq)
-    theta = math.acos(ct)
-    Theta = ap.U2 * s1 * s2 * math.sin(ap.u2) / st
-    d1, d3 = _andoyer_deltas(ap.u2, c1, s1, c2, s2)
+    _require(stsq >= SINGULARITY_GUARD ** 2, "image hits the theta singular set")
+    st = np.sqrt(stsq)
+    theta = np.arccos(ct)
+    Theta = ap.U2 * s1 * s2 * np.sin(ap.u2) / st
+    d1, d3 = _andoyer_deltas(np.sin(ap.u2), np.cos(ap.u2), c1, s1, c2, s2, np.arctan2)
     phi = (ap.u1 - d1) % _TWO_PI
     psi = ap.u3 - d3
     # keep psi in the principal interval used by the Euler chart
     psi = (psi + math.pi) % _TWO_PI - math.pi
-    return EulerPoint(rho=ap.rho, phi=phi, theta=theta, psi=psi,
-                      P=ap.P, Phi=ap.U1, Theta=Theta, Psi=ap.U3)
+    return _point(EulerPoint, ap.rho, phi, theta, psi, ap.P, ap.U1, Theta, ap.U3)
 
 
 # -- Kepler equation ----------------------------------------------------------
 
-def kepler_solve(ell: float, e: float, tol: float = 1e-14, max_iter: int = 60) -> float:
+def kepler_solve(ell, e, tol: float = 1e-14, max_iter: int = 60):
     """Solve E - e sin(E) = ell for the eccentric anomaly, e in [0, 1).
 
-    Newton iteration with a bisection safeguard; the returned branch is the
-    continuous one with E(ell + 2 pi k) = E(ell) + 2 pi k.
+    An eccentricity outside [0, 1) raises ChartDomainError (a ValueError).
+
+    Newton iteration with a bisection safeguard, run on every element of the
+    broadcast (ell, e) at once; an element stops moving once its residual is
+    below ``tol``.  The returned branch is the continuous one with
+    E(ell + 2 pi k) = E(ell) + 2 pi k.
     """
-    if not 0.0 <= e < 1.0:
-        raise ValueError(f"eccentricity must lie in [0, 1), got {e}")
-    if e == 0.0:
-        return ell
-    k = math.floor((ell + math.pi) / _TWO_PI)
+    ell = np.asarray(ell, dtype=float)
+    e = np.asarray(e, dtype=float)
+    _require((0.0 <= e) & (e < 1.0), "eccentricity must lie in [0, 1), got {}", e)
+    k = np.floor((ell + math.pi) / _TWO_PI)
     m = ell - _TWO_PI * k  # in (-pi, pi]
-    sign = 1.0
-    if m < 0.0:
-        m, sign = -m, -1.0
+    sign = np.where(m < 0.0, -1.0, 1.0)
+    m = np.abs(m)
     # cubic seed is robust up to e ~ 1
-    E = (6.0 * m) ** (1.0 / 3.0) if m < 0.25 and e > 0.8 else m + e * math.sin(m)
-    lo, hi = 0.0, math.pi
+    E = np.where((m < 0.25) & (e > 0.8), (6.0 * m) ** (1.0 / 3.0), m + e * np.sin(m))
+    lo = np.zeros(E.shape)
+    hi = np.full(E.shape, math.pi)
     for _ in range(max_iter):
-        f = E - e * math.sin(E) - m
-        if abs(f) < tol:
+        f = E - e * np.sin(E) - m
+        moving = np.abs(f) >= tol
+        if not moving.any():
             break
-        if f > 0.0:
-            hi = min(hi, E)
-        else:
-            lo = max(lo, E)
-        fp = 1.0 - e * math.cos(E)
-        step = f / fp
-        E_new = E - step
-        if not lo <= E_new <= hi:
-            E_new = 0.5 * (lo + hi)
-        E = E_new
-    return sign * E + _TWO_PI * k
+        above = f > 0.0
+        hi = np.where(above, np.minimum(hi, E), hi)
+        lo = np.where(above, lo, np.maximum(lo, E))
+        E_new = E - f / (1.0 - e * np.cos(E))
+        E_new = np.where((lo <= E_new) & (E_new <= hi), E_new, 0.5 * (lo + hi))
+        E = np.where(moving, E_new, E)
+    return _value(np.where(e == 0.0, ell, sign * E + _TWO_PI * k))
 
 
 # -- Delaunay -----------------------------------------------------------------
-
-def _delaunay_validate(dp: DelaunayPoint, gamma: float) -> None:
-    if not gamma > 0.0:
-        raise ChartDomainError(f"gamma must be positive, got {gamma}")
-    if not 0.0 < dp.G <= dp.L:
-        raise ChartDomainError(f"need 0 < G <= L, got G={dp.G}, L={dp.L}")
-    if abs(dp.U1) >= dp.G or abs(dp.U3) >= dp.G:
-        raise ChartDomainError(
-            f"need |U1|, |U3| < G, got U1={dp.U1}, U3={dp.U3}, G={dp.G}"
-        )
-
 
 def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
     """Radial block (ell, g, L, G) -> (rho, u2, P, U2); u1, u3, U1, U3 pass through.
@@ -328,20 +347,23 @@ def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
     For e = 0 the perigee direction degenerates; the forward map uses the
     natural convention f = E = ell, so it stays defined on the closure.
     """
-    _delaunay_validate(dp, gamma)
+    _require(gamma > 0.0, "gamma must be positive, got {}", gamma)
+    _require((0.0 < dp.G) & (dp.G <= dp.L), "need 0 < G <= L, got G={}, L={}", dp.G, dp.L)
+    _require((np.abs(dp.U1) < dp.G) & (np.abs(dp.U3) < dp.G),
+             "need |U1|, |U3| < G, got U1={}, U3={}, G={}", dp.U1, dp.U3, dp.G)
     a = dp.L * dp.L / gamma
     eta = dp.G / dp.L
-    e = math.sqrt(max(0.0, 1.0 - eta * eta))
+    e = np.sqrt(np.maximum(0.0, 1.0 - eta * eta))
     E = kepler_solve(dp.ell, e)
-    se, ce = math.sin(E), math.cos(E)
+    se, ce = np.sin(E), np.cos(E)
     r = a * (1.0 - e * ce)
     P = dp.L * e * se / r
-    f = math.atan2(eta * se, ce - e)
+    f = np.arctan2(eta * se, ce - e)
     # keep the true anomaly on the same winding branch as E
-    f += _TWO_PI * round((E - f) / _TWO_PI)
+    f = f + _TWO_PI * np.rint((E - f) / _TWO_PI)
     u2 = (dp.g + f) % _TWO_PI
-    return AndoyerPoint(rho=r, u1=dp.u1 % _TWO_PI, u2=u2, u3=dp.u3 % _TWO_PI,
-                        P=P, U1=dp.U1, U2=dp.G, U3=dp.U3)
+    return _point(AndoyerPoint, r, dp.u1 % _TWO_PI, u2, dp.u3 % _TWO_PI,
+                  P, dp.U1, dp.G, dp.U3)
 
 
 def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:

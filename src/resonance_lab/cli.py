@@ -85,28 +85,50 @@ def _out_dir(args) -> Path:
 
 def _grid(spec, name: str) -> np.ndarray:
     """A grid is either an explicit list or {start, stop, num}."""
-    if isinstance(spec, list):
-        return np.asarray(spec, dtype=float)
-    if isinstance(spec, dict):
-        try:
+    try:
+        if isinstance(spec, list):
+            return np.asarray(spec, dtype=float)
+        if isinstance(spec, dict):
             return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
-        except KeyError as exc:
-            raise ConfigError(f"grid {name!r} needs start/stop/num") from exc
+    except KeyError as exc:
+        raise ConfigError(f"grid {name!r} needs start/stop/num") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid {name!r}: {exc}") from exc
     raise ConfigError(f"grid {name!r} must be a list or start/stop/num object")
 
 
-def _params_from_config(cfg: dict) -> model.ModelParams:
+def _scalar(block: dict, key: str, default, kind=float):
+    """``block[key]`` converted by ``kind``, ``default`` when the key is absent.
+
+    A value that does not convert (null, a list, a non-numeric string) is a
+    configuration error.
+    """
+    if key not in block:
+        return default
+    try:
+        return kind(block[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r} value {block[key]!r}: {exc}") from exc
+
+
+def _params_block(cfg: dict) -> dict:
     p = cfg.get("params", {})
-    h = p.get("h")
-    gamma = p.get("gamma", h / 4.0 if h is not None else None)
+    if not isinstance(p, dict):
+        raise ConfigError("'params' must be a JSON object")
+    return p
+
+
+def _params_from_config(cfg: dict) -> model.ModelParams:
+    p = _params_block(cfg)
+    h = _scalar(p, "h", None)
     try:
         return model.ModelParams(
-            omega=float(p.get("omega", 1.0)),
-            epsilon=float(p.get("epsilon", 0.0)),
-            beta=float(p.get("beta", 0.0)),
-            gamma=float(gamma) if gamma is not None else None,
+            omega=_scalar(p, "omega", 1.0),
+            epsilon=_scalar(p, "epsilon", 0.0),
+            beta=_scalar(p, "beta", 0.0),
+            gamma=_scalar(p, "gamma", h / 4.0 if h is not None else None),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad params block: {exc}") from exc
 
 
@@ -129,9 +151,15 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _four(values) -> tuple:
+    out = tuple(map(float, values))
+    if len(out) != 4:
+        raise ValueError(f"expected 4 components, got {len(out)}")
+    return out
+
+
 _BLOCKS = {
-    "state": lambda s: model.CartesianState(q=tuple(map(float, s["q"])),
-                                            Q=tuple(map(float, s["Q"]))),
+    "state": lambda s: model.CartesianState(q=_four(s["q"]), Q=_four(s["Q"])),
     "integrals": lambda d: model.IntegralValues(n=float(d["n"]), xi=float(d["xi"]),
                                                 l=float(d["l"])),
     "delaunay": lambda d: charts.DelaunayPoint(**{k: float(v) for k, v in d.items()}),
@@ -163,9 +191,9 @@ def cmd_integrate(args) -> int:
     cfg = _load_config(args.config)
     kind = cfg.get("kind", "cartesian")
     out = _out_dir(args)
-    tol = float(cfg.get("tol", 1e-12))
-    t_end = float(cfg.get("t_end", 100.0))
-    n_out = int(cfg.get("n_out", 1000))
+    tol = _scalar(cfg, "tol", 1e-12)
+    t_end = _scalar(cfg, "t_end", 100.0)
+    n_out = _scalar(cfg, "n_out", 1000, int)
 
     if kind == "cartesian":
         p = _params_from_config(cfg)
@@ -180,7 +208,7 @@ def cmd_integrate(args) -> int:
 
     if kind == "reduced":
         iv = _block(cfg, "integrals")
-        beta = float(cfg.get("params", {}).get("beta", 0.0))
+        beta = _scalar(_params_block(cfg), "beta", 0.0)
         if "reduced_state" in cfg:
             K, N, S = _block(cfg, "reduced_state")
             pt0 = invariants.ThriceReducedPoint(
@@ -189,7 +217,7 @@ def cmd_integrate(args) -> int:
         else:
             lo, hi = invariants.feasible_interval(iv)
             pt0 = invariants.reduced_point_on_surface(
-                0.5 * (lo + hi), iv, beta, angle=float(cfg.get("angle", 0.0)))
+                0.5 * (lo + hi), iv, beta, angle=_scalar(cfg, "angle", 0.0))
         traj = invariants.reduced_flow(pt0, beta, t_end, tol, n_out=n_out)
         path = out / cfg.get("out", "reduced_trajectory.csv")
         _write_csv(path, "t,K,N,S,H3,casimir_residual",
@@ -203,7 +231,7 @@ def cmd_integrate(args) -> int:
         if p.gamma is None:
             raise ConfigError("normalized runs need params.h or params.gamma")
         dp0 = _block(cfg, "delaunay")
-        order = int(cfg.get("order", 1))
+        order = _scalar(cfg, "order", 1, int)
 
         def fun(t, y):
             dp = charts.DelaunayPoint(ell=y[0], g=y[1], u1=y[2], u3=y[3],
@@ -246,7 +274,7 @@ def cmd_reduce(args) -> int:
         wrote.append(path)
     if "integrals" in cfg:
         iv = _block(cfg, "integrals")
-        samples = invariants.surface_samples(iv, count=int(cfg.get("count", 200)))
+        samples = invariants.surface_samples(iv, count=_scalar(cfg, "count", 200, int))
         path = out / cfg.get("surface_out", "surface.csv")
         _write_csv(path, "K,sqrt_f_over_2", samples)
         wrote.append(path)
@@ -260,7 +288,8 @@ def cmd_reduce(args) -> int:
 def cmd_nf_table(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    gamma = float(cfg.get("gamma", cfg.get("h", 4.0) / 4.0 if "h" in cfg else 1.0))
+    h = _scalar(cfg, "h", None)
+    gamma = _scalar(cfg, "gamma", h / 4.0 if h is not None else 1.0)
     betas = _grid(cfg.get("beta_grid", [0.0, 1.0, math.sqrt(2.0)]), "beta_grid")
     Ls = _grid(cfg.get("L_grid", [1.0]), "L_grid")
     etas = _grid(cfg.get("eta_grid", [0.6, 0.8]), "eta_grid")

@@ -25,6 +25,10 @@ Partials of the averaged kernels (the normalized flow, and through
 ``order1_coeff_partials`` the branch equations of the equilibria) are taken
 by complex step through these same closed forms, so a partial cannot drift
 from the value it differentiates.
+
+``perturbation_delaunay`` and ``w1`` broadcast over array ell and g (through
+the array-first forward charts), so an ell-average is one call on the node
+array.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import charts
 from .model import ModelParams, _complex_step_jacobian, h_sextic
-from .charts import DelaunayPoint, kepler_solve
+from .charts import DelaunayPoint, _value, kepler_solve
 
 __all__ = [
     "NFCoefficientsOrder1",
@@ -88,7 +92,8 @@ def perturbation_delaunay(dp: DelaunayPoint, p: ModelParams) -> float:
 
     The value is the epsilon-coefficient of the regularized Hamiltonian; it
     is independent of u1 and u3 (they are cyclic).  Multiplying by 4 rho
-    recovers the epsilon-part of the plain Cartesian Hamiltonian.
+    recovers the epsilon-part of the plain Cartesian Hamiltonian.  Array
+    fields of ``dp`` give an array of values.
     """
     gamma = _require_chart_params(p)
     state = charts.delaunay_to_cartesian(dp, gamma)
@@ -100,12 +105,13 @@ def average_over_ell(fn, quadrature_n: int = 512) -> float:
 
     Uniform trapezoidal quadrature, spectrally accurate for smooth periodic
     integrands; ``quadrature_n`` of 512 resolves every band-limited quantity
-    used here to roundoff.
+    used here to roundoff.  ``fn`` is vectorized: it is called once, on the
+    array of nodes, and returns their values (or one constant).
     """
     if quadrature_n < 64:
         raise ValueError("quadrature_n must be at least 64")
     nodes = np.arange(quadrature_n) * (2.0 * math.pi / quadrature_n)
-    return float(np.mean([fn(float(x)) for x in nodes]))
+    return float(np.mean(np.broadcast_to(fn(nodes), nodes.shape)))
 
 
 def _sqrt(x):
@@ -239,22 +245,23 @@ def w1(dp: DelaunayPoint, p: ModelParams) -> float:
     Closed form assembled from the eccentric-anomaly harmonics of the three
     Fourier blocks of R1 (constant, cos(g+f), cos 2(g+f)); each block is
     integrated against d ell = (1 - e cos E) dE and shifted to zero mean.
+    Array fields of ``dp`` give an array of values.
     """
     gamma = _require_chart_params(p)
     L, G, U1, U3 = dp.L, dp.G, dp.U1, dp.U3
     alpha = p.beta * p.beta - 1.0
     a = L * L / gamma
     eta = G / L
-    e = math.sqrt(max(0.0, 1.0 - eta * eta))
+    e = np.sqrt(np.maximum(0.0, 1.0 - eta * eta))
     c1 = U1 / G
     c2 = U3 / G
-    s1 = math.sqrt(max(0.0, 1.0 - c1 * c1))
-    s2 = math.sqrt(max(0.0, 1.0 - c2 * c2))
+    s1 = np.sqrt(np.maximum(0.0, 1.0 - c1 * c1))
+    s2 = np.sqrt(np.maximum(0.0, 1.0 - c2 * c2))
 
     E = kepler_solve(dp.ell, e)
-    se, ce = math.sin(E), math.cos(E)
-    s2e, c2e = math.sin(2 * E), math.cos(2 * E)
-    s3e, c3e = math.sin(3 * E), math.cos(3 * E)
+    se, ce = np.sin(E), np.cos(E)
+    s2e, c2e = np.sin(2 * E), np.cos(2 * E)
+    s3e, c3e = np.sin(3 * E), np.cos(3 * E)
 
     A = (2.0 + alpha * (2.0 * c1 * c1 * c2 * c2 + s1 * s1 * s2 * s2)) / 8.0
     B = 0.5 * alpha * c1 * c2 * s1 * s2
@@ -270,9 +277,9 @@ def w1(dp: DelaunayPoint, p: ModelParams) -> float:
     ICs = eta * (2.5 * e * ce - 0.5 * (1.0 + e2) * c2e + (e / 6.0) * c3e) + 1.25 * eta * e2
 
     pref = a * a * L ** 3 / gamma ** 2
-    cg, sg = math.cos(dp.g), math.sin(dp.g)
-    c2g, s2g = math.cos(2 * dp.g), math.sin(2 * dp.g)
-    return pref * (A * IA + B * (cg * IBc - sg * IBs) + C * (c2g * ICc - s2g * ICs))
+    cg, sg = np.cos(dp.g), np.sin(dp.g)
+    c2g, s2g = np.cos(2 * dp.g), np.sin(2 * dp.g)
+    return _value(pref * (A * IA + B * (cg * IBc - sg * IBs) + C * (c2g * ICc - s2g * ICs)))
 
 
 def kernel(g: float, L: float, G: float, U1: float, U3: float, beta: float, gamma: float,
@@ -319,9 +326,12 @@ class SecondOrderOracleResult:
     error_estimate: float
 
 
-def _bracket_ell_g(dp_builder, w_fn, h_fn, ell: float, g: float, dL: float, dG: float,
-                   step: float) -> float:
-    """Canonical bracket {h, w} over the (ell, L) and (g, G) pairs by central FD."""
+def _bracket_ell_g(dp_builder, w_fn, h_fn, ell, g: float, dL: float, dG: float,
+                   step: float):
+    """Canonical bracket {h, w} over the (ell, L) and (g, G) pairs by central FD.
+
+    ``ell`` may be an array of nodes; the bracket is then an array too.
+    """
     def at(dell=0.0, dg=0.0, dLs=0.0, dGs=0.0):
         return dp_builder(ell + dell, g + dg, dLs, dGs)
 
@@ -370,9 +380,7 @@ def second_order_oracle(L: float, G: float, U1: float, U3: float, beta: float, g
         gs = np.arange(n_g) * (2 * math.pi / n_g)
         vals = np.empty((n_g, n_ell))
         for i, g in enumerate(gs):
-            for j, ell in enumerate(ells):
-                vals[i, j] = _bracket_ell_g(build, w_fn, h_fn, float(ell), float(g),
-                                            1.0, 1.0, step)
+            vals[i] = _bracket_ell_g(build, w_fn, h_fn, ells, float(g), 1.0, 1.0, step)
         avg = vals.mean(axis=1)
         spec = np.fft.rfft(avg) / n_g
         cos_c = [float(spec[0].real)] + [2.0 * float(spec[k].real) for k in range(1, 5)]

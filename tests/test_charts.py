@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resonance_lab import charts, invariants, model
 from resonance_lab.charts import (
@@ -288,6 +290,89 @@ class TestSymplecticity:
             worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
             done += 1
         assert worst < 1e-8
+
+
+def _cotangent_lift_by_solve(ep):
+    """Momenta of ``euler_to_cartesian`` from a 4x4 linear solve of A^T Q = p."""
+    q1, q2, q3, q4 = charts.euler_to_cartesian(ep).q
+    inv2rho = 0.5 / ep.rho
+    cot = 1.0 / math.tan(0.5 * ep.theta)
+    tan = math.tan(0.5 * ep.theta)
+    a = np.array([
+        [q1 * inv2rho, -0.5 * q2, 0.5 * cot * q1, 0.5 * q2],
+        [q2 * inv2rho, 0.5 * q1, 0.5 * cot * q2, -0.5 * q1],
+        [q3 * inv2rho, 0.5 * q4, -0.5 * tan * q3, 0.5 * q4],
+        [q4 * inv2rho, -0.5 * q3, -0.5 * tan * q4, -0.5 * q3],
+    ])
+    return np.linalg.solve(a.T, [ep.P, ep.Phi, ep.Theta, ep.Psi])
+
+
+# an ell far outside (-pi, pi]: a principal value plus whole turns
+_FAR_ELL = st.builds(lambda m, k: m + TWO_PI * k, st.floats(-math.pi, math.pi), st.integers(-8, 8))
+
+
+class TestArrayChain:
+    """Array fields run the same forward chain as scalar ones, element by element."""
+
+    @staticmethod
+    def _check_kepler(ells, es):
+        got = charts.kepler_solve(np.array(ells), np.array(es))
+        assert got.shape == (len(ells),)
+        for E, ell, e in zip(got, ells, es):
+            one = charts.kepler_solve(ell, e)
+            assert type(one) is float
+            # two converged Newton runs differ by at most ~tol / f'(E)
+            assert abs(E - one) <= 1e-13 / (1.0 - e * math.cos(one))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_FAR_ELL, st.floats(0.0, 0.999)), min_size=1, max_size=40))
+    def test_kepler_array_matches_scalar(self, pairs):
+        self._check_kepler(*zip(*pairs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-0.25, 0.25), st.integers(-8, 8)), min_size=1, max_size=40),
+           st.floats(0.8, 0.9999, exclude_min=True))
+    def test_kepler_array_matches_scalar_on_the_cubic_seed(self, turns, e):
+        ells = [m + TWO_PI * k for m, k in turns]
+        self._check_kepler(ells, [e] * len(ells))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(_FAR_ELL, min_size=1, max_size=32))
+    def test_delaunay_to_cartesian_array_matches_scalar(self, seed, ells):
+        rng = np.random.default_rng(seed)
+        dp = random_delaunay(rng)
+        gamma = float(rng.uniform(0.5, 1.5))
+        arr = charts.delaunay_to_cartesian(dataclasses.replace(dp, ell=np.array(ells)), gamma)
+        for j, ell in enumerate(ells):
+            one = charts.delaunay_to_cartesian(dataclasses.replace(dp, ell=ell), gamma)
+            assert all(type(v) is float for v in one.q + one.Q)
+            got = np.array([v[j] for v in arr.q + arr.Q])
+            assert np.max(np.abs(got - np.array(one.q + one.Q))) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.1, 5.0), st.floats(-10.0, 10.0), st.floats(0.01, math.pi - 0.01),
+           st.floats(-10.0, 10.0), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+    def test_cotangent_lift_matches_linear_solve(self, rho, phi, theta, psi, momenta):
+        ep = EulerPoint(rho, phi, theta, psi, *momenta)
+        want = _cotangent_lift_by_solve(ep)
+        got = np.array(charts.euler_to_cartesian(ep).Q)
+        # the (phi, psi) block of A^T A has condition number ~ 1/sin(theta)^2
+        scale = max(1.0, float(np.max(np.abs(want)))) / math.sin(theta) ** 2
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.2, math.pi - 0.2), min_size=1, max_size=30),
+           st.integers(0, 30), st.floats(-1e-9, 1e-9))
+    def test_one_node_in_a_guard_band_raises(self, ells, where, bad_ell):
+        # circular orbit, U1 = U3 = 0 and g = 0: the Euler image has theta = ell,
+        # so a node within 1e-9 of ell = 0 lies in the guard band of theta = 0
+        where %= len(ells) + 1
+        good = DelaunayPoint(ell=np.array(ells), g=0.0, u1=0.3, u3=0.4,
+                             L=1.0, G=1.0, U1=0.0, U3=0.0)
+        charts.delaunay_to_cartesian(good, 1.0)
+        bad = dataclasses.replace(good, ell=np.insert(good.ell, where, bad_ell))
+        with pytest.raises(ChartDomainError):
+            charts.delaunay_to_cartesian(bad, 1.0)
 
 
 class TestSerialization:

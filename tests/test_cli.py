@@ -218,7 +218,21 @@ class TestConfigBlocks:
                        "params": {"epsilon": 1e-3, "h": 4.0}}),
         ("integrate", {"kind": "reduced", "integrals": {"n": 1.0, "xi": 0.3, "l": 0.1},
                        "reduced_state": {"N": 0.1, "S": 0.0}}),
-    ], ids=["state_without_Q", "null_n", "delaunay_without_momenta", "reduced_state_without_K"])
+        ("integrate", {"kind": "cartesian", "state": {"q": [1, 0, 0], "Q": [0, 1, 0, 0]},
+                       "t_end": 1.0}),
+        ("equilibria", {"alpha_grid": {"start": 0.0, "stop": 1.0, "num": "x"}}),
+        # scalar keys of the wrong type
+        ("integrate", {"kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},
+                       "t_end": 1.0, "tol": None}),
+        ("integrate", {"kind": "reduced", "integrals": {"n": 1.0, "xi": 0.3, "l": 0.1},
+                       "params": {"beta": None}, "t_end": 1.0}),
+        ("integrate", {"kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},
+                       "params": [1], "t_end": 1.0}),
+        ("reduce", {"integrals": {"n": 1.0, "xi": 0.2, "l": -0.1}, "count": [40]}),
+        ("nf-table", {"h": "four"}),
+    ], ids=["state_without_Q", "null_n", "delaunay_without_momenta", "reduced_state_without_K",
+            "state_with_three_q", "grid_num_not_a_number",
+            "null_tol", "null_reduced_beta", "params_not_an_object", "list_count", "text_h"])
     def test_malformed_block_is_config_error(self, command, cfg, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 2

@@ -53,7 +53,18 @@ class TestPerturbation:
 
 class TestAverage:
     def test_harmonic_averages_to_zero(self):
-        assert nf.average_over_ell(math.cos, 128) == pytest.approx(0.0, abs=1e-15)
+        assert nf.average_over_ell(np.cos, 128) == pytest.approx(0.0, abs=1e-15)
+
+    def test_fn_called_once_on_the_node_array(self):
+        calls = []
+
+        def spy(ell):
+            calls.append(ell)
+            return np.sin(ell) ** 2
+
+        assert nf.average_over_ell(spy, 96) == pytest.approx(0.5, abs=1e-15)
+        assert len(calls) == 1
+        assert isinstance(calls[0], np.ndarray) and calls[0].shape == (96,)
 
     def test_constant(self):
         assert nf.average_over_ell(lambda x: 3.25, 64) == 3.25
