@@ -71,6 +71,8 @@ XI_PER_PSI = -2.0
 L1_PER_PHI = -2.0
 
 _TWO_PI = 2.0 * math.pi
+_KEPLER_TOL = 1e-14
+_KEPLER_MAX_ITER = 60
 
 
 class ChartDomainError(ValueError):
@@ -304,14 +306,14 @@ def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
 
 # -- Kepler equation ----------------------------------------------------------
 
-def kepler_solve(ell, e, tol: float = 1e-14, max_iter: int = 60):
+def kepler_solve(ell, e):
     """Solve E - e sin(E) = ell for the eccentric anomaly, e in [0, 1).
 
     An eccentricity outside [0, 1) raises ChartDomainError (a ValueError).
 
     Newton iteration with a bisection safeguard, run on every element of the
     broadcast (ell, e) at once; an element stops moving once its residual is
-    below ``tol``.  The returned branch is the continuous one with
+    below ``_KEPLER_TOL``.  The returned branch is the continuous one with
     E(ell + 2 pi k) = E(ell) + 2 pi k.
     """
     ell = np.asarray(ell, dtype=float)
@@ -325,9 +327,9 @@ def kepler_solve(ell, e, tol: float = 1e-14, max_iter: int = 60):
     E = np.where((m < 0.25) & (e > 0.8), (6.0 * m) ** (1.0 / 3.0), m + e * np.sin(m))
     lo = np.zeros(E.shape)
     hi = np.full(E.shape, math.pi)
-    for _ in range(max_iter):
+    for _ in range(_KEPLER_MAX_ITER):
         f = E - e * np.sin(E) - m
-        moving = np.abs(f) >= tol
+        moving = np.abs(f) >= _KEPLER_TOL
         if not moving.any():
             break
         above = f > 0.0

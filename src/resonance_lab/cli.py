@@ -111,6 +111,14 @@ def _scalar(block: dict, key: str, default, kind=float):
         raise ConfigError(f"bad {key!r} value {block[key]!r}: {exc}") from exc
 
 
+def _out_name(cfg: dict, key: str, default: str) -> str:
+    """Output file name ``cfg[key]``; anything but a non-empty string is a configuration error."""
+    name = cfg.get(key, default)
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"{key!r} must be a non-empty file name, got {name!r}")
+    return name
+
+
 def _params_block(cfg: dict) -> dict:
     p = cfg.get("params", {})
     if not isinstance(p, dict):
@@ -135,10 +143,16 @@ def _params_from_config(cfg: dict) -> model.ModelParams:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     fault = cfg.get("inject_fault")
+    if fault is not None and fault not in verify.FAULTS:
+        raise ConfigError(f"unknown 'inject_fault' {fault!r}; known: {', '.join(verify.FAULTS)}")
     names = cfg.get("suites")
+    if names is not None and not (isinstance(names, list) and names and all(
+            isinstance(n, str) and n in verify.SUITES for n in names)):
+        raise ConfigError(f"'suites' must be a non-empty list of suite names "
+                          f"({', '.join(verify.SUITES)}), got {names!r}")
+    out = _out_dir(args) / _out_name(cfg, "report", "verify_report.json")
     report = verify.run_suites(seed=args.seed, fault=fault, names=names)
     timings = report.pop("timings")
-    out = _out_dir(args) / cfg.get("report", "verify_report.json")
     _write_json(out, report)
     for suite in report["suites"]:
         status = "pass" if suite["passed"] else "FAIL"
@@ -196,10 +210,10 @@ def cmd_integrate(args) -> int:
     n_out = _scalar(cfg, "n_out", 1000, int)
 
     if kind == "cartesian":
+        path = out / _out_name(cfg, "out", "trajectory.csv")
         p = _params_from_config(cfg)
         s0 = _initial_state(cfg, p)
         traj = model.integrate(s0, p, t_end, tol, n_out=n_out)
-        path = out / cfg.get("out", "trajectory.csv")
         _write_csv(path, "t,q1,q2,q3,q4,Q1,Q2,Q3,Q4,H,Xi,L1",
                    np.column_stack([traj.t, traj.states, traj.energy, traj.xi, traj.l1]))
         print(f"wrote {path} (max drift: H {traj.energy_drift:.3e}, "
@@ -207,6 +221,7 @@ def cmd_integrate(args) -> int:
         return 0
 
     if kind == "reduced":
+        path = out / _out_name(cfg, "out", "reduced_trajectory.csv")
         iv = _block(cfg, "integrals")
         beta = _scalar(_params_block(cfg), "beta", 0.0)
         if "reduced_state" in cfg:
@@ -219,7 +234,6 @@ def cmd_integrate(args) -> int:
             pt0 = invariants.reduced_point_on_surface(
                 0.5 * (lo + hi), iv, beta, angle=_scalar(cfg, "angle", 0.0))
         traj = invariants.reduced_flow(pt0, beta, t_end, tol, n_out=n_out)
-        path = out / cfg.get("out", "reduced_trajectory.csv")
         _write_csv(path, "t,K,N,S,H3,casimir_residual",
                    np.column_stack([traj.t, traj.K, traj.N, traj.S, traj.h3, traj.casimir]))
         print(f"wrote {path} (casimir drift {traj.casimir_drift:.3e}, "
@@ -227,6 +241,7 @@ def cmd_integrate(args) -> int:
         return 0
 
     if kind == "normalized":
+        path = out / _out_name(cfg, "out", "normalized_trajectory.csv")
         p = _params_from_config(cfg)
         if p.gamma is None:
             raise ConfigError("normalized runs need params.h or params.gamma")
@@ -241,7 +256,6 @@ def cmd_integrate(args) -> int:
 
         sol = model._solve_ivp(fun, t_end, [dp0.ell, dp0.g, dp0.u1, dp0.u3, dp0.G],
                                np.linspace(0.0, t_end, n_out), tol, tol)
-        path = out / cfg.get("out", "normalized_trajectory.csv")
         _write_csv(path, "t,ell,g,u1,u3,L,G,U1,U3",
                    ([t, *y[:4], dp0.L, y[4], dp0.U1, dp0.U3] for t, y in zip(sol.t, sol.y.T)))
         print(f"wrote {path}")
@@ -253,6 +267,8 @@ def cmd_integrate(args) -> int:
 def cmd_reduce(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
+    invariants_name = _out_name(cfg, "out", "invariants.json")
+    surface_name = _out_name(cfg, "surface_out", "surface.csv")
     wrote = []
     if "state" in cfg:
         pv = invariants.pi_map(_block(cfg, "state"))
@@ -269,13 +285,13 @@ def cmd_reduce(args) -> int:
             "second_space_residuals": [r1, r2],
             "eo3_residuals": list(invariants.eo3_residuals(pt)),
         }
-        path = out / cfg.get("out", "invariants.json")
+        path = out / invariants_name
         _write_json(path, payload)
         wrote.append(path)
     if "integrals" in cfg:
         iv = _block(cfg, "integrals")
         samples = invariants.surface_samples(iv, count=_scalar(cfg, "count", 200, int))
-        path = out / cfg.get("surface_out", "surface.csv")
+        path = out / surface_name
         _write_csv(path, "K,sqrt_f_over_2", samples)
         wrote.append(path)
     if not wrote:
@@ -287,7 +303,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_nf_table(args) -> int:
     cfg = _load_config(args.config)
-    out = _out_dir(args)
+    path = _out_dir(args) / _out_name(cfg, "out", "nf_table.csv")
     h = _scalar(cfg, "h", None)
     gamma = _scalar(cfg, "gamma", h / 4.0 if h is not None else 1.0)
     betas = _grid(cfg.get("beta_grid", [0.0, 1.0, math.sqrt(2.0)]), "beta_grid")
@@ -304,7 +320,6 @@ def cmd_nf_table(args) -> int:
         c2v = normalform.order2_coeffs(L, G, U1, U3, beta, gamma)
         rows.append([beta, L, G, U1, U3, c.C01, c.C11, c.C21,
                      c2v.C02, c2v.C12, c2v.C22, c2v.C32, c2v.C42])
-    path = out / cfg.get("out", "nf_table.csv")
     _write_csv(path, "beta,L,G,U1,U3,C01,C11,C21,C02,C12,C22,C32,C42", rows)
     print(f"wrote {path}")
     return 0
@@ -316,8 +331,9 @@ def cmd_equilibria(args) -> int:
     alphas = _grid(cfg.get("alpha_grid", [0.0, 1.0]), "alpha_grid")
     ws = _grid(cfg.get("w_grid", [0.0]), "w_grid")
     zs = _grid(cfg.get("z_grid", [0.0]), "z_grid")
+    path = out / _out_name(cfg, "out", "equilibria_sweep.csv")
+    jpath = out / _out_name(cfg, "json_out", "") if cfg.get("json_out") else None
     result = equilibria.sweep(alphas, ws, zs, workers=args.workers)
-    path = out / cfg.get("out", "equilibria_sweep.csv")
     # the flags cell is free text that may hold commas, so csv.writer quotes it
     with open(path, "w", newline="") as fh:
         table = csv.writer(fh, lineterminator="\n")
@@ -332,8 +348,7 @@ def cmd_equilibria(args) -> int:
                 ";".join(row["flags"]),
             ])
     wrote = [path]
-    if cfg.get("json_out"):
-        jpath = out / cfg["json_out"]
+    if jpath is not None:
         _write_json(jpath, result.rows)
         wrote.append(jpath)
     checked = [row["reduced_rhs_max"] for row in result.rows if "reduced_rhs_max" in row]

@@ -10,12 +10,16 @@ whose sin g = 0 branches reduce to the two scalar equations
     F+-(eta) = d(C01 +- C11 + C21)/dG = 0        (cos g = +-1),
 
 with eta = G/L and the state ratios w = U1/L, z = U3/L as parameters.
+``branch_equation`` takes F+- as the complex-step G-partial of the
+normalized flow's own kernel (``normalform._kernel``) at g = 0 and g = pi.
 Multiplying the two branches clears the square roots and yields a degree-six
 polynomial P(eta) whose coefficients are assembled verbatim by
 ``assemble_eta_poly``; its real roots in (0, 1] are isolated by a Sturm
 chain, polished against the branch equations, and every accepted record is
 re-validated on the original trigonometric system.  Spurious roots of the
-squaring step are kept, flagged, in the result.
+squaring step are kept, flagged, in the result.  The short-period families
+(``periodic_branches``) go through the same Sturm isolator, on the
+numerator of alpha(e) - alpha.
 
 Everything here is scale-invariant in (L, gamma); records are normalized to
 L = 1, gamma = 1.
@@ -28,10 +32,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import charts, invariants
-from .model import IntegralValues
+from . import charts, invariants, normalform
+from .model import IntegralValues, _complex_step_jacobian
 from .charts import DelaunayPoint
-from .normalform import order1_coeff_partials
 
 __all__ = [
     "EtaPolynomial",
@@ -62,12 +65,6 @@ class EtaPolynomial:
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * eta + c
-        return acc
-
-    def derivative(self, eta: float) -> float:
-        acc = 0.0
-        for k in range(6, 0, -1):
-            acc = acc * eta + k * self.coeffs[k]
         return acc
 
     @property
@@ -184,27 +181,27 @@ def rq_x(eta: float, w: float, z: float, alpha: float) -> tuple[float, float, fl
     return R, Q, x
 
 
+def _sin_g_zero_kernel(alpha: float, cosg: float):
+    """(G, U1, U3) -> (P,): the first-order kernel at L = gamma = 1 and g = 0 (cosg = 1) or pi (cosg = -1)."""
+    if alpha < -1.0:
+        raise ValueError(f"alpha = beta^2 - 1 must be >= -1, got {alpha}")
+    if cosg not in (1.0, -1.0):
+        raise ValueError(f"cosg must be +1 or -1, got {cosg}")
+    g = 0.0 if cosg > 0.0 else math.pi
+    beta = math.sqrt(alpha + 1.0)
+    return lambda G, U1, U3: (normalform._kernel(g, 1.0, G, U1, U3, beta, 1.0),)
+
+
 def branch_equation(eta: float, w: float, z: float, alpha: float, cosg: float) -> float:
     """F(eta) = d(C01 + cosg*C11 + C21)/dG at L = 1, gamma = 1.
 
-    The same function for cosg = +1 and -1 gives the two sin g = 0 branches.
+    The G-partial, by complex step, of the normalized kernel at g = 0
+    (cosg = +1) or g = pi (cosg = -1): the two sin g = 0 branches.
     """
-    if alpha < -1.0:
-        raise ValueError(f"alpha = beta^2 - 1 must be >= -1, got {alpha}")
+    P = _sin_g_zero_kernel(alpha, cosg)
     if not max(abs(w), abs(z)) < eta <= 1.0:
         raise ValueError(f"need max(|w|,|z|) < eta <= 1, got eta={eta}, w={w}, z={z}")
-    beta = math.sqrt(alpha + 1.0)
-    parts = order1_coeff_partials(1.0, eta, w, z, beta, 1.0)
-    return float(parts["C01"][1] + cosg * parts["C11"][1] + parts["C21"][1])
-
-
-def _branch_u_partials(eta: float, w: float, z: float, alpha: float, cosg: float) -> tuple[float, float]:
-    """(d/dU1, d/dU3) of C01 + cosg*C11 + C21 at L=1, gamma=1."""
-    beta = math.sqrt(alpha + 1.0)
-    parts = order1_coeff_partials(1.0, eta, w, z, beta, 1.0)
-    du1 = float(parts["C01"][2] + cosg * parts["C11"][2] + parts["C21"][2])
-    du3 = float(parts["C01"][3] + cosg * parts["C11"][3] + parts["C21"][3])
-    return du1, du3
+    return float(_complex_step_jacobian(lambda G: P(G, w, z), (eta,))[0, 0])
 
 
 # -- Sturm-chain root isolation ------------------------------------------------
@@ -272,34 +269,41 @@ def _variations(chain: list[np.ndarray], x: float) -> int:
     return count
 
 
-def _isolate_roots(c: np.ndarray, lo: float, hi: float, width: float = 1e-13) -> list[float]:
-    """All distinct real roots of the ascending-coefficient polynomial in (lo, hi]."""
+_ROOT_WIDTH = 1e-13
+
+
+def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
+    """All distinct nonzero real roots of the ascending-coefficient polynomial in (lo, hi].
+
+    Negligible low-order coefficients are dropped first, which removes a
+    root at x = 0.  Each interval on the work stack carries the Sturm
+    variation counts at both of its ends, so no point is counted twice.
+    """
+    c = np.asarray(c, dtype=float)
+    c = _trim(c[::-1], 1e-14 * float(np.max(np.abs(c))))[::-1]
     chain = _sturm_chain(c)
-
-    def nroots(a: float, b: float) -> int:
-        return _variations(chain, a) - _variations(chain, b)
-
-    total = nroots(lo, hi)
     roots: list[float] = []
-    stack = [(lo, hi, total)]
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
-        a, b, n = stack.pop()
+        a, b, va, vb = stack.pop()
+        n = va - vb
         if n <= 0:
             continue
-        if b - a < width:
+        if b - a < _ROOT_WIDTH:
             roots.append(0.5 * (a + b))
             continue
         if n == 1:
             # bisection on the variation count, then Newton polish
             aa, bb = a, b
             for _ in range(200):
-                if bb - aa < width:
+                if bb - aa < _ROOT_WIDTH:
                     break
                 m = 0.5 * (aa + bb)
-                if nroots(aa, m) >= 1:
+                vm = _variations(chain, m)
+                if va - vm >= 1:
                     bb = m
                 else:
-                    aa = m
+                    aa, va = m, vm
             r = 0.5 * (aa + bb)
             d = _polyder(c)
             for _ in range(3):
@@ -316,9 +320,9 @@ def _isolate_roots(c: np.ndarray, lo: float, hi: float, width: float = 1e-13) ->
                 roots.append(0.5 * (aa + bb))
             continue
         m = 0.5 * (a + b)
-        n_left = nroots(a, m)
-        stack.append((a, m, n_left))
-        stack.append((m, b, n - n_left))
+        vm = _variations(chain, m)
+        stack.append((a, m, va, vm))
+        stack.append((m, b, vm, vb))
     return sorted(roots)
 
 
@@ -429,13 +433,7 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
 
     # 2. interior equilibria from the exact branch product, in t = eta^2
     t_lo = max(w * w, z * z) + 1e-11
-    coeffs = bcoeffs.copy()
-    while len(coeffs) > 1 and abs(coeffs[0]) <= 1e-14 * bscale:
-        coeffs = coeffs[1:]
-    if bscale >= 1e-12:
-        t_roots = _isolate_roots(coeffs, t_lo, 1.0 - 1e-11)
-    else:
-        t_roots = []
+    t_roots = _isolate_roots(bcoeffs, t_lo, 1.0 - 1e-11) if bscale >= 1e-12 else []
     for t in t_roots:
         eta0 = math.sqrt(t)
         hit = False
@@ -459,16 +457,13 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
                 rq_plus=rq_p_val, rq_minus=rq_m_val, flags=tuple(flags)))
             hit = True
         if not hit:
+            rq_p_val, rq_m_val = _rq_values(eta0, w, z, alpha)
             spurious.append({"eta": eta0, "reason": "branch-product root, no branch satisfied",
-                             "rq_plus": _rq_values(eta0, w, z, alpha)[0],
-                             "rq_minus": _rq_values(eta0, w, z, alpha)[1]})
+                             "rq_plus": rq_p_val, "rq_minus": rq_m_val})
 
     # 3. classify every root of the published polynomial on (0, 1]
     if poly.scale >= 1e-12:
-        pcoeffs = np.array(poly.coeffs, dtype=float)
-        while len(pcoeffs) > 1 and abs(pcoeffs[0]) <= 1e-14 * poly.scale:
-            pcoeffs = pcoeffs[1:]
-        p_roots = [min(r, 1.0) for r in _isolate_roots(pcoeffs, 1e-12, 1.0 + 1e-9)]
+        p_roots = [min(r, 1.0) for r in _isolate_roots(poly.coeffs, 1e-12, 1.0 + 1e-9)]
         for r in p_roots:
             matched = None
             for rec in records:
@@ -508,14 +503,15 @@ class PeriodicBranch:
     flags: tuple[str, ...] = ()
 
 
-def _case_alpha(e: float, case: str) -> float:
-    if case == "i":
-        num = 3.0 * e * (3.0 + 2.0 * e) ** 2
-        den = 3.0 * e ** 4 + 2.0 * e ** 3 - 10.0 * e ** 2 - 3.0 * e + 8.0
-        return num / den
-    num = -3.0 * e * (3.0 - 2.0 * e) ** 2
-    den = 3.0 * e ** 4 - 2.0 * e ** 3 - 10.0 * e ** 2 + 3.0 * e + 8.0
-    return num / den
+def _case_coeffs(alpha: float, cosg: float) -> np.ndarray:
+    """num(e) - alpha den(e), ascending in e, of the case relation alpha(e) = num/den.
+
+    Case (i) (cosg = 1): num = 3e(3 + 2e)^2, den = 3e^4 + 2e^3 - 10e^2 - 3e + 8;
+    case (ii) (cosg = -1) is the same relation at -e.  den > 0 on (0, 1), so
+    the e-roots of this quartic there are the e-roots of alpha(e) = alpha.
+    """
+    return np.array([-8.0 * alpha, cosg * (27.0 + 3.0 * alpha), 36.0 + 10.0 * alpha,
+                     cosg * (12.0 - 2.0 * alpha), -3.0 * alpha])
 
 
 def _case_c2sq(e: float, case: str) -> float:
@@ -535,14 +531,11 @@ def _printed_u_ratio(e: float, cosg: float) -> float | None:
 def _periodic_residual(e: float, c: float, alpha: float, cosg: float) -> float:
     """Max residual of the full periodic system at (e, c1 = c2 = c, sin g = 0)."""
     eta = math.sqrt(max(0.0, 1.0 - e * e))
-    w = c * eta
-    z = c * eta
-    fg = branch_equation(eta, w, z, alpha, cosg)
-    du1, du3 = _branch_u_partials(eta, w, z, alpha, cosg)
-    return max(abs(fg), abs(du1), abs(du3))
+    jac = _complex_step_jacobian(_sin_g_zero_kernel(alpha, cosg), (eta, c * eta, c * eta))
+    return float(np.max(np.abs(jac)))
 
 
-def periodic_branches(alpha: float, e_scan: int = 4000) -> list[PeriodicBranch]:
+def periodic_branches(alpha: float) -> list[PeriodicBranch]:
     """All short-period families at a given alpha.
 
     Case (i) pairs with g = 0 and case (ii) with g = pi; both carry
@@ -558,22 +551,7 @@ def periodic_branches(alpha: float, e_scan: int = 4000) -> list[PeriodicBranch]:
             u_ratio_printed=None, characterization="U1 = U3 = 0, any e in [0, 1)",
             flags=("family", "e_free")))
     for case, cosg, gval in (("i", 1.0, 0.0), ("ii", -1.0, math.pi)):
-        es = np.linspace(1e-6, 1.0 - 1e-6, e_scan)
-        vals = np.array([_case_alpha(float(e), case) - alpha for e in es])
-        for k in range(len(es) - 1):
-            if vals[k] == 0.0 or vals[k] * vals[k + 1] > 0.0:
-                continue
-            lo, hi = float(es[k]), float(es[k + 1])
-            flo = vals[k]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = _case_alpha(mid, case) - alpha
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                    flo = fm
-            e_root = 0.5 * (lo + hi)
+        for e_root in _isolate_roots(_case_coeffs(alpha, cosg), 1e-6, 1.0 - 1e-6):
             c2sq = _case_c2sq(e_root, case)
             if not 0.0 <= c2sq < 1.0:
                 continue

@@ -44,6 +44,9 @@ __all__ = [
     "ReducedTrajectory",
 ]
 
+_FEASIBLE_SCAN = 1000   # sign-scan points of feasible_interval
+_SURFACE_TOL = 1e-10    # casimir tolerance on the start point of reduced_flow
+
 
 @dataclass(frozen=True)
 class PiVector:
@@ -256,7 +259,7 @@ def f_roots(iv: IntegralValues) -> tuple[float, float, float, float]:
     return (-l - n - xi, l + n - xi, l - n + xi, -l + n + xi)
 
 
-def feasible_interval(iv: IntegralValues, scan: int = 1000) -> tuple[float, float]:
+def feasible_interval(iv: IntegralValues) -> tuple[float, float]:
     """K-interval on which f >= 0 bounds the reduced surface.
 
     f is an upward quartic, so the surface lives between the two middle
@@ -270,7 +273,7 @@ def feasible_interval(iv: IntegralValues, scan: int = 1000) -> tuple[float, floa
         raise EmptyReducedSpaceError(
             f"reduced space degenerates to a point for n={iv.n}, xi={iv.xi}, l={iv.l}"
         )
-    ks = np.linspace(lo, hi, scan)
+    ks = np.linspace(lo, hi, _FEASIBLE_SCAN)
     fs = np.array([f_of_K(float(k), iv) for k in ks])
     # interior negativity can only come from a mis-selected interval
     if np.any(fs < -1e-9 * max(1.0, float(np.max(np.abs(fs))))):
@@ -358,7 +361,6 @@ def reduced_flow(
     t_end: float,
     tol: float,
     n_out: int = 256,
-    surface_tol: float = 1e-10,
 ) -> ReducedTrajectory:
     """Integrate the reduced dynamics from a point on the reduced surface."""
     if not tol > 0.0:
@@ -366,7 +368,7 @@ def reduced_flow(
     iv = pt0.integrals
     c0 = casimir_residual(pt0.K, pt0.N, pt0.S, iv)
     scale = max(1.0, abs(f_of_K(pt0.K, iv)))
-    if abs(c0) > surface_tol * scale:
+    if abs(c0) > _SURFACE_TOL * scale:
         raise ValueError(
             f"initial point is off the reduced surface: casimir residual {c0:.3e}"
         )

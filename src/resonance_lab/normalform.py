@@ -21,10 +21,13 @@ The second-order coefficients frozen here were derived by exact harmonic
 algebra from W1 and R1 and are regression-tested against an independent
 finite-difference bracket oracle (``second_order_oracle``).
 
-Partials of the averaged kernels (the normalized flow, and through
-``order1_coeff_partials`` the branch equations of the equilibria) are taken
-by complex step through these same closed forms, so a partial cannot drift
-from the value it differentiates.
+Partials of the averaged kernel P are taken by complex step through one
+function, ``_kernel``, built on these same closed forms: the normalized flow
+differentiates it in (g, L, G, U1, U3), and the branch equations of the
+equilibria (``equilibria.branch_equation``) are its G-partial at g = 0 and
+g = pi, so a partial cannot drift from the value it differentiates.  Both the
+equilibria and the periodic families are then found by the one Sturm-chain
+root isolator in ``equilibria``.
 
 ``perturbation_delaunay`` and ``w1`` broadcast over array ell and g (through
 the array-first forward charts), so an ell-average is one call on the node
@@ -50,7 +53,6 @@ __all__ = [
     "perturbation_delaunay",
     "average_over_ell",
     "order1_coeffs",
-    "order1_coeff_partials",
     "order2_coeffs",
     "w1",
     "homological_residual",
@@ -59,6 +61,9 @@ __all__ = [
     "SecondOrderOracleResult",
     "normalized_rhs",
 ]
+
+_HOMOLOGICAL_STEP = 1e-6   # ell step of the central difference in homological_residual
+_ORACLE_FD_STEP = 1e-5     # finite-difference step of second_order_oracle
 
 
 @dataclass(frozen=True)
@@ -149,12 +154,6 @@ def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: 
         raise ValueError(f"need 0 < G <= L, got G={G}, L={L}")
     c01, c11, c21 = _kernel1_terms(L, G, U1, U3, beta, gamma)
     return NFCoefficientsOrder1(C01=c01, C11=c11, C21=c21)
-
-
-def order1_coeff_partials(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> dict:
-    """Partials of (C01, C11, C21) w.r.t. (L, G, U1, U3), exact by complex step."""
-    jac = _complex_step_jacobian(lambda *m: _kernel1_terms(*m, beta, gamma), (L, G, U1, U3))
-    return dict(zip(("C01", "C11", "C21"), jac))
 
 
 def _kernel2_terms(L, G, U1, U3, beta: float, gamma: float):
@@ -299,18 +298,28 @@ def kernel(g: float, L: float, G: float, U1: float, U3: float, beta: float, gamm
     return val
 
 
-def homological_residual(dp: DelaunayPoint, p: ModelParams, step: float = 1e-6) -> float:
+def _kernel(g, L, G, U1, U3, beta: float, gamma: float, order: int = 1, epsilon: float = 0.0):
+    """P of ``kernel`` for float or complex-step input, without a domain check."""
+    cos = cmath.cos if isinstance(g, complex) else math.cos
+    val = sum(c * cos(k * g) for k, c in enumerate(_kernel1_terms(L, G, U1, U3, beta, gamma)))
+    if order == 2:
+        t2 = _kernel2_terms(L, G, U1, U3, beta, gamma)
+        val += 0.5 * epsilon * sum(c * cos(k * g) for k, c in enumerate(t2))
+    return val
+
+
+def homological_residual(dp: DelaunayPoint, p: ModelParams) -> float:
     """Residual of the first-order averaging identity at a point.
 
     Checks (dW1/d ell) * gamma^2/L^3 - (R1 - K1) with the ell-derivative by
     central differences; vanishes identically for the correct W1.
     """
     gamma = _require_chart_params(p)
-    dpp = DelaunayPoint(ell=dp.ell + step, g=dp.g, u1=dp.u1, u3=dp.u3,
+    dpp = DelaunayPoint(ell=dp.ell + _HOMOLOGICAL_STEP, g=dp.g, u1=dp.u1, u3=dp.u3,
                         L=dp.L, G=dp.G, U1=dp.U1, U3=dp.U3)
-    dpm = DelaunayPoint(ell=dp.ell - step, g=dp.g, u1=dp.u1, u3=dp.u3,
+    dpm = DelaunayPoint(ell=dp.ell - _HOMOLOGICAL_STEP, g=dp.g, u1=dp.u1, u3=dp.u3,
                         L=dp.L, G=dp.G, U1=dp.U1, U3=dp.U3)
-    dw = (w1(dpp, p) - w1(dpm, p)) / (2.0 * step)
+    dw = (w1(dpp, p) - w1(dpm, p)) / (2.0 * _HOMOLOGICAL_STEP)
     k1 = kernel(dp.g, dp.L, dp.G, dp.U1, dp.U3, p.beta, gamma, order=1)
     return dw * gamma ** 2 / dp.L ** 3 - (perturbation_delaunay(dp, p) - k1)
 
@@ -326,33 +335,26 @@ class SecondOrderOracleResult:
     error_estimate: float
 
 
-def _bracket_ell_g(dp_builder, w_fn, h_fn, ell, g: float, dL: float, dG: float,
-                   step: float):
+def _bracket_ell_g(dp_builder, w_fn, h_fn, ell, g: float, step: float):
     """Canonical bracket {h, w} over the (ell, L) and (g, G) pairs by central FD.
 
-    ``ell`` may be an array of nodes; the bracket is then an array too.
+    ``dp_builder(ell, g, dL, dG)`` builds the point with L and G shifted by
+    dL and dG.  ``ell`` may be an array of nodes; the bracket is then an
+    array too.
     """
-    def at(dell=0.0, dg=0.0, dLs=0.0, dGs=0.0):
-        return dp_builder(ell + dell, g + dg, dLs, dGs)
+    def fd(fn, k):
+        # central difference in argument k of dp_builder
+        up = [x + step if i == k else x for i, x in enumerate((ell, g, 0.0, 0.0))]
+        dn = [x - step if i == k else x for i, x in enumerate((ell, g, 0.0, 0.0))]
+        return (fn(dp_builder(*up)) - fn(dp_builder(*dn))) / (2 * step)
 
-    def fd(fn, which):
-        if which == "ell":
-            return (fn(at(dell=step)) - fn(at(dell=-step))) / (2 * step)
-        if which == "g":
-            return (fn(at(dg=step)) - fn(at(dg=-step))) / (2 * step)
-        if which == "L":
-            return (fn(at(dLs=dL * step)) - fn(at(dLs=-dL * step))) / (2 * dL * step)
-        return (fn(at(dGs=dG * step)) - fn(at(dGs=-dG * step))) / (2 * dG * step)
-
-    h_ell, h_g = fd(h_fn, "ell"), fd(h_fn, "g")
-    h_L, h_G = fd(h_fn, "L"), fd(h_fn, "G")
-    w_ell, w_g = fd(w_fn, "ell"), fd(w_fn, "g")
-    w_L, w_G = fd(w_fn, "L"), fd(w_fn, "G")
+    h_ell, h_g, h_L, h_G = (fd(h_fn, k) for k in range(4))
+    w_ell, w_g, w_L, w_G = (fd(w_fn, k) for k in range(4))
     return (h_ell * w_L - h_L * w_ell) + (h_g * w_G - h_G * w_g)
 
 
 def second_order_oracle(L: float, G: float, U1: float, U3: float, beta: float, gamma: float,
-                        n_ell: int = 256, n_g: int = 32, fd_step: float = 1e-5,
+                        n_ell: int = 256, n_g: int = 32,
                         tol: float | None = None) -> SecondOrderOracleResult:
     """Numeric second-order kernel < {R1 + K1, W1} >, Fourier-analyzed in g.
 
@@ -380,15 +382,15 @@ def second_order_oracle(L: float, G: float, U1: float, U3: float, beta: float, g
         gs = np.arange(n_g) * (2 * math.pi / n_g)
         vals = np.empty((n_g, n_ell))
         for i, g in enumerate(gs):
-            vals[i] = _bracket_ell_g(build, w_fn, h_fn, ells, float(g), 1.0, 1.0, step)
+            vals[i] = _bracket_ell_g(build, w_fn, h_fn, ells, float(g), step)
         avg = vals.mean(axis=1)
         spec = np.fft.rfft(avg) / n_g
         cos_c = [float(spec[0].real)] + [2.0 * float(spec[k].real) for k in range(1, 5)]
         sin_c = [0.0] + [-2.0 * float(spec[k].imag) for k in range(1, 5)]
         return np.array(cos_c), max(abs(s) for s in sin_c)
 
-    c_fine, sin_max = field(fd_step)
-    c_coarse, _ = field(fd_step * 4.0)
+    c_fine, sin_max = field(_ORACLE_FD_STEP)
+    c_coarse, _ = field(_ORACLE_FD_STEP * 4.0)
     err = float(np.max(np.abs(c_fine - (16.0 * c_fine - c_coarse) / 15.0)))
     # Richardson difference bounds the O(step^2) truncation of the fine grid
     if tol is not None and err > tol:
@@ -418,23 +420,15 @@ def normalized_rhs(dp: DelaunayPoint, p: ModelParams, order: int = 1) -> Delauna
     L, U1 and U3 are exact integrals of the truncation (their conjugate
     angles are absent), so only (g, G) carry the slow dynamics while ell,
     u1, u3 rotate by quadrature.  The partials of P in (g, L, G, U1, U3) are
-    exact (complex-step differentiation of the closed-form coefficients).
+    exact (complex-step differentiation of ``_kernel``).
     """
     gamma = _require_chart_params(p)
     eps = p.epsilon
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
 
-    def P(g, L, G, U1, U3):
-        cos = cmath.cos if isinstance(g, complex) else math.cos
-        val = sum(c * cos(k * g) for k, c in enumerate(_kernel1_terms(L, G, U1, U3, p.beta, gamma)))
-        if order == 2:
-            t2 = _kernel2_terms(L, G, U1, U3, p.beta, gamma)
-            val += 0.5 * eps * sum(c * cos(k * g) for k, c in enumerate(t2))
-        return (val,)
-
     dP_dg, dP_dL, dP_dG, dP_dU1, dP_dU3 = _complex_step_jacobian(
-        P, (dp.g, dp.L, dp.G, dp.U1, dp.U3))[0]
+        lambda *x: (_kernel(*x, p.beta, gamma, order, eps),), (dp.g, dp.L, dp.G, dp.U1, dp.U3))[0]
     return DelaunayTangent(
         ell=gamma ** 2 / dp.L ** 3 + eps * dP_dL,
         g=eps * dP_dG,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import charts, equilibria, invariants, model, normalform
 
-__all__ = ["SuiteResult", "run_suites", "SUITES", "numerical_jacobian", "OMEGA_MATRIX"]
+__all__ = ["SuiteResult", "run_suites", "SUITES", "FAULTS", "numerical_jacobian", "OMEGA_MATRIX"]
 
 OMEGA_MATRIX = np.block([
     [np.zeros((4, 4)), np.eye(4)],
@@ -502,6 +502,7 @@ SUITES = {
     "dynamics_conservation": suite_dynamics,
     "nf_predictivity": suite_predictivity,
 }
+FAULTS = ("bracket_table_sign",)
 
 
 def run_suites(seed: int = 0, fault: str | None = None, names=None) -> dict:

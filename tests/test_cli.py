@@ -230,9 +230,21 @@ class TestConfigBlocks:
                        "params": [1], "t_end": 1.0}),
         ("reduce", {"integrals": {"n": 1.0, "xi": 0.2, "l": -0.1}, "count": [40]}),
         ("nf-table", {"h": "four"}),
+        # output names that are not strings, and unknown suites or faults
+        ("nf-table", {"out": 5}),
+        ("integrate", {"kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},
+                       "t_end": 1.0, "out": 5}),
+        ("reduce", {"integrals": {"n": 1.0, "xi": 0.2, "l": -0.1}, "surface_out": 3}),
+        ("verify", {"suites": ["reduced_relations"], "report": 7}),
+        ("equilibria", {"alpha_grid": [1.0], "w_grid": [0.0], "z_grid": [0.0], "json_out": 7}),
+        ("verify", {"suites": 5}),
+        ("verify", {"suites": ["bogus"]}),
+        ("verify", {"suites": ["bracket_table"], "inject_fault": "bracket_table_sgn"}),
     ], ids=["state_without_Q", "null_n", "delaunay_without_momenta", "reduced_state_without_K",
             "state_with_three_q", "grid_num_not_a_number",
-            "null_tol", "null_reduced_beta", "params_not_an_object", "list_count", "text_h"])
+            "null_tol", "null_reduced_beta", "params_not_an_object", "list_count", "text_h",
+            "int_nf_table_out", "int_integrate_out", "int_surface_out", "int_report",
+            "int_json_out", "int_suites", "unknown_suite", "unknown_fault"])
     def test_malformed_block_is_config_error(self, command, cfg, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 2

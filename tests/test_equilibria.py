@@ -93,6 +93,23 @@ class TestBranchProduct:
             assert len(roots) >= crossings
             assert len(roots) <= 6
 
+    def test_no_point_counted_twice(self, rng, monkeypatch):
+        # each stack interval carries the variation counts at its ends
+        seen = []
+        variations = eq._variations
+
+        def spy(chain, x):
+            seen.append(x)
+            return variations(chain, x)
+
+        monkeypatch.setattr(eq, "_variations", spy)
+        for _ in range(10):
+            w, z = (float(v) for v in rng.uniform(-0.4, 0.4, 2))
+            b = eq.branch_product_coeffs(w, z, float(rng.uniform(-0.9, 2.5)))
+            seen.clear()
+            eq._isolate_roots(b, max(w * w, z * z) + 1e-11, 1.0 - 1e-11)
+            assert len(seen) == len(set(seen)) > 2
+
 
 class TestSolveTori3:
     def test_symmetric_family(self):
@@ -185,6 +202,35 @@ class TestPeriodicBranches:
                     continue
                 assert b.u_ratio_printed == pytest.approx(math.sqrt(b.c2sq), abs=1e-8)
                 assert "u_ratio_mismatch" not in b.flags
+
+    @staticmethod
+    def case_alpha(e, cosg):
+        # the published alpha(e) = num/den; case (ii) is case (i) at -e
+        s = cosg * e
+        return 3.0 * s * (3.0 + 2.0 * s) ** 2 / (3.0 * s**4 + 2.0 * s**3 - 10.0 * s**2 - 3.0 * s + 8.0)
+
+    def test_records_solve_the_alpha_relation(self):
+        count = 0
+        for alpha in np.linspace(-0.95, 4.95, 25):
+            for b in eq.periodic_branches(float(alpha)):
+                if b.case == "axial":
+                    continue
+                cosg = 1.0 if b.case == "i" else -1.0
+                assert self.case_alpha(b.e, cosg) == pytest.approx(alpha, rel=1e-12)
+                count += 1
+        assert count >= 20
+
+    def test_isolator_misses_no_sign_change(self):
+        # the isolator finds at least as many roots as a dense grid sees sign changes
+        es = np.linspace(1e-6, 1.0 - 1e-6, 20000)
+        for alpha in np.linspace(-0.99, 4.99, 41):
+            for cosg in (1.0, -1.0):
+                coeffs = eq._case_coeffs(float(alpha), cosg)
+                roots = eq._isolate_roots(coeffs, 1e-6, 1.0 - 1e-6)
+                vals = self.case_alpha(es, cosg) - alpha
+                crossings = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+                assert len(roots) >= crossings
+                assert all(1e-6 < r <= 1.0 - 1e-6 for r in roots)
 
 
 class TestCrossValidation:

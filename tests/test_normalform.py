@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from resonance_lab import charts, model, normalform as nf
+from resonance_lab import charts, equilibria as eq, model, normalform as nf
 from resonance_lab.charts import DelaunayPoint
 from resonance_lab.model import ModelParams
 from resonance_lab.verify import random_delaunay, random_momenta
@@ -114,21 +114,39 @@ class TestOrder1Coefficients:
             assert 2 * float(spec[1].real) == pytest.approx(c.C11, abs=1e-8)
             assert 2 * float(spec[2].real) == pytest.approx(c.C21, abs=1e-8)
 
-    def test_partials_match_finite_differences(self, rng):
-        beta, gamma = 1.3, 0.9
-        L, G, U1, U3 = random_momenta(rng)
-        parts = nf.order1_coeff_partials(L, G, U1, U3, beta, gamma)
+    def test_branch_partials_match_kernel_differences(self, rng):
+        # the equilibria differentiate this kernel at g = 0 (cosg = 1) and g = pi (cosg = -1)
         h = 1e-6
-        for k, name in enumerate(("L", "G", "U1", "U3")):
-            args_p = [L, G, U1, U3]
-            args_m = [L, G, U1, U3]
-            args_p[k] += h
-            args_m[k] -= h
-            cp = nf.order1_coeffs(*args_p, beta, gamma)
-            cm = nf.order1_coeffs(*args_m, beta, gamma)
-            for field in ("C01", "C11", "C21"):
-                fd = (getattr(cp, field) - getattr(cm, field)) / (2 * h)
-                assert parts[field][k] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+        def kernel_partials(g, beta, x):
+            out = []
+            for k in range(3):
+                up, dn = list(x), list(x)
+                up[k] += h
+                dn[k] -= h
+                out.append((nf.kernel(g, 1.0, *up, beta, 1.0)
+                            - nf.kernel(g, 1.0, *dn, beta, 1.0)) / (2 * h))
+            return np.array(out)
+
+        for _ in range(5):
+            alpha = float(rng.uniform(-0.9, 2.5))
+            beta = math.sqrt(alpha + 1.0)
+            w, z = (float(v) for v in rng.uniform(-0.4, 0.4, 2))
+            eta = float(rng.uniform(max(abs(w), abs(z)) + 0.05, 0.95))
+            e = float(rng.uniform(0.05, 0.9))
+            c = float(rng.uniform(0.0, 0.9))
+            eta_c = math.sqrt(1.0 - e * e)
+            for cosg, g in ((1.0, 0.0), (-1.0, math.pi)):
+                fd = kernel_partials(g, beta, (eta, w, z))
+                assert eq.branch_equation(eta, w, z, alpha, cosg) == pytest.approx(
+                    fd[0], rel=1e-6, abs=1e-8)
+                # (G, U1, U3) partials whose largest magnitude _periodic_residual reports
+                fd = kernel_partials(g, beta, (eta_c, c * eta_c, c * eta_c))
+                assert eq._periodic_residual(e, c, alpha, cosg) == pytest.approx(
+                    float(np.max(np.abs(fd))), rel=1e-6, abs=1e-8)
+                jac = model._complex_step_jacobian(
+                    eq._sin_g_zero_kernel(alpha, cosg), (eta_c, c * eta_c, c * eta_c))[0]
+                np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-8)
 
 
 class TestW1:
