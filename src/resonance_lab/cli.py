@@ -111,12 +111,21 @@ def _scalar(block: dict, key: str, default, kind=float):
         raise ConfigError(f"bad {key!r} value {block[key]!r}: {exc}") from exc
 
 
-def _out_name(cfg: dict, key: str, default: str) -> str:
-    """Output file name ``cfg[key]``; anything but a non-empty string is a configuration error."""
+def _out_path(out: Path, cfg: dict, key: str, default: str) -> Path:
+    """Output file ``out / cfg[key]``, checked before any work starts.
+
+    Anything but a non-empty string, a name whose directory part does not
+    exist and a name of an existing directory are configuration errors.
+    """
     name = cfg.get(key, default)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{key!r} must be a non-empty file name, got {name!r}")
-    return name
+    path = out / name
+    if not path.parent.is_dir():
+        raise ConfigError(f"{key!r}: directory {str(path.parent)!r} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"{key!r}: {str(path)!r} is a directory")
+    return path
 
 
 def _params_block(cfg: dict) -> dict:
@@ -150,7 +159,7 @@ def cmd_verify(args) -> int:
             isinstance(n, str) and n in verify.SUITES for n in names)):
         raise ConfigError(f"'suites' must be a non-empty list of suite names "
                           f"({', '.join(verify.SUITES)}), got {names!r}")
-    out = _out_dir(args) / _out_name(cfg, "report", "verify_report.json")
+    out = _out_path(_out_dir(args), cfg, "report", "verify_report.json")
     report = verify.run_suites(seed=args.seed, fault=fault, names=names)
     timings = report.pop("timings")
     _write_json(out, report)
@@ -210,7 +219,7 @@ def cmd_integrate(args) -> int:
     n_out = _scalar(cfg, "n_out", 1000, int)
 
     if kind == "cartesian":
-        path = out / _out_name(cfg, "out", "trajectory.csv")
+        path = _out_path(out, cfg, "out", "trajectory.csv")
         p = _params_from_config(cfg)
         s0 = _initial_state(cfg, p)
         traj = model.integrate(s0, p, t_end, tol, n_out=n_out)
@@ -221,7 +230,7 @@ def cmd_integrate(args) -> int:
         return 0
 
     if kind == "reduced":
-        path = out / _out_name(cfg, "out", "reduced_trajectory.csv")
+        path = _out_path(out, cfg, "out", "reduced_trajectory.csv")
         iv = _block(cfg, "integrals")
         beta = _scalar(_params_block(cfg), "beta", 0.0)
         if "reduced_state" in cfg:
@@ -241,7 +250,7 @@ def cmd_integrate(args) -> int:
         return 0
 
     if kind == "normalized":
-        path = out / _out_name(cfg, "out", "normalized_trajectory.csv")
+        path = _out_path(out, cfg, "out", "normalized_trajectory.csv")
         p = _params_from_config(cfg)
         if p.gamma is None:
             raise ConfigError("normalized runs need params.h or params.gamma")
@@ -267,8 +276,8 @@ def cmd_integrate(args) -> int:
 def cmd_reduce(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    invariants_name = _out_name(cfg, "out", "invariants.json")
-    surface_name = _out_name(cfg, "surface_out", "surface.csv")
+    invariants_path = _out_path(out, cfg, "out", "invariants.json")
+    surface_path = _out_path(out, cfg, "surface_out", "surface.csv")
     wrote = []
     if "state" in cfg:
         pv = invariants.pi_map(_block(cfg, "state"))
@@ -285,15 +294,13 @@ def cmd_reduce(args) -> int:
             "second_space_residuals": [r1, r2],
             "eo3_residuals": list(invariants.eo3_residuals(pt)),
         }
-        path = out / invariants_name
-        _write_json(path, payload)
-        wrote.append(path)
+        _write_json(invariants_path, payload)
+        wrote.append(invariants_path)
     if "integrals" in cfg:
         iv = _block(cfg, "integrals")
         samples = invariants.surface_samples(iv, count=_scalar(cfg, "count", 200, int))
-        path = out / surface_name
-        _write_csv(path, "K,sqrt_f_over_2", samples)
-        wrote.append(path)
+        _write_csv(surface_path, "K,sqrt_f_over_2", samples)
+        wrote.append(surface_path)
     if not wrote:
         raise ConfigError("reduce needs a 'state' and/or an 'integrals' block")
     for path in wrote:
@@ -303,7 +310,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_nf_table(args) -> int:
     cfg = _load_config(args.config)
-    path = _out_dir(args) / _out_name(cfg, "out", "nf_table.csv")
+    path = _out_path(_out_dir(args), cfg, "out", "nf_table.csv")
     h = _scalar(cfg, "h", None)
     gamma = _scalar(cfg, "gamma", h / 4.0 if h is not None else 1.0)
     betas = _grid(cfg.get("beta_grid", [0.0, 1.0, math.sqrt(2.0)]), "beta_grid")
@@ -331,8 +338,8 @@ def cmd_equilibria(args) -> int:
     alphas = _grid(cfg.get("alpha_grid", [0.0, 1.0]), "alpha_grid")
     ws = _grid(cfg.get("w_grid", [0.0]), "w_grid")
     zs = _grid(cfg.get("z_grid", [0.0]), "z_grid")
-    path = out / _out_name(cfg, "out", "equilibria_sweep.csv")
-    jpath = out / _out_name(cfg, "json_out", "") if cfg.get("json_out") else None
+    path = _out_path(out, cfg, "out", "equilibria_sweep.csv")
+    jpath = _out_path(out, cfg, "json_out", "") if cfg.get("json_out") else None
     result = equilibria.sweep(alphas, ws, zs, workers=args.workers)
     # the flags cell is free text that may hold commas, so csv.writer quotes it
     with open(path, "w", newline="") as fh:

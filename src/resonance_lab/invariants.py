@@ -378,11 +378,10 @@ def reduced_flow(
 
     sol = _solve_ivp(fun, t_end, [pt0.K, pt0.N, pt0.S], np.linspace(0.0, t_end, n_out), tol, tol)
     K, N, S = sol.y
-    h3 = np.array([
-        reduced_h3(ThriceReducedPoint(M=0.0, N=n_, Z=0.0, S=s_, K=k_, integrals=iv), beta)
-        for k_, n_, s_ in zip(K, N, S)
-    ])
-    cas = np.array([casimir_residual(k_, n_, s_, iv) for k_, n_, s_ in zip(K, N, S)])
+    # reduced_h3 reads only K and N, and both closed forms broadcast over the
+    # sample rows
+    h3 = reduced_h3(ThriceReducedPoint(M=0.0, N=N, Z=0.0, S=S, K=K, integrals=iv), beta)
+    cas = casimir_residual(K, N, S, iv)
     return ReducedTrajectory(t=sol.t, K=K, N=N, S=S, h3=h3, casimir=cas, integrals=iv)
 
 

@@ -19,6 +19,13 @@ which Poisson-commutes with the two rotation integrals
 This module owns the Hamiltonian, its analytic gradient, the integrals, and a
 conservation-monitoring reference integrator that the reduction and averaging
 layers use as ground truth.
+
+The solver's vector field ``_rhs`` unpacks the state once and runs on Python
+floats: on eight components numpy's per-call overhead would exceed the
+arithmetic.  The closed forms ``hamiltonian`` and ``first_integrals`` broadcast,
+so ``integrate`` evaluates its monitors in one array pass over the solver
+output, on a state whose fields are the rows of the sampled solution.  Every
+run is bounded by a work budget of ``_MAX_NFEV`` vector-field evaluations.
 """
 
 from __future__ import annotations
@@ -65,7 +72,8 @@ class CartesianState:
         x = np.asarray(x, dtype=float)
         if x.shape != (8,):
             raise ValueError(f"expected 8 components, got shape {x.shape}")
-        return cls(q=tuple(x[:4]), Q=tuple(x[4:]))
+        v = x.tolist()
+        return cls(q=tuple(v[:4]), Q=tuple(v[4:]))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.q + self.Q, dtype=float)
@@ -168,6 +176,20 @@ def first_integrals(state: CartesianState) -> tuple[float, float]:
     return a + b, b - a
 
 
+def _grad_v6(q1: float, q2: float, q3: float, q4: float, beta: float) -> tuple:
+    """dV6/dq_1..4 on four floats; the one formula behind grad_h_sextic and _rhs."""
+    b2 = beta * beta
+    r1 = q1 * q1 + q2 * q2
+    r2 = q3 * q3 + q4 * q4
+    rho = r1 + r2
+    d = r1 - r2
+    w = b2 * d * d + 4.0 * r1 * r2
+    return (2.0 * q1 * w + rho * (4.0 * b2 * d * q1 + 8.0 * q1 * r2),
+            2.0 * q2 * w + rho * (4.0 * b2 * d * q2 + 8.0 * q2 * r2),
+            2.0 * q3 * w + rho * (-4.0 * b2 * d * q3 + 8.0 * q3 * r1),
+            2.0 * q4 * w + rho * (-4.0 * b2 * d * q4 + 8.0 * q4 * r1))
+
+
 def grad_h_sextic(q, beta: float) -> np.ndarray:
     """Analytic gradient of V6 with respect to the four positions.
 
@@ -176,29 +198,19 @@ def grad_h_sextic(q, beta: float) -> np.ndarray:
         dV6/dq_i = 2 q_i W + rho * dW/dq_i,
         dW/dq_i  = +-4 beta^2 d q_i + 8 q_i r_(other block).
     """
-    q1, q2, q3, q4 = q
-    b2 = beta * beta
-    r1 = q1 * q1 + q2 * q2
-    r2 = q3 * q3 + q4 * q4
-    rho = r1 + r2
-    d = r1 - r2
-    w = b2 * d * d + 4.0 * r1 * r2
-    g = np.empty(4)
-    g[0] = 2.0 * q1 * w + rho * (4.0 * b2 * d * q1 + 8.0 * q1 * r2)
-    g[1] = 2.0 * q2 * w + rho * (4.0 * b2 * d * q2 + 8.0 * q2 * r2)
-    g[2] = 2.0 * q3 * w + rho * (-4.0 * b2 * d * q3 + 8.0 * q3 * r1)
-    g[3] = 2.0 * q4 * w + rho * (-4.0 * b2 * d * q4 + 8.0 * q4 * r1)
-    return g
+    return np.array(_grad_v6(*q, beta))
 
 
 def _rhs(x: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Canonical vector field (dH/dQ, -dH/dq) on flat arrays."""
-    out = np.empty(8)
-    out[:4] = x[4:]
-    out[4:] = -(p.omega * p.omega) * x[:4]
-    if p.epsilon != 0.0:
-        out[4:] -= p.epsilon * grad_h_sextic(x[:4], p.beta)
-    return out
+    """Canonical vector field (dH/dQ, -dH/dq) of a flat 8-array, on Python floats."""
+    q1, q2, q3, q4, Q1, Q2, Q3, Q4 = x.tolist()
+    c = -(p.omega * p.omega)
+    if p.epsilon == 0.0:
+        return np.array([Q1, Q2, Q3, Q4, c * q1, c * q2, c * q3, c * q4])
+    e = p.epsilon
+    g1, g2, g3, g4 = _grad_v6(q1, q2, q3, q4, p.beta)
+    return np.array([Q1, Q2, Q3, Q4,
+                     c * q1 - e * g1, c * q2 - e * g2, c * q3 - e * g3, c * q4 - e * g4])
 
 
 def vector_field(state: CartesianState, p: ModelParams) -> CartesianState:
@@ -249,13 +261,32 @@ class Trajectory:
         return CartesianState.from_array(self.states[i])
 
 
+# Work budget of one _solve_ivp run, in evaluations of the vector field: about
+# 20 times the longest run of the tests, the benchmark and the README examples
+# (235,454 in suite_dynamics), so that a run that cannot finish stops.
+_MAX_NFEV = 5_000_000
+
+
 def _solve_ivp(fun, t_end: float, y0, t_eval, rtol: float, atol: float):
     """DOP853 run of dy/dt = fun(t, y) from t = 0 to t_end, sampled at t_eval.
 
     Raises IntegrationError carrying the last sampled time and state when
-    the solver stops early.
+    the solver stops early, and the time and state of the last evaluation
+    when ``fun`` has been evaluated _MAX_NFEV times.
     """
-    sol = solve_ivp(fun, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
+    nfev = 0
+
+    def counted(t, y):
+        nonlocal nfev
+        nfev += 1
+        dy = fun(t, y)
+        if nfev >= _MAX_NFEV:
+            raise IntegrationError(
+                f"work budget of {_MAX_NFEV} function evaluations exhausted at t={t}",
+                float(t), np.array(y))
+        return dy
+
+    sol = solve_ivp(counted, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
                     t_eval=t_eval)
     if not sol.success:
         t_last = float(sol.t[-1]) if sol.t.size else 0.0
@@ -280,7 +311,7 @@ def integrate(
     flow in a reparametrized time.
 
     Raises IntegrationError on step-size failure, carrying the last accepted
-    state.
+    state, or past the work budget, carrying the last evaluated state.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -298,10 +329,9 @@ def integrate(
         exc.state_last = CartesianState.from_array(exc.state_last)
         raise
 
-    states = sol.y.T
-    energy = np.array([hamiltonian(CartesianState.from_array(x), p) for x in states])
-    xi_l1 = np.array([first_integrals(CartesianState.from_array(x)) for x in states])
-    return Trajectory(t=sol.t, states=states, energy=energy, xi=xi_l1[:, 0], l1=xi_l1[:, 1])
+    rows = CartesianState(q=tuple(sol.y[:4]), Q=tuple(sol.y[4:]))
+    xi, l1 = first_integrals(rows)
+    return Trajectory(t=sol.t, states=sol.y.T, energy=hamiltonian(rows, p), xi=xi, l1=l1)
 
 
 def canonical_bracket(f, g, state: CartesianState, step: float = 1e-5) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonance_lab import cli, equilibria, invariants, model, normalform
+from resonance_lab import cli, equilibria, invariants, model, normalform, verify
 
 
 def run(args):
@@ -119,6 +119,19 @@ class TestIntegrateCommand:
         })
         assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "integration failed" in capsys.readouterr().err
+
+    def test_work_budget_stops_a_runaway_run(self, tmp_path, monkeypatch, capsys):
+        # the README cartesian example at epsilon = 1e3 oscillates so fast that
+        # DOP853 would need hundreds of millions of evaluations to reach t_end
+        monkeypatch.setattr(model, "_MAX_NFEV", 20_000)
+        cfg = write_config(tmp_path / "i.json", {
+            "kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},
+            "params": {"omega": 1.0, "epsilon": 1e3, "beta": math.sqrt(2.0)},
+            "t_end": 1000.0, "tol": 1e-12, "n_out": 1000, "out": "traj.csv",
+        })
+        assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "integration failed: work budget" in capsys.readouterr().err
+        assert not (tmp_path / "traj.csv").exists()
 
     def test_non_finite_param_is_config_error(self, tmp_path):
         cfg = tmp_path / "nan.json"
@@ -249,6 +262,48 @@ class TestConfigBlocks:
         path = write_config(tmp_path / "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+_STATE = {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]}
+_INTEGRALS = {"n": 1.0, "xi": 0.2, "l": -0.1}
+_GRIDS = {"alpha_grid": [1.0], "w_grid": [0.0], "z_grid": [0.0]}
+
+
+class TestOutputPaths:
+    # (command, config, the library function that does the command's work)
+    @pytest.mark.parametrize("command, cfg, work", [
+        ("nf-table", {"out": "nodir/x.csv"}, (normalform, "order1_coeffs")),
+        ("integrate", {"kind": "cartesian", "state": _STATE, "out": "nodir/x.csv"},
+         (model, "integrate")),
+        ("integrate", {"kind": "reduced", "integrals": _INTEGRALS, "out": "nodir/x.csv"},
+         (invariants, "reduced_flow")),
+        ("equilibria", {**_GRIDS, "out": "nodir/x.csv"}, (equilibria, "sweep")),
+        ("equilibria", {**_GRIDS, "json_out": "nodir/x.json"}, (equilibria, "sweep")),
+        ("reduce", {"state": _STATE, "out": "nodir/x.json"}, (invariants, "pi_map")),
+        ("reduce", {"integrals": _INTEGRALS, "surface_out": "nodir/x.csv"},
+         (invariants, "surface_samples")),
+        ("verify", {"suites": ["reduced_relations"], "report": "nodir/x.json"},
+         (verify, "run_suites")),
+        ("nf-table", {"out": "."}, (normalform, "order1_coeffs")),
+    ], ids=["nf_table_out", "cartesian_out", "reduced_out", "equilibria_out", "json_out",
+            "invariants_out", "surface_out", "report", "out_is_a_directory"])
+    def test_unwritable_name_fails_before_any_work(self, command, cfg, work, tmp_path,
+                                                   monkeypatch, capsys):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        monkeypatch.setattr(*work, not_reached)
+        path = write_config(tmp_path / "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_existing_subdirectory_is_accepted(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        cfg = write_config(tmp_path / "nf.json", {
+            "gamma": 1.0, "beta_grid": [1.0], "L_grid": [1.0], "eta_grid": [0.8],
+            "c1_grid": [0.3], "c2_grid": [0.2], "out": "sub/nf.csv"})
+        assert run(["nf-table", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "sub" / "nf.csv").exists()
 
 
 # Every CSV the CLI writes: (command, config, file, header, library rows).  In

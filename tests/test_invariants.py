@@ -250,6 +250,21 @@ class TestReducedFlow:
         assert back.N[-1] == pytest.approx(pt0.N, abs=1e-9)
         assert back.S[-1] == pytest.approx(-pt0.S, abs=1e-9)
 
+    def test_monitors_equal_per_sample_values(self):
+        iv = IntegralValues(n=2.0, xi=0.5, l=0.4)
+        lo, hi = inv.feasible_interval(iv)
+        pt0 = inv.reduced_point_on_surface(0.5 * (lo + hi), iv, beta=0.7, angle=0.4)
+        traj = inv.reduced_flow(pt0, beta=0.7, t_end=20.0, tol=1e-12, n_out=400)
+        n, xi, l = iv.n, iv.xi, iv.l
+        for k, n_, s_, h3, cas in zip(traj.K.tolist(), traj.N.tolist(), traj.S.tolist(),
+                                      traj.h3, traj.casimir):
+            pt = inv.ThriceReducedPoint(M=0.0, N=n_, Z=0.0, S=s_, K=k, integrals=iv)
+            assert h3 == inv.reduced_h3(pt, 0.7)
+            # the array (K +- l) ** 2 is the correctly rounded square, the
+            # scalar one libm's pow, which can miss it by one ulp
+            scale = ((n + xi) ** 2 + (k + l) ** 2) * ((n - xi) ** 2 + (k - l) ** 2)
+            assert abs(cas - inv.casimir_residual(k, n_, s_, iv)) <= 4 * np.spacing(scale)
+
     def test_off_surface_rejected(self):
         iv = IntegralValues(n=1.0, xi=0.3, l=0.1)
         pt = inv.ThriceReducedPoint(M=0.0, N=5.0, Z=0.0, S=5.0, K=0.0, integrals=iv)

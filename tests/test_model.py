@@ -150,6 +150,47 @@ class TestIntegrate:
         assert isinstance(err.value.state_last, model.CartesianState)
 
 
+    def test_monitors_equal_per_sample_closed_forms(self, rng):
+        p = ModelParams(omega=1.3, epsilon=2e-2, beta=1.5)
+        traj = model.integrate(CartesianState.from_array(0.7 * rng.normal(size=8)), p,
+                               10.0, 1e-10, n_out=41)
+        for k in range(len(traj.t)):
+            s = CartesianState.from_array(traj.states[k])
+            assert traj.energy[k] == model.hamiltonian(s, p)
+            assert (traj.xi[k], traj.l1[k]) == model.first_integrals(s)
+        # a caller may write into the monitors
+        assert traj.energy.dtype == np.float64 and traj.energy.flags.writeable
+        traj.energy[-1] += 1.0
+
+    def test_work_budget_carries_the_last_evaluation(self, monkeypatch):
+        monkeypatch.setattr(model, "_MAX_NFEV", 50)
+        calls = []
+
+        def fun(t, y):
+            calls.append((t, y.copy()))
+            return -y
+
+        with pytest.raises(model.IntegrationError, match="work budget") as err:
+            model._solve_ivp(fun, 1e6, [1.0, 2.0], None, 1e-12, 1e-12)
+        assert len(calls) == 50
+        assert err.value.t_last == calls[-1][0]
+        assert np.array_equal(err.value.state_last, calls[-1][1])
+
+
+class TestFromArray:
+    def test_python_floats_and_a_copy(self):
+        x = np.arange(8.0)
+        s = CartesianState.from_array(x)
+        assert all(type(v) is float for v in s.q + s.Q)
+        x[:] = -1.0
+        assert s.q == (0.0, 1.0, 2.0, 3.0) and s.Q == (4.0, 5.0, 6.0, 7.0)
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (2, 4), ()])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected 8 components"):
+            CartesianState.from_array(np.zeros(shape))
+
+
 class TestBracket:
     def test_integrals_commute(self, rng):
         # Xi and L1 are quadratic, so a large step is exact and minimizes
@@ -220,3 +261,44 @@ def test_sextic_gradient_is_exact(xs):
             sm = CartesianState(q=tuple(qm), Q=(0, 0, 0, 0))
             fd = (model.h_sextic(sp, beta) - model.h_sextic(sm, beta)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+
+# The ndarray form of the gradient and the vector field before they moved to
+# Python floats: the float form must reproduce it bit for bit.
+def _grad_reference(q, beta):
+    q1, q2, q3, q4 = q
+    b2 = beta * beta
+    r1 = q1 * q1 + q2 * q2
+    r2 = q3 * q3 + q4 * q4
+    rho = r1 + r2
+    d = r1 - r2
+    w = b2 * d * d + 4.0 * r1 * r2
+    g = np.empty(4)
+    g[0] = 2.0 * q1 * w + rho * (4.0 * b2 * d * q1 + 8.0 * q1 * r2)
+    g[1] = 2.0 * q2 * w + rho * (4.0 * b2 * d * q2 + 8.0 * q2 * r2)
+    g[2] = 2.0 * q3 * w + rho * (-4.0 * b2 * d * q3 + 8.0 * q3 * r1)
+    g[3] = 2.0 * q4 * w + rho * (-4.0 * b2 * d * q4 + 8.0 * q4 * r1)
+    return g
+
+
+def _rhs_reference(x, p):
+    out = np.empty(8)
+    out[:4] = x[4:]
+    out[4:] = -(p.omega * p.omega) * x[:4]
+    if p.epsilon != 0.0:
+        out[4:] -= p.epsilon * _grad_reference(x[:4], p.beta)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=8, max_size=8),
+       st.sampled_from([1.0, 0.3, 1.7]),
+       st.sampled_from([0.0, 1e-3, 0.7, 1e3]),
+       st.floats(min_value=0.0, max_value=3.0))
+def test_float_rhs_matches_the_ndarray_form_exactly(xs, omega, epsilon, beta):
+    x = np.array(xs)
+    p = ModelParams(omega=omega, epsilon=epsilon, beta=beta)
+    got = model._rhs(x, p)
+    assert got.dtype == np.float64 and got.shape == (8,)
+    assert got.tobytes() == _rhs_reference(x, p).tobytes()
+    assert model.grad_h_sextic(x[:4], beta).tobytes() == _grad_reference(x[:4], beta).tobytes()
