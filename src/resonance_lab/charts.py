@@ -21,16 +21,22 @@ projection as U3.  These signed identifications are measured numerically once
 and frozen here as regression constants (``XI_PER_PSI``, ``L1_PER_PHI``).
 
 The forward maps (Delaunay -> Andoyer -> Euler -> Cartesian and the Kepler
-solve) are written in numpy ufuncs: any field of a point may be an ndarray
-and the fields broadcast against each other.  A domain check raises when any
-element violates it and names the first such element; scalar input gives
-Python floats back.  The inverse maps are scalar.
+solve) are written once, against a small function namespace that each call
+picks from its own input (``_ns``): numpy when any field is an ndarray, so
+the fields broadcast against each other, and ``math`` with the builtin
+arithmetic when every field is a real scalar.  The two give the same values
+up to the last bit, where numpy's array ufuncs and libm may round
+differently.  A domain check raises when any element violates it and names
+the first such element; scalar input gives Python floats back.  The inverse
+maps take scalars only and call ``math`` directly: their callers map a
+trajectory one sample at a time, where even the dispatch check would show.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -143,6 +149,31 @@ def _value(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
+def _nan_passing(fn):
+    """``fn`` (math.floor or round) on a finite float; NaN and inf pass through, as in numpy."""
+    return lambda x: float(fn(x)) if math.isfinite(x) else x
+
+
+#: The scalar stand-in for the numpy functions the forward chain calls.
+#: ``minimum`` and ``maximum`` propagate NaN like numpy's, which the
+#: builtins ``min`` and ``max`` do not: ``max(0.0, nan)`` is 0.0.
+_MATH = SimpleNamespace(
+    sin=math.sin, cos=math.cos, sqrt=math.sqrt, arctan2=math.atan2, arccos=math.acos,
+    abs=abs, floor=_nan_passing(math.floor), rint=_nan_passing(round),
+    minimum=lambda a, b: a if a <= b or a != a else b,
+    maximum=lambda a, b: a if a >= b or a != a else b,
+    where=lambda cond, a, b: a if cond else b, any=bool,
+)
+
+
+def _ns(*values):
+    """``_MATH`` when every value is a real scalar, the numpy module otherwise."""
+    for v in values:
+        if not isinstance(v, (float, int)):
+            return np
+    return _MATH
+
+
 def _point(cls, *fields):
     return cls(*map(_value, fields))
 
@@ -161,25 +192,26 @@ def momenta_from_integrals(xi: float, l1: float) -> tuple[float, float]:
 
 def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
     """Forward chart map; the momenta follow by the cotangent lift."""
+    xp = _ns(*vars(ep).values())
     _require(ep.rho > 0.0, "rho must be positive, got {}", ep.rho)
-    st = np.sin(ep.theta)
+    st = xp.sin(ep.theta)
     _require(st > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", ep.theta)
-    s = np.sin(0.5 * ep.theta)
-    c = np.cos(0.5 * ep.theta)
-    sr = np.sqrt(ep.rho)
+    s = xp.sin(0.5 * ep.theta)
+    c = xp.cos(0.5 * ep.theta)
+    sr = xp.sqrt(ep.rho)
     hm = 0.5 * (ep.phi - ep.psi)
     hp = 0.5 * (ep.phi + ep.psi)
-    q1 = sr * s * np.cos(hm)
-    q2 = sr * s * np.sin(hm)
-    q3 = sr * c * np.sin(hp)
-    q4 = sr * c * np.cos(hp)
+    q1 = sr * s * xp.cos(hm)
+    q2 = sr * s * xp.sin(hm)
+    q3 = sr * c * xp.sin(hp)
+    q4 = sr * c * xp.cos(hp)
 
     # The columns of A are dq/d(rho, phi, theta, psi) and the momenta solve
     # A^T Q = (P, Phi, Theta, Psi), so Q = A x with x = (A^T A)^-1 (P, Phi,
     # Theta, Psi).  A^T A is block diagonal: diag(1/(4 rho), rho/4) on the
     # (rho, theta) columns and (rho/4) [[1, cos theta], [cos theta, 1]] on the
     # (phi, psi) columns.
-    ct = np.cos(ep.theta)
+    ct = xp.cos(ep.theta)
     w = 4.0 / (ep.rho * st * st)
     x0 = 4.0 * ep.rho * ep.P
     x1 = w * (ep.Phi - ct * ep.Psi)
@@ -238,8 +270,8 @@ def _andoyer_deltas(su2, cu2, c1, s1, c2, s2, atan2):
     theta, with the dihedral angle u2 (sine su2, cosine cu2) between the
     first two.  The vertex angles, resolved in both sine and cosine, are the
     offsets between the Euler angles and their Andoyer counterparts.
-    ``atan2`` is ``math.atan2`` in the scalar inverse map and ``np.arctan2``
-    in the array forward map.
+    ``atan2`` is ``math.atan2`` in the inverse map and the call's
+    namespace's ``arctan2`` in the forward map.
     """
     d1 = atan2(su2 * s2, c2 * s1 - s2 * c1 * cu2)
     d3 = atan2(su2 * s1, c1 * s2 - s1 * c2 * cu2)
@@ -281,6 +313,7 @@ def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
 
 def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
     """Inverse of ``euler_to_andoyer`` on the open domain |U1|, |U3| < U2."""
+    xp = _ns(*vars(ap).values())
     _require(ap.U2 > 0.0, "U2 must be positive")
     c1 = ap.U1 / ap.U2
     c2 = ap.U3 / ap.U2
@@ -288,15 +321,15 @@ def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
     s2sq = 1.0 - c2 * c2
     _require((s1sq >= SINGULARITY_GUARD ** 2) & (s2sq >= SINGULARITY_GUARD ** 2),
              "|U1| or |U3| too close to U2")
-    s1 = np.sqrt(s1sq)
-    s2 = np.sqrt(s2sq)
-    ct = c1 * c2 + s1 * s2 * np.cos(ap.u2)
+    s1 = xp.sqrt(s1sq)
+    s2 = xp.sqrt(s2sq)
+    ct = c1 * c2 + s1 * s2 * xp.cos(ap.u2)
     stsq = 1.0 - ct * ct
     _require(stsq >= SINGULARITY_GUARD ** 2, "image hits the theta singular set")
-    st = np.sqrt(stsq)
-    theta = np.arccos(ct)
-    Theta = ap.U2 * s1 * s2 * np.sin(ap.u2) / st
-    d1, d3 = _andoyer_deltas(np.sin(ap.u2), np.cos(ap.u2), c1, s1, c2, s2, np.arctan2)
+    st = xp.sqrt(stsq)
+    theta = xp.arccos(ct)
+    Theta = ap.U2 * s1 * s2 * xp.sin(ap.u2) / st
+    d1, d3 = _andoyer_deltas(xp.sin(ap.u2), xp.cos(ap.u2), c1, s1, c2, s2, xp.arctan2)
     phi = (ap.u1 - d1) % _TWO_PI
     psi = ap.u3 - d3
     # keep psi in the principal interval used by the Euler chart
@@ -316,29 +349,30 @@ def kepler_solve(ell, e):
     below ``_KEPLER_TOL``.  The returned branch is the continuous one with
     E(ell + 2 pi k) = E(ell) + 2 pi k.
     """
-    ell = np.asarray(ell, dtype=float)
-    e = np.asarray(e, dtype=float)
+    xp = _ns(ell, e)
+    if xp is np:
+        ell = np.asarray(ell, dtype=float)
+        e = np.asarray(e, dtype=float)
     _require((0.0 <= e) & (e < 1.0), "eccentricity must lie in [0, 1), got {}", e)
-    k = np.floor((ell + math.pi) / _TWO_PI)
+    k = xp.floor((ell + math.pi) / _TWO_PI)
     m = ell - _TWO_PI * k  # in (-pi, pi]
-    sign = np.where(m < 0.0, -1.0, 1.0)
-    m = np.abs(m)
+    sign = xp.where(m < 0.0, -1.0, 1.0)
+    m = xp.abs(m)
     # cubic seed is robust up to e ~ 1
-    E = np.where((m < 0.25) & (e > 0.8), (6.0 * m) ** (1.0 / 3.0), m + e * np.sin(m))
-    lo = np.zeros(E.shape)
-    hi = np.full(E.shape, math.pi)
+    E = xp.where((m < 0.25) & (e > 0.8), (6.0 * m) ** (1.0 / 3.0), m + e * xp.sin(m))
+    lo, hi = 0.0, math.pi
     for _ in range(_KEPLER_MAX_ITER):
-        f = E - e * np.sin(E) - m
-        moving = np.abs(f) >= _KEPLER_TOL
-        if not moving.any():
+        f = E - e * xp.sin(E) - m
+        moving = xp.abs(f) >= _KEPLER_TOL
+        if not xp.any(moving):
             break
         above = f > 0.0
-        hi = np.where(above, np.minimum(hi, E), hi)
-        lo = np.where(above, lo, np.maximum(lo, E))
-        E_new = E - f / (1.0 - e * np.cos(E))
-        E_new = np.where((lo <= E_new) & (E_new <= hi), E_new, 0.5 * (lo + hi))
-        E = np.where(moving, E_new, E)
-    return _value(np.where(e == 0.0, ell, sign * E + _TWO_PI * k))
+        hi = xp.where(above, xp.minimum(hi, E), hi)
+        lo = xp.where(above, lo, xp.maximum(lo, E))
+        E_new = E - f / (1.0 - e * xp.cos(E))
+        E_new = xp.where((lo <= E_new) & (E_new <= hi), E_new, 0.5 * (lo + hi))
+        E = xp.where(moving, E_new, E)
+    return _value(xp.where(e == 0.0, ell, sign * E + _TWO_PI * k))
 
 
 # -- Delaunay -----------------------------------------------------------------
@@ -349,20 +383,21 @@ def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
     For e = 0 the perigee direction degenerates; the forward map uses the
     natural convention f = E = ell, so it stays defined on the closure.
     """
+    xp = _ns(gamma, *vars(dp).values())
     _require(gamma > 0.0, "gamma must be positive, got {}", gamma)
     _require((0.0 < dp.G) & (dp.G <= dp.L), "need 0 < G <= L, got G={}, L={}", dp.G, dp.L)
-    _require((np.abs(dp.U1) < dp.G) & (np.abs(dp.U3) < dp.G),
+    _require((xp.abs(dp.U1) < dp.G) & (xp.abs(dp.U3) < dp.G),
              "need |U1|, |U3| < G, got U1={}, U3={}, G={}", dp.U1, dp.U3, dp.G)
     a = dp.L * dp.L / gamma
     eta = dp.G / dp.L
-    e = np.sqrt(np.maximum(0.0, 1.0 - eta * eta))
+    e = xp.sqrt(xp.maximum(0.0, 1.0 - eta * eta))
     E = kepler_solve(dp.ell, e)
-    se, ce = np.sin(E), np.cos(E)
+    se, ce = xp.sin(E), xp.cos(E)
     r = a * (1.0 - e * ce)
     P = dp.L * e * se / r
-    f = np.arctan2(eta * se, ce - e)
+    f = xp.arctan2(eta * se, ce - e)
     # keep the true anomaly on the same winding branch as E
-    f = f + _TWO_PI * np.rint((E - f) / _TWO_PI)
+    f = f + _TWO_PI * xp.rint((E - f) / _TWO_PI)
     u2 = (dp.g + f) % _TWO_PI
     return _point(AndoyerPoint, r, dp.u1 % _TWO_PI, u2, dp.u3 % _TWO_PI,
                   P, dp.U1, dp.G, dp.U3)

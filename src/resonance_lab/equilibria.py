@@ -16,10 +16,11 @@ Multiplying the two branches clears the square roots and yields a degree-six
 polynomial P(eta) whose coefficients are assembled verbatim by
 ``assemble_eta_poly``; its real roots in (0, 1] are isolated by a Sturm
 chain, polished against the branch equations, and every accepted record is
-re-validated on the original trigonometric system.  Spurious roots of the
-squaring step are kept, flagged, in the result.  The short-period families
-(``periodic_branches``) go through the same Sturm isolator, on the
-numerator of alpha(e) - alpha.
+re-validated on the original trigonometric system.  The chain is built with
+numpy and evaluated on lists of Python floats, so the roots are floats.
+Spurious roots of the squaring step are kept, flagged, in the result.  The
+short-period families (``periodic_branches``) go through the same Sturm
+isolator, on the numerator of alpha(e) - alpha.
 
 Everything here is scale-invariant in (L, gamma); records are normalized to
 L = 1, gamma = 1.
@@ -214,9 +215,9 @@ def _trim(c: np.ndarray, tol: float) -> np.ndarray:
     return c[:k]
 
 
-def _polyval(c: np.ndarray, x: float) -> float:
+def _polyval(c: list[float], x: float) -> float:
     acc = 0.0
-    for v in c[::-1]:
+    for v in reversed(c):
         acc = acc * x + v
     return acc
 
@@ -256,7 +257,7 @@ def _sturm_chain(c: np.ndarray) -> list[np.ndarray]:
     return chain
 
 
-def _variations(chain: list[np.ndarray], x: float) -> int:
+def _variations(chain: list[list[float]], x: float) -> int:
     signs = []
     for p in chain:
         v = _polyval(p, x)
@@ -278,10 +279,15 @@ def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
     Negligible low-order coefficients are dropped first, which removes a
     root at x = 0.  Each interval on the work stack carries the Sturm
     variation counts at both of its ends, so no point is counted twice.
+    The chain is built on arrays, then evaluated on lists of Python floats:
+    the same operations in the same order as on numpy scalars, so the same
+    roots, at a fraction of the cost per operation.
     """
     c = np.asarray(c, dtype=float)
     c = _trim(c[::-1], 1e-14 * float(np.max(np.abs(c))))[::-1]
-    chain = _sturm_chain(c)
+    chain = [p.tolist() for p in _sturm_chain(c)]
+    d = _polyder(c).tolist()
+    c = c.tolist()
     roots: list[float] = []
     stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
@@ -305,7 +311,6 @@ def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
                 else:
                     aa, va = m, vm
             r = 0.5 * (aa + bb)
-            d = _polyder(c)
             for _ in range(3):
                 fp = _polyval(d, r)
                 if fp == 0.0:
@@ -381,11 +386,14 @@ def _polish_branch(eta0: float, w: float, z: float, alpha: float, cosg: float,
         eta_new = eta - step
         if not lo < eta_new < 1.0:
             eta_new = 0.5 * (eta + (lo if eta_new <= lo else 1.0))
+        # both exits below moved eta since f was taken, so they evaluate again
         if abs(eta_new - eta) < 1e-15:
             eta = eta_new
+            f = branch_equation(eta, w, z, alpha, cosg)
             break
         eta = eta_new
-    f = branch_equation(eta, w, z, alpha, cosg)
+    else:
+        f = branch_equation(eta, w, z, alpha, cosg)
     if abs(f) < 1e-9 * fscale and abs(eta - eta0) < 0.05:
         return eta, abs(f)
     return None

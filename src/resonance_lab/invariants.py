@@ -248,7 +248,7 @@ def bracket_table_check(state: CartesianState) -> float:
 # -- the thrice reduced space ------------------------------------------------
 
 def f_of_K(K: float, iv: IntegralValues) -> float:
-    """Radius-squared profile f(K) = 4 N^2 + 4 S^2 of the reduced surface."""
+    """Radius-squared profile f(K) = 4 N^2 + 4 S^2 of the reduced surface; K may be an array."""
     n, xi, l = iv.n, iv.xi, iv.l
     return ((n + xi) ** 2 - (K + l) ** 2) * ((n - xi) ** 2 - (K - l) ** 2)
 
@@ -274,7 +274,7 @@ def feasible_interval(iv: IntegralValues) -> tuple[float, float]:
             f"reduced space degenerates to a point for n={iv.n}, xi={iv.xi}, l={iv.l}"
         )
     ks = np.linspace(lo, hi, _FEASIBLE_SCAN)
-    fs = np.array([f_of_K(float(k), iv) for k in ks])
+    fs = f_of_K(ks, iv)
     # interior negativity can only come from a mis-selected interval
     if np.any(fs < -1e-9 * max(1.0, float(np.max(np.abs(fs))))):
         raise EmptyReducedSpaceError(
@@ -287,7 +287,7 @@ def surface_samples(iv: IntegralValues, count: int = 200) -> np.ndarray:
     """Sampled (K, sqrt(f)/2) profile of the reduced surface, for plotting."""
     lo, hi = feasible_interval(iv)
     ks = np.linspace(lo, hi, count)
-    radii = np.sqrt(np.maximum(0.0, np.array([f_of_K(float(k), iv) for k in ks]))) / 2.0
+    radii = np.sqrt(np.maximum(0.0, f_of_K(ks, iv))) / 2.0
     return np.column_stack([ks, radii])
 
 

@@ -377,7 +377,7 @@ def suite_equilibria(rng, n_cells: int = 12) -> SuiteResult:
     details["continuum_flag"] = cont
     # case (i) limit alpha -> 0+
     branch = [b for b in equilibria.periodic_branches(1e-4) if b.case == "i"]
-    lim_ok = bool(branch) and branch[0].e < 5e-4 and abs(branch[0].c2sq - 1.0 / 3.0) < 1e-3
+    lim_ok = bool(branch and branch[0].e < 5e-4 and abs(branch[0].c2sq - 1.0 / 3.0) < 1e-3)
     details["case_i_limit"] = lim_ok
     passed = worst < 1e-8 and circ_ok and cont and lim_ok
     return SuiteResult("equilibria_soundness", passed, worst, 1e-8, details)

@@ -374,6 +374,26 @@ class TestArrayChain:
         with pytest.raises(ChartDomainError):
             charts.delaunay_to_cartesian(bad, 1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fields", [
+        {"ell": math.nan}, {"ell": math.inf}, {"g": math.inf}, {"G": math.nan},
+        {"L": math.inf, "G": math.inf}, {"u1": math.nan},
+    ])
+    def test_non_finite_fields_fail_alike_on_scalars_and_arrays(self, fields):
+        # the scalar namespace passes NaN and inf through floor, rint, minimum
+        # and maximum as numpy does, so the same guard fires on both paths
+        base = DelaunayPoint(ell=0.3, g=0.1, u1=0.2, u3=0.4, L=1.0, G=0.8, U1=0.1, U3=0.1)
+        outcomes = []
+        for wrap in (float, lambda v: np.array([v])):
+            dp = dataclasses.replace(base, **{k: wrap(v) for k, v in fields.items()})
+            try:
+                st8 = charts.delaunay_to_cartesian(dp, 1.0)
+                outcomes.append(np.isnan(np.ravel(st8.q + st8.Q)).tolist())
+            except ChartDomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert math.isnan(charts.kepler_solve(fields.get("ell", math.nan), 0.5))
+
 
 class TestSerialization:
     def test_tagged_roundtrip(self):

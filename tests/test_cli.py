@@ -26,15 +26,14 @@ def write_config(path, payload):
 
 class TestVerifyCommand:
     def test_fast_suites_pass(self, tmp_path):
-        cfg = write_config(tmp_path / "v.json", {
-            "suites": ["bracket_table", "reduced_relations", "chart_roundtrips"],
-        })
+        suites = ["bracket_table", "reduced_relations", "chart_roundtrips",
+                  "equilibria_soundness", "cross_formalism", "composed_h0", "homological"]
+        cfg = write_config(tmp_path / "v.json", {"suites": suites})
         rc = run(["verify", "--config", cfg, "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] is True
-        assert {s["name"] for s in report["suites"]} == {
-            "bracket_table", "reduced_relations", "chart_roundtrips"}
+        assert {s["name"] for s in report["suites"]} == set(suites)
         assert all("max_residual" in s for s in report["suites"])
 
     def test_fault_injection_fails_named_suite(self, tmp_path, capsys):

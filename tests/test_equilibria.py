@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resonance_lab import equilibria as eq
 from resonance_lab.model import IntegralValues
@@ -109,6 +110,94 @@ class TestBranchProduct:
             seen.clear()
             eq._isolate_roots(b, max(w * w, z * z) + 1e-11, 1.0 - 1e-11)
             assert len(seen) == len(set(seen)) > 2
+
+
+# The Sturm evaluation on numpy-array elements, as it was before it moved to
+# lists of Python floats: the float form must return the same roots bit for bit.
+def _polyval_reference(c, x):
+    acc = 0.0
+    for v in c[::-1]:
+        acc = acc * x + v
+    return acc
+
+
+def _variations_reference(chain, x):
+    signs = []
+    for p in chain:
+        v = _polyval_reference(p, x)
+        if v != 0.0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _isolate_roots_reference(c, lo, hi):
+    c = np.asarray(c, dtype=float)
+    c = eq._trim(c[::-1], 1e-14 * float(np.max(np.abs(c))))[::-1]
+    chain = eq._sturm_chain(c)
+    roots = []
+    stack = [(lo, hi, _variations_reference(chain, lo), _variations_reference(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb
+        if n <= 0:
+            continue
+        if b - a < eq._ROOT_WIDTH:
+            roots.append(0.5 * (a + b))
+            continue
+        if n == 1:
+            aa, bb = a, b
+            for _ in range(200):
+                if bb - aa < eq._ROOT_WIDTH:
+                    break
+                m = 0.5 * (aa + bb)
+                vm = _variations_reference(chain, m)
+                if va - vm >= 1:
+                    bb = m
+                else:
+                    aa, va = m, vm
+            r = 0.5 * (aa + bb)
+            d = eq._polyder(c)
+            for _ in range(3):
+                fp = _polyval_reference(d, r)
+                if fp == 0.0:
+                    break
+                step = _polyval_reference(c, r) / fp
+                if abs(step) > (b - a):
+                    break
+                r -= step
+            if a < r <= b + 1e-15:
+                roots.append(min(r, b))
+            else:
+                roots.append(0.5 * (aa + bb))
+            continue
+        m = 0.5 * (a + b)
+        vm = _variations_reference(chain, m)
+        stack.append((a, m, va, vm))
+        stack.append((m, b, vm, vb))
+    return sorted(roots)
+
+
+# w z = 0 cells make every root of the branch product double; w = z cells put
+# a double root of f at the end of the interval
+_RATIO = st.one_of(st.just(0.0), st.floats(-0.45, 0.45))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIO, _RATIO, st.booleans(), st.floats(-0.99, 5.0))
+def test_float_sturm_matches_the_ndarray_form_exactly(w, z, tie, alpha):
+    if tie:
+        z = w
+    cases = [(eq.branch_product_coeffs(w, z, alpha), max(w * w, z * z) + 1e-11, 1.0 - 1e-11),
+             (eq.assemble_eta_poly(w, z, alpha).coeffs, 1e-12, 1.0 + 1e-9)]
+    cases += [(eq._case_coeffs(alpha, cosg), 1e-6, 1.0 - 1e-6) for cosg in (1.0, -1.0)]
+    for coeffs, lo, hi in cases:
+        if max(abs(float(c)) for c in coeffs) < 1e-12:
+            continue  # solve_tori3 reports a continuum instead
+        got = eq._isolate_roots(coeffs, lo, hi)
+        want = _isolate_roots_reference(coeffs, lo, hi)
+        assert len(got) == len(want)
+        assert all(g == r for g, r in zip(got, want))
+        assert all(type(g) is float for g in got)
 
 
 class TestSolveTori3:
