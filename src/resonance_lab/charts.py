@@ -30,13 +30,20 @@ differently.  A domain check raises when any element violates it and names
 the first such element; scalar input gives Python floats back.  The inverse
 maps take scalars only and call ``math`` directly: their callers map a
 trajectory one sample at a time, where even the dispatch check would show.
+
+The chart points are ``NamedTuple`` records: immutable tuples whose
+positional order is their field order, so the maps build them positionally
+and ``_ns(*point)`` reads every field.  ``point._replace(ell=...)`` gives a
+modified copy and ``point._asdict()`` a dict.  Equality is tuple equality
+and ignores the class: an ``EulerPoint`` equals an ``AndoyerPoint`` with the
+same eight values, so compare ``type(...)`` too where the chart matters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +96,7 @@ class DegenerateEccentricityError(ChartDomainError):
     """Circular limit: the perigee angle is not defined."""
 
 
-@dataclass(frozen=True)
-class EulerPoint:
+class EulerPoint(NamedTuple):
     """Projective Euler chart point (rho, phi, theta, psi; P, Phi, Theta, Psi)."""
 
     rho: float
@@ -103,8 +109,7 @@ class EulerPoint:
     Psi: float
 
 
-@dataclass(frozen=True)
-class AndoyerPoint:
+class AndoyerPoint(NamedTuple):
     """Projective Andoyer chart point (rho, u1, u2, u3; P, U1, U2, U3)."""
 
     rho: float
@@ -117,8 +122,7 @@ class AndoyerPoint:
     U3: float
 
 
-@dataclass(frozen=True)
-class DelaunayPoint:
+class DelaunayPoint(NamedTuple):
     """4-D Delaunay chart point (ell, g, u1, u3; L, G, U1, U3)."""
 
     ell: float
@@ -154,11 +158,22 @@ def _nan_passing(fn):
     return lambda x: float(fn(x)) if math.isfinite(x) else x
 
 
+def _nan_at_inf(fn):
+    """``fn`` (math.sin or cos), NaN at an infinite argument as in numpy, where math raises."""
+    def wrapped(x):
+        try:
+            return fn(x)
+        except ValueError:
+            return math.nan
+    return wrapped
+
+
 #: The scalar stand-in for the numpy functions the forward chain calls.
 #: ``minimum`` and ``maximum`` propagate NaN like numpy's, which the
 #: builtins ``min`` and ``max`` do not: ``max(0.0, nan)`` is 0.0.
 _MATH = SimpleNamespace(
-    sin=math.sin, cos=math.cos, sqrt=math.sqrt, arctan2=math.atan2, arccos=math.acos,
+    sin=_nan_at_inf(math.sin), cos=_nan_at_inf(math.cos), sqrt=math.sqrt,
+    arctan2=math.atan2, arccos=math.acos,
     abs=abs, floor=_nan_passing(math.floor), rint=_nan_passing(round),
     minimum=lambda a, b: a if a <= b or a != a else b,
     maximum=lambda a, b: a if a >= b or a != a else b,
@@ -192,7 +207,7 @@ def momenta_from_integrals(xi: float, l1: float) -> tuple[float, float]:
 
 def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
     """Forward chart map; the momenta follow by the cotangent lift."""
-    xp = _ns(*vars(ep).values())
+    xp = _ns(*ep)
     _require(ep.rho > 0.0, "rho must be positive, got {}", ep.rho)
     st = xp.sin(ep.theta)
     _require(st > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", ep.theta)
@@ -247,7 +262,7 @@ def cartesian_to_euler(state: CartesianState) -> EulerPoint:
     Theta = ((q1 * Q1 + q2 * Q2) * r2 - (q3 * Q3 + q4 * Q4) * r1) / (2.0 * cross)
     Psi = 0.5 * (q2 * Q1 - q1 * Q2 + q4 * Q3 - q3 * Q4)
     Phi = 0.5 * (q1 * Q2 - q2 * Q1 + q4 * Q3 - q3 * Q4)
-    return EulerPoint(rho=rho, phi=phi, theta=theta, psi=psi, P=P, Phi=Phi, Theta=Theta, Psi=Psi)
+    return EulerPoint(rho, phi, theta, psi, P, Phi, Theta, Psi)
 
 
 def h2_euler(ep: EulerPoint, omega: float = 1.0) -> float:
@@ -308,12 +323,12 @@ def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
     d1, d3 = _andoyer_deltas(math.sin(u2), math.cos(u2), c1, s1, c2, s2, math.atan2)
     u1 = (ep.phi + d1) % _TWO_PI
     u3 = (ep.psi + d3) % _TWO_PI
-    return AndoyerPoint(rho=ep.rho, u1=u1, u2=u2, u3=u3, P=ep.P, U1=U1, U2=U2, U3=U3)
+    return AndoyerPoint(ep.rho, u1, u2, u3, ep.P, U1, U2, U3)
 
 
 def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
     """Inverse of ``euler_to_andoyer`` on the open domain |U1|, |U3| < U2."""
-    xp = _ns(*vars(ap).values())
+    xp = _ns(*ap)
     _require(ap.U2 > 0.0, "U2 must be positive")
     c1 = ap.U1 / ap.U2
     c2 = ap.U3 / ap.U2
@@ -383,7 +398,7 @@ def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
     For e = 0 the perigee direction degenerates; the forward map uses the
     natural convention f = E = ell, so it stays defined on the closure.
     """
-    xp = _ns(gamma, *vars(dp).values())
+    xp = _ns(gamma, *dp)
     _require(gamma > 0.0, "gamma must be positive, got {}", gamma)
     _require((0.0 < dp.G) & (dp.G <= dp.L), "need 0 < G <= L, got G={}, L={}", dp.G, dp.L)
     _require((xp.abs(dp.U1) < dp.G) & (xp.abs(dp.U3) < dp.G),
@@ -430,8 +445,7 @@ def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:
     ell = E - e_se
     f = math.atan2(eta * math.sin(E), math.cos(E) - e)
     g = (ap.u2 - f) % _TWO_PI
-    return DelaunayPoint(ell=ell % _TWO_PI, g=g, u1=ap.u1 % _TWO_PI, u3=ap.u3 % _TWO_PI,
-                         L=L, G=G, U1=ap.U1, U3=ap.U3)
+    return DelaunayPoint(ell % _TWO_PI, g, ap.u1 % _TWO_PI, ap.u3 % _TWO_PI, L, G, ap.U1, ap.U3)
 
 
 def delaunay_to_cartesian(dp: DelaunayPoint, gamma: float) -> CartesianState:
@@ -478,7 +492,7 @@ def chart_point_to_dict(point) -> dict:
     """Tagged JSON-friendly representation of any chart point."""
     for tag, cls in _CHART_TYPES.items():
         if isinstance(point, cls):
-            return {"chart": tag, **asdict(point)}
+            return {"chart": tag, **point._asdict()}
     raise TypeError(f"not a chart point: {type(point)!r}")
 
 

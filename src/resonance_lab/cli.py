@@ -84,17 +84,21 @@ def _out_dir(args) -> Path:
 
 
 def _grid(spec, name: str) -> np.ndarray:
-    """A grid is either an explicit list or {start, stop, num}."""
+    """A grid is either an explicit list or {start, stop, num} of finite values."""
     try:
         if isinstance(spec, list):
-            return np.asarray(spec, dtype=float)
-        if isinstance(spec, dict):
-            return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
+            grid = np.asarray(spec, dtype=float)
+        elif isinstance(spec, dict):
+            grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
+        else:
+            raise ConfigError(f"grid {name!r} must be a list or start/stop/num object")
     except KeyError as exc:
         raise ConfigError(f"grid {name!r} needs start/stop/num") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid {name!r}: {exc}") from exc
-    raise ConfigError(f"grid {name!r} must be a list or start/stop/num object")
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"grid {name!r} must hold finite values, got {grid.tolist()}")
+    return grid
 
 
 def _scalar(block: dict, key: str, default, kind=float):
@@ -217,6 +221,10 @@ def cmd_integrate(args) -> int:
     tol = _scalar(cfg, "tol", 1e-12)
     t_end = _scalar(cfg, "t_end", 100.0)
     n_out = _scalar(cfg, "n_out", 1000, int)
+    if not (math.isfinite(t_end) and t_end != 0.0):
+        raise ConfigError(f"'t_end' must be finite and nonzero, got {t_end!r}")
+    if n_out < 1:
+        raise ConfigError(f"'n_out' must be at least 1, got {n_out!r}")
 
     if kind == "cartesian":
         path = _out_path(out, cfg, "out", "trajectory.csv")
@@ -313,6 +321,8 @@ def cmd_nf_table(args) -> int:
     path = _out_path(_out_dir(args), cfg, "out", "nf_table.csv")
     h = _scalar(cfg, "h", None)
     gamma = _scalar(cfg, "gamma", h / 4.0 if h is not None else 1.0)
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ConfigError(f"nf-table needs a finite gamma > 0, got {gamma!r}")
     betas = _grid(cfg.get("beta_grid", [0.0, 1.0, math.sqrt(2.0)]), "beta_grid")
     Ls = _grid(cfg.get("L_grid", [1.0]), "L_grid")
     etas = _grid(cfg.get("eta_grid", [0.6, 0.8]), "eta_grid")

@@ -184,8 +184,8 @@ def rq_x(eta: float, w: float, z: float, alpha: float) -> tuple[float, float, fl
 
 def _sin_g_zero_kernel(alpha: float, cosg: float):
     """(G, U1, U3) -> (P,): the first-order kernel at L = gamma = 1 and g = 0 (cosg = 1) or pi (cosg = -1)."""
-    if alpha < -1.0:
-        raise ValueError(f"alpha = beta^2 - 1 must be >= -1, got {alpha}")
+    if not -1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha = beta^2 - 1 must be >= -1 and finite, got {alpha}")
     if cosg not in (1.0, -1.0):
         raise ValueError(f"cosg must be +1 or -1, got {cosg}")
     g = 0.0 if cosg > 0.0 else math.pi
@@ -415,10 +415,10 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
     spurious, so the squaring artifacts stay visible.
 
     Raises ValueError for alpha < -1, where beta = sqrt(alpha + 1) is not
-    real, and for |w| >= 1 or |z| >= 1.
+    real, for a NaN or infinite alpha, and for |w| >= 1 or |z| >= 1.
     """
-    if alpha < -1.0:
-        raise ValueError(f"alpha = beta^2 - 1 must be >= -1, got {alpha}")
+    if not -1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha = beta^2 - 1 must be >= -1 and finite, got {alpha}")
     poly = assemble_eta_poly(w, z, alpha)
     bcoeffs = branch_product_coeffs(w, z, alpha)
     bscale = float(np.max(np.abs(bcoeffs)))

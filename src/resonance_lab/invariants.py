@@ -12,11 +12,17 @@ polynomial invariant maps:
 At fixed integral values (n, xi, l) the final reduced space is the surface of
 revolution 4 N^2 + 4 S^2 = f(K); the one-degree-of-freedom dynamics on it is
 Lie-Poisson for the bracket tabulated in ``bracket_expected``.
+
+``PiVector``, ``KLJVector`` and ``ThriceReducedPoint`` are ``NamedTuple``
+records, as the chart points are: immutable, positional order equal to field
+order (the maps build them positionally), ``_replace`` and ``_asdict`` for
+copies and dicts, and tuple equality that ignores the class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +54,7 @@ _FEASIBLE_SCAN = 1000   # sign-scan points of feasible_interval
 _SURFACE_TOL = 1e-10    # casimir tolerance on the start point of reduced_flow
 
 
-@dataclass(frozen=True)
-class PiVector:
+class PiVector(NamedTuple):
     """The sixteen quadratic oscillator invariants pi1..pi16."""
 
     pi1: float
@@ -70,11 +75,10 @@ class PiVector:
     pi16: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)])
+        return np.array(self)
 
 
-@dataclass(frozen=True)
-class KLJVector:
+class KLJVector(NamedTuple):
     """Linear recombination (H2, Xi, K1..K3, L1..L3, J1..J8) of the pi set."""
 
     h2: float
@@ -95,8 +99,7 @@ class KLJVector:
     j8: float
 
 
-@dataclass(frozen=True)
-class ThriceReducedPoint:
+class ThriceReducedPoint(NamedTuple):
     """Point (M, N, Z, S, K) of the final reduced space with its integrals."""
 
     M: float
@@ -118,44 +121,46 @@ def pi_map(state: CartesianState) -> PiVector:
     q1, q2, q3, q4 = state.q
     Q1, Q2, Q3, Q4 = state.Q
     return PiVector(
-        pi1=Q1 * Q1 + q1 * q1,
-        pi2=Q2 * Q2 + q2 * q2,
-        pi3=Q3 * Q3 + q3 * q3,
-        pi4=Q4 * Q4 + q4 * q4,
-        pi5=Q1 * Q2 + q1 * q2,
-        pi6=Q1 * Q3 + q1 * q3,
-        pi7=Q1 * Q4 + q1 * q4,
-        pi8=Q2 * Q3 + q2 * q3,
-        pi9=Q2 * Q4 + q2 * q4,
-        pi10=Q3 * Q4 + q3 * q4,
-        pi11=q1 * Q2 - Q1 * q2,
-        pi12=q1 * Q3 - Q1 * q3,
-        pi13=q1 * Q4 - Q1 * q4,
-        pi14=q2 * Q3 - Q2 * q3,
-        pi15=q2 * Q4 - Q2 * q4,
-        pi16=q3 * Q4 - Q3 * q4,
+        Q1 * Q1 + q1 * q1,
+        Q2 * Q2 + q2 * q2,
+        Q3 * Q3 + q3 * q3,
+        Q4 * Q4 + q4 * q4,
+        Q1 * Q2 + q1 * q2,
+        Q1 * Q3 + q1 * q3,
+        Q1 * Q4 + q1 * q4,
+        Q2 * Q3 + q2 * q3,
+        Q2 * Q4 + q2 * q4,
+        Q3 * Q4 + q3 * q4,
+        q1 * Q2 - Q1 * q2,
+        q1 * Q3 - Q1 * q3,
+        q1 * Q4 - Q1 * q4,
+        q2 * Q3 - Q2 * q3,
+        q2 * Q4 - Q2 * q4,
+        q3 * Q4 - Q3 * q4,
     )
 
 
 def klj_map(pv: PiVector) -> KLJVector:
     """Linear change from pi invariants to the (H2, Xi, K, L, J) set."""
+    (pi1, pi2, pi3, pi4, pi5, pi6, pi7, pi8,
+     pi9, pi10, pi11, pi12, pi13, pi14, pi15, pi16) = pv
     return KLJVector(
-        h2=0.5 * (pv.pi1 + pv.pi2 + pv.pi3 + pv.pi4),
-        xi=pv.pi16 + pv.pi11,
-        k1=0.5 * (-pv.pi1 - pv.pi2 + pv.pi3 + pv.pi4),
-        k2=pv.pi8 - pv.pi7,
-        k3=-pv.pi6 - pv.pi9,
-        l1=pv.pi16 - pv.pi11,
-        l2=pv.pi12 + pv.pi15,
-        l3=pv.pi14 - pv.pi13,
-        j1=0.5 * (pv.pi1 - pv.pi2 - pv.pi3 + pv.pi4),
-        j2=0.5 * (pv.pi1 - pv.pi2 + pv.pi3 - pv.pi4),
-        j3=pv.pi8 + pv.pi7,
-        j4=pv.pi5 + pv.pi10,
-        j5=pv.pi5 - pv.pi10,
-        j6=pv.pi6 - pv.pi9,
-        j7=pv.pi12 - pv.pi15,
-        j8=pv.pi14 + pv.pi13,
+        0.5 * (pi1 + pi2 + pi3 + pi4),   # h2
+        pi16 + pi11,                     # xi
+        0.5 * (-pi1 - pi2 + pi3 + pi4),  # k1
+        pi8 - pi7,                       # k2
+        -pi6 - pi9,                      # k3
+        pi16 - pi11,                     # l1
+        pi12 + pi15,                     # l2
+        pi14 - pi13,                     # l3
+        0.5 * (pi1 - pi2 - pi3 + pi4),   # j1
+        0.5 * (pi1 - pi2 + pi3 - pi4),   # j2
+        pi8 + pi7,                       # j3
+        pi5 + pi10,                      # j4
+        pi5 - pi10,                      # j5
+        pi6 - pi9,                       # j6
+        pi12 - pi15,                     # j7
+        pi14 + pi13,                     # j8
     )
 
 
@@ -185,11 +190,7 @@ def _mnzs(kv: KLJVector) -> tuple:
 
 def thrice_map(kv: KLJVector) -> ThriceReducedPoint:
     """Invariants of the L1 action on the second reduced space."""
-    m, n, z, s = _mnzs(kv)
-    return ThriceReducedPoint(
-        M=m, N=n, Z=z, S=s, K=kv.k1,
-        integrals=IntegralValues(n=kv.h2, xi=kv.xi, l=kv.l1),
-    )
+    return ThriceReducedPoint(*_mnzs(kv), kv.k1, IntegralValues(kv.h2, kv.xi, kv.l1))
 
 
 def eo3_residuals(pt: ThriceReducedPoint) -> tuple[float, float, float]:

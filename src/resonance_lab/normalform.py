@@ -32,6 +32,11 @@ root isolator in ``equilibria``.
 ``perturbation_delaunay`` and ``w1`` broadcast over array ell and g (through
 the array-first forward charts), so an ell-average is one call on the node
 array.
+
+``DelaunayTangent``, the rate vector of ``normalized_rhs``, is a
+``NamedTuple`` like the chart points: immutable, with positional order equal
+to field order, ``_replace``/``_asdict``, and equality that ignores the
+class.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -400,8 +406,7 @@ def second_order_oracle(L: float, G: float, U1: float, U3: float, beta: float, g
 
 # -- normalized vector field ---------------------------------------------------
 
-@dataclass(frozen=True)
-class DelaunayTangent:
+class DelaunayTangent(NamedTuple):
     """Rates of change of the Delaunay variables under the normalized flow."""
 
     ell: float
@@ -429,13 +434,6 @@ def normalized_rhs(dp: DelaunayPoint, p: ModelParams, order: int = 1) -> Delauna
 
     dP_dg, dP_dL, dP_dG, dP_dU1, dP_dU3 = _complex_step_jacobian(
         lambda *x: (_kernel(*x, p.beta, gamma, order, eps),), (dp.g, dp.L, dp.G, dp.U1, dp.U3))[0]
-    return DelaunayTangent(
-        ell=gamma ** 2 / dp.L ** 3 + eps * dP_dL,
-        g=eps * dP_dG,
-        u1=eps * dP_dU1,
-        u3=eps * dP_dU3,
-        L=0.0,
-        G=-eps * dP_dg,
-        U1=0.0,
-        U3=0.0,
-    )
+    # rates in field order: ell, g, u1, u3, L, G, U1, U3
+    return DelaunayTangent(gamma ** 2 / dp.L ** 3 + eps * dP_dL, eps * dP_dG, eps * dP_dU1,
+                           eps * dP_dU3, 0.0, -eps * dP_dg, 0.0, 0.0)

@@ -181,8 +181,8 @@ def suite_chart_roundtrips(rng, n: int = 1000) -> SuiteResult:
         ep = random_euler(rng)
         s = charts.euler_to_cartesian(ep)
         ep2 = charts.cartesian_to_euler(s)
-        v1 = np.array([ep.rho, ep.phi, ep.theta, ep.psi, ep.P, ep.Phi, ep.Theta, ep.Psi])
-        v2 = np.array([ep2.rho, ep2.phi, ep2.theta, ep2.psi, ep2.P, ep2.Phi, ep2.Theta, ep2.Psi])
+        v1 = np.array(ep)
+        v2 = np.array(ep2)
         d = np.abs(v1 - v2)
         d[1] = min(d[1], 2 * math.pi - d[1])
         worst = max(worst, float(np.max(d)))
@@ -190,8 +190,8 @@ def suite_chart_roundtrips(rng, n: int = 1000) -> SuiteResult:
         ap = random_andoyer(rng)
         ep3 = charts.andoyer_to_euler(ap)
         ap2 = charts.euler_to_andoyer(ep3)
-        v1 = np.array([ap.rho, ap.u1, ap.u2, ap.u3, ap.P, ap.U1, ap.U2, ap.U3])
-        v2 = np.array([ap2.rho, ap2.u1, ap2.u2, ap2.u3, ap2.P, ap2.U1, ap2.U2, ap2.U3])
+        v1 = np.array(ap)
+        v2 = np.array(ap2)
         d = np.abs(v1 - v2)
         for i in (1, 2, 3):
             d[i] = min(d[i], 2 * math.pi - d[i])
@@ -201,8 +201,8 @@ def suite_chart_roundtrips(rng, n: int = 1000) -> SuiteResult:
         gamma = float(rng.uniform(0.5, 1.5))
         ap3 = charts.delaunay_to_andoyer(dp, gamma)
         dp2 = charts.andoyer_to_delaunay(ap3, gamma)
-        v1 = np.array([dp.ell, dp.g, dp.u1, dp.u3, dp.L, dp.G, dp.U1, dp.U3])
-        v2 = np.array([dp2.ell, dp2.g, dp2.u1, dp2.u3, dp2.L, dp2.G, dp2.U1, dp2.U3])
+        v1 = np.array(dp)
+        v2 = np.array(dp2)
         d = np.abs(v1 - v2)
         for i in (0, 1, 2, 3):
             d[i] = min(d[i], 2 * math.pi - d[i])
@@ -214,34 +214,31 @@ def suite_chart_symplectic(rng, n: int = 100) -> SuiteResult:
     """J^T Omega J = Omega for the three forward maps, by central differences."""
 
     def euler_fn(x):
-        ep = charts.EulerPoint(rho=x[0], phi=x[1], theta=x[2], psi=x[3],
-                               P=x[4], Phi=x[5], Theta=x[6], Psi=x[7])
+        ep = charts.EulerPoint(*x)
         return charts.euler_to_cartesian(ep).as_array()
 
     def andoyer_fn(x):
-        ap = charts.AndoyerPoint(rho=x[0], u1=x[1], u2=x[2], u3=x[3],
-                                 P=x[4], U1=x[5], U2=x[6], U3=x[7])
+        ap = charts.AndoyerPoint(*x)
         ep = charts.andoyer_to_euler(ap)
-        return np.array([ep.rho, ep.phi, ep.theta, ep.psi, ep.P, ep.Phi, ep.Theta, ep.Psi])
+        return np.array(ep)
 
     def delaunay_fn(gamma):
         def fn(x):
-            dp = charts.DelaunayPoint(ell=x[0], g=x[1], u1=x[2], u3=x[3],
-                                      L=x[4], G=x[5], U1=x[6], U3=x[7])
+            dp = charts.DelaunayPoint(*x)
             ap = charts.delaunay_to_andoyer(dp, gamma)
-            return np.array([ap.rho, ap.u1, ap.u2, ap.u3, ap.P, ap.U1, ap.U2, ap.U3])
+            return np.array(ap)
         return fn
 
     worst = 0.0
     count = 0
     while count < n:
         ep = random_euler(rng)
-        x = np.array([ep.rho, ep.phi, ep.theta, ep.psi, ep.P, ep.Phi, ep.Theta, ep.Psi])
+        x = np.array(ep)
         J = numerical_jacobian(euler_fn, x, h=3e-6, order=4)
         worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
 
         ap = random_andoyer(rng)
-        x = np.array([ap.rho, ap.u1, ap.u2, ap.u3, ap.P, ap.U1, ap.U2, ap.U3])
+        x = np.array(ap)
         try:
             J = numerical_jacobian(andoyer_fn, x, h=3e-6, order=4)
         except charts.ChartDomainError:
@@ -250,7 +247,7 @@ def suite_chart_symplectic(rng, n: int = 100) -> SuiteResult:
 
         dp = random_delaunay(rng)
         gamma = float(rng.uniform(0.5, 1.5))
-        x = np.array([dp.ell, dp.g, dp.u1, dp.u3, dp.L, dp.G, dp.U1, dp.U3])
+        x = np.array(dp)
         try:
             J = numerical_jacobian(delaunay_fn(gamma), x, h=3e-6, order=4)
         except charts.ChartDomainError:

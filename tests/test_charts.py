@@ -1,11 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resonance_lab import charts, invariants, model
+from resonance_lab import charts, invariants, model, normalform
 from resonance_lab.charts import (
     AndoyerPoint,
     ChartDomainError,
@@ -252,40 +251,35 @@ class TestIdentification:
 class TestSymplecticity:
     def test_all_three_charts(self, rng):
         def euler_fn(x):
-            ep = EulerPoint(rho=x[0], phi=x[1], theta=x[2], psi=x[3],
-                            P=x[4], Phi=x[5], Theta=x[6], Psi=x[7])
+            ep = EulerPoint(*x)
             return charts.euler_to_cartesian(ep).as_array()
 
         def andoyer_fn(x):
-            ap = AndoyerPoint(rho=x[0], u1=x[1], u2=x[2], u3=x[3],
-                              P=x[4], U1=x[5], U2=x[6], U3=x[7])
+            ap = AndoyerPoint(*x)
             ep = charts.andoyer_to_euler(ap)
-            return np.array([ep.rho, ep.phi, ep.theta, ep.psi,
-                             ep.P, ep.Phi, ep.Theta, ep.Psi])
+            return np.array(ep)
 
         def delaunay_fn(x):
-            dp = DelaunayPoint(ell=x[0], g=x[1], u1=x[2], u3=x[3],
-                               L=x[4], G=x[5], U1=x[6], U3=x[7])
+            dp = DelaunayPoint(*x)
             ap = charts.delaunay_to_andoyer(dp, 1.0)
-            return np.array([ap.rho, ap.u1, ap.u2, ap.u3,
-                             ap.P, ap.U1, ap.U2, ap.U3])
+            return np.array(ap)
 
         worst = 0.0
         done = 0
         while done < 25:
             ep = random_euler(rng)
-            x = np.array([ep.rho, ep.phi, ep.theta, ep.psi, ep.P, ep.Phi, ep.Theta, ep.Psi])
+            x = np.array(ep)
             J = numerical_jacobian(euler_fn, x, h=3e-6)
             worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
             ap = random_andoyer(rng)
-            x = np.array([ap.rho, ap.u1, ap.u2, ap.u3, ap.P, ap.U1, ap.U2, ap.U3])
+            x = np.array(ap)
             try:
                 J = numerical_jacobian(andoyer_fn, x, h=3e-6)
             except ChartDomainError:
                 continue
             worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
             dp = random_delaunay(rng)
-            x = np.array([dp.ell, dp.g, dp.u1, dp.u3, dp.L, dp.G, dp.U1, dp.U3])
+            x = np.array(dp)
             J = numerical_jacobian(delaunay_fn, x, h=3e-6)
             worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
             done += 1
@@ -342,9 +336,9 @@ class TestArrayChain:
         rng = np.random.default_rng(seed)
         dp = random_delaunay(rng)
         gamma = float(rng.uniform(0.5, 1.5))
-        arr = charts.delaunay_to_cartesian(dataclasses.replace(dp, ell=np.array(ells)), gamma)
+        arr = charts.delaunay_to_cartesian(dp._replace(ell=np.array(ells)), gamma)
         for j, ell in enumerate(ells):
-            one = charts.delaunay_to_cartesian(dataclasses.replace(dp, ell=ell), gamma)
+            one = charts.delaunay_to_cartesian(dp._replace(ell=ell), gamma)
             assert all(type(v) is float for v in one.q + one.Q)
             got = np.array([v[j] for v in arr.q + arr.Q])
             assert np.max(np.abs(got - np.array(one.q + one.Q))) < 1e-12
@@ -370,7 +364,7 @@ class TestArrayChain:
         good = DelaunayPoint(ell=np.array(ells), g=0.0, u1=0.3, u3=0.4,
                              L=1.0, G=1.0, U1=0.0, U3=0.0)
         charts.delaunay_to_cartesian(good, 1.0)
-        bad = dataclasses.replace(good, ell=np.insert(good.ell, where, bad_ell))
+        bad = good._replace(ell=np.insert(good.ell, where, bad_ell))
         with pytest.raises(ChartDomainError):
             charts.delaunay_to_cartesian(bad, 1.0)
 
@@ -378,21 +372,35 @@ class TestArrayChain:
     @pytest.mark.parametrize("fields", [
         {"ell": math.nan}, {"ell": math.inf}, {"g": math.inf}, {"G": math.nan},
         {"L": math.inf, "G": math.inf}, {"u1": math.nan},
+        {"u2": math.inf}, {"phi": math.inf},
     ])
     def test_non_finite_fields_fail_alike_on_scalars_and_arrays(self, fields):
-        # the scalar namespace passes NaN and inf through floor, rint, minimum
-        # and maximum as numpy does, so the same guard fires on both paths
-        base = DelaunayPoint(ell=0.3, g=0.1, u1=0.2, u3=0.4, L=1.0, G=0.8, U1=0.1, U3=0.1)
+        # the scalar namespace passes NaN and inf through floor, rint, minimum,
+        # maximum, sin and cos as numpy does, so the same guard fires on both
+        # paths; each case starts from the first chart that has its fields
+        base = next(pt for pt in _NON_FINITE_BASES if set(fields) <= set(pt._fields))
         outcomes = []
         for wrap in (float, lambda v: np.array([v])):
-            dp = dataclasses.replace(base, **{k: wrap(v) for k, v in fields.items()})
+            pt = base._replace(**{k: wrap(v) for k, v in fields.items()})
             try:
-                st8 = charts.delaunay_to_cartesian(dp, 1.0)
+                st8 = _TO_CARTESIAN[type(pt)](pt)
                 outcomes.append(np.isnan(np.ravel(st8.q + st8.Q)).tolist())
             except ChartDomainError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         assert math.isnan(charts.kepler_solve(fields.get("ell", math.nan), 0.5))
+
+
+_NON_FINITE_BASES = (
+    DelaunayPoint(ell=0.3, g=0.1, u1=0.2, u3=0.4, L=1.0, G=0.8, U1=0.1, U3=0.1),
+    AndoyerPoint(rho=1.0, u1=0.3, u2=1.1, u3=0.8, P=0.1, U1=0.1, U2=1.0, U3=0.2),
+    EulerPoint(rho=1.0, phi=0.4, theta=1.0, psi=0.3, P=0.1, Phi=0.1, Theta=0.2, Psi=0.3),
+)
+_TO_CARTESIAN = {
+    DelaunayPoint: lambda dp: charts.delaunay_to_cartesian(dp, 1.0),
+    AndoyerPoint: lambda ap: charts.euler_to_cartesian(charts.andoyer_to_euler(ap)),
+    EulerPoint: charts.euler_to_cartesian,
+}
 
 
 class TestSerialization:
@@ -405,8 +413,36 @@ class TestSerialization:
         for pt in points:
             d = charts.chart_point_to_dict(pt)
             assert d["chart"] in ("euler", "andoyer", "delaunay")
-            assert charts.chart_point_from_dict(d) == pt
+            back = charts.chart_point_from_dict(d)
+            # tuple equality ignores the class, so the type pins the chart tag
+            assert back == pt and type(back) is type(pt)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             charts.chart_point_from_dict({"chart": "polar"})
+
+
+class TestValueRecords:
+    """The per-sample records are immutable tuples whose field order is fixed."""
+
+    RECORDS = [
+        (EulerPoint, "rho phi theta psi P Phi Theta Psi"),
+        (AndoyerPoint, "rho u1 u2 u3 P U1 U2 U3"),
+        (DelaunayPoint, "ell g u1 u3 L G U1 U3"),
+        (invariants.PiVector, " ".join(f"pi{i}" for i in range(1, 17))),
+        (invariants.KLJVector, "h2 xi k1 k2 k3 l1 l2 l3 j1 j2 j3 j4 j5 j6 j7 j8"),
+        (invariants.ThriceReducedPoint, "M N Z S K integrals"),
+        (normalform.DelaunayTangent, "ell g u1 u3 L G U1 U3"),
+    ]
+
+    @pytest.mark.parametrize("cls, names", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+    def test_field_order_is_pinned(self, cls, names):
+        # the maps build these records positionally, in this order
+        assert cls._fields == tuple(names.split())
+
+    @pytest.mark.parametrize("cls, names", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+    def test_fields_cannot_be_assigned(self, cls, names):
+        rec = cls(*range(len(cls._fields)))
+        with pytest.raises(AttributeError):
+            setattr(rec, cls._fields[0], 1.0)
+        assert rec == tuple(range(len(cls._fields)))

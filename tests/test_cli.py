@@ -222,6 +222,12 @@ class TestEnvironment:
         assert (tmp_path / "envout" / "s.csv").exists()
 
 
+_STATE = {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]}
+_INTEGRALS = {"n": 1.0, "xi": 0.2, "l": -0.1}
+_DELAUNAY = {"ell": 0.1, "g": 1.0, "u1": 0.0, "u3": 0.0, "L": 1.0, "G": 0.7, "U1": 0.2, "U3": -0.1}
+_GRIDS = {"alpha_grid": [1.0], "w_grid": [0.0], "z_grid": [0.0]}
+
+
 class TestConfigBlocks:
     @pytest.mark.parametrize("command, cfg", [
         ("reduce", {"state": {"q": [0.7, 0.1, -0.3, 0.5]}}),
@@ -252,20 +258,32 @@ class TestConfigBlocks:
         ("verify", {"suites": 5}),
         ("verify", {"suites": ["bogus"]}),
         ("verify", {"suites": ["bracket_table"], "inject_fault": "bracket_table_sgn"}),
+        # run lengths that leave nothing to write or never end
+        ("integrate", {"kind": "normalized", "delaunay": _DELAUNAY,
+                       "params": {"epsilon": 1e-3, "h": 4.0}, "t_end": 1.0, "n_out": 0}),
+        ("integrate", {"kind": "cartesian", "state": _STATE, "t_end": 1.0, "n_out": 0}),
+        ("integrate", {"kind": "reduced", "integrals": _INTEGRALS, "t_end": 1.0, "n_out": 0}),
+        ("integrate", {"kind": "cartesian", "state": _STATE, "t_end": math.inf}),
+        ("integrate", {"kind": "reduced", "integrals": _INTEGRALS, "t_end": 0.0}),
+        # non-finite grid values and a gamma without a chart
+        ("equilibria", {"alpha_grid": [math.nan], "w_grid": [0.0], "z_grid": [0.0]}),
+        ("equilibria", {"alpha_grid": [math.inf], "w_grid": [0.0], "z_grid": [0.0]}),
+        ("equilibria", {"alpha_grid": [1.0], "w_grid": {"start": 0.0, "stop": math.nan, "num": 2},
+                        "z_grid": [0.0]}),
+        ("nf-table", {"gamma": math.nan}),
+        ("nf-table", {"h": -4.0}),
     ], ids=["state_without_Q", "null_n", "delaunay_without_momenta", "reduced_state_without_K",
             "state_with_three_q", "grid_num_not_a_number",
             "null_tol", "null_reduced_beta", "params_not_an_object", "list_count", "text_h",
             "int_nf_table_out", "int_integrate_out", "int_surface_out", "int_report",
-            "int_json_out", "int_suites", "unknown_suite", "unknown_fault"])
+            "int_json_out", "int_suites", "unknown_suite", "unknown_fault",
+            "normalized_n_out_zero", "cartesian_n_out_zero", "reduced_n_out_zero",
+            "infinite_t_end", "zero_t_end", "nan_alpha", "infinite_alpha", "nan_grid_stop",
+            "nan_gamma", "negative_h"])
     def test_malformed_block_is_config_error(self, command, cfg, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
-
-
-_STATE = {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]}
-_INTEGRALS = {"n": 1.0, "xi": 0.2, "l": -0.1}
-_GRIDS = {"alpha_grid": [1.0], "w_grid": [0.0], "z_grid": [0.0]}
 
 
 class TestOutputPaths:

@@ -394,3 +394,13 @@ class TestSweep:
         (row,) = eq.sweep([-1.5], [0.0], [0.0]).rows
         assert row["kind"] == "error"
         assert "must be >= -1" in row["flags"][0]
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_an_error_row(self, alpha):
+        # a NaN alpha used to pass the alpha < -1 guard and give a circular record
+        with pytest.raises(ValueError, match="must be >= -1 and finite"):
+            eq.solve_tori3(0.0, 0.0, alpha)
+        with pytest.raises(ValueError, match="must be >= -1 and finite"):
+            eq._sin_g_zero_kernel(alpha, 1.0)
+        (row,) = eq.sweep([alpha], [0.0], [0.0]).rows
+        assert row["kind"] == "error"
