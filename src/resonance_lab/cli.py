@@ -105,14 +105,21 @@ def _scalar(block: dict, key: str, default, kind=float):
     """``block[key]`` converted by ``kind``, ``default`` when the key is absent.
 
     A value that does not convert (null, a list, a non-numeric string) is a
-    configuration error.
+    configuration error.  With ``kind=int`` only an integral number converts:
+    a boolean, a string or a float with a fractional part is an error, never
+    truncated.
     """
     if key not in block:
         return default
+    value = block[key]
+    if kind is int:
+        if not (type(value) is int or type(value) is float and value.is_integer()):
+            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+        return int(value)
     try:
-        return kind(block[key])
+        return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key!r} value {block[key]!r}: {exc}") from exc
+        raise ConfigError(f"bad {key!r} value {value!r}: {exc}") from exc
 
 
 def _out_path(out: Path, cfg: dict, key: str, default: str) -> Path:
@@ -286,6 +293,9 @@ def cmd_reduce(args) -> int:
     out = _out_dir(args)
     invariants_path = _out_path(out, cfg, "out", "invariants.json")
     surface_path = _out_path(out, cfg, "surface_out", "surface.csv")
+    count = _scalar(cfg, "count", 200, int)
+    if count < 1:
+        raise ConfigError(f"'count' must be at least 1, got {count!r}")
     wrote = []
     if "state" in cfg:
         pv = invariants.pi_map(_block(cfg, "state"))
@@ -306,7 +316,7 @@ def cmd_reduce(args) -> int:
         wrote.append(invariants_path)
     if "integrals" in cfg:
         iv = _block(cfg, "integrals")
-        samples = invariants.surface_samples(iv, count=_scalar(cfg, "count", 200, int))
+        samples = invariants.surface_samples(iv, count=count)
         _write_csv(surface_path, "K,sqrt_f_over_2", samples)
         wrote.append(surface_path)
     if not wrote:

@@ -16,8 +16,12 @@ Multiplying the two branches clears the square roots and yields a degree-six
 polynomial P(eta) whose coefficients are assembled verbatim by
 ``assemble_eta_poly``; its real roots in (0, 1] are isolated by a Sturm
 chain, polished against the branch equations, and every accepted record is
-re-validated on the original trigonometric system.  The chain is built with
-numpy and evaluated on lists of Python floats, so the roots are floats.
+re-validated on the original trigonometric system.  Sturm counts only split
+intervals that hold two or more roots; an isolated root is bisected on the
+sign of the square-free part p * gcd(p, p'), which changes sign across a
+double root too, and falls back to count bisection where float noise hides
+that sign change.  The chain is built with numpy and evaluated on lists of
+Python floats, so the roots are floats.
 Spurious roots of the squaring step are kept, flagged, in the result.  The
 short-period families (``periodic_branches``) go through the same Sturm
 isolator, on the numerator of alpha(e) - alpha.
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import charts, invariants, normalform
-from .model import IntegralValues, _complex_step_jacobian
+from .model import IntegralValues, _complex_step_derivative, _complex_step_jacobian
 from .charts import DelaunayPoint
 
 __all__ = [
@@ -202,7 +206,7 @@ def branch_equation(eta: float, w: float, z: float, alpha: float, cosg: float) -
     P = _sin_g_zero_kernel(alpha, cosg)
     if not max(abs(w), abs(z)) < eta <= 1.0:
         raise ValueError(f"need max(|w|,|z|) < eta <= 1, got eta={eta}, w={w}, z={z}")
-    return float(_complex_step_jacobian(lambda G: P(G, w, z), (eta,))[0, 0])
+    return _complex_step_derivative(lambda G: P(G, w, z)[0], eta)
 
 
 # -- Sturm-chain root isolation ------------------------------------------------
@@ -273,19 +277,70 @@ def _variations(chain: list[list[float]], x: float) -> int:
 _ROOT_WIDTH = 1e-13
 
 
+def _bisect_sign(c: list[float], g: list[float] | None, a: float, b: float):
+    """Bisect (a, b] to _ROOT_WIDTH on the sign of s = p g; None if s(a), s(b) agree.
+
+    g is the gcd of p and p' (``None`` when it is a constant), so s has the
+    sign of the square-free part p / g, which changes sign exactly once
+    across an interval that isolates one root, double roots included.
+    """
+    def s(x):
+        v = _polyval(c, x)
+        return v if g is None else v * _polyval(g, x)
+
+    sa, sb = s(a), s(b)
+    if not (sa < 0.0 < sb or sb < 0.0 < sa):
+        return None
+    neg = sa < 0.0
+    for _ in range(200):
+        if b - a < _ROOT_WIDTH:
+            break
+        m = 0.5 * (a + b)
+        sm = s(m)
+        if sm == 0.0:
+            return m, m
+        if (sm < 0.0) == neg:
+            a = m
+        else:
+            b = m
+    return a, b
+
+
+def _bisect_count(chain: list[list[float]], a: float, b: float, va: int):
+    """Bisect (a, b] to _ROOT_WIDTH on the Sturm count va at its left end."""
+    for _ in range(200):
+        if b - a < _ROOT_WIDTH:
+            break
+        m = 0.5 * (a + b)
+        vm = _variations(chain, m)
+        if va - vm >= 1:
+            b = m
+        else:
+            a, va = m, vm
+    return a, b
+
+
 def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
     """All distinct nonzero real roots of the ascending-coefficient polynomial in (lo, hi].
 
     Negligible low-order coefficients are dropped first, which removes a
-    root at x = 0.  Each interval on the work stack carries the Sturm
-    variation counts at both of its ends, so no point is counted twice.
-    The chain is built on arrays, then evaluated on lists of Python floats:
-    the same operations in the same order as on numpy scalars, so the same
-    roots, at a fraction of the cost per operation.
+    root at x = 0.  Intervals holding two or more roots are split by Sturm
+    counts; each interval on the work stack carries the variation counts at
+    both of its ends, so no point is counted twice.  An interval holding one
+    root is bisected on the sign of the square-free part, p(x) g(x) with g
+    the chain's last, non-constant member gcd(p, p') (``_bisect_sign``): one
+    or two polynomial values a step instead of a whole chain.  Where float
+    noise gives that product the same sign at both ends, the root falls back
+    to bisection on the variation count (``_bisect_count``).  Three Newton
+    steps on p polish either result.  The chain is built on arrays, then
+    evaluated on lists of Python floats: the same operations in the same
+    order as on numpy scalars, so the same roots, at a fraction of the cost
+    per operation.
     """
     c = np.asarray(c, dtype=float)
     c = _trim(c[::-1], 1e-14 * float(np.max(np.abs(c))))[::-1]
     chain = [p.tolist() for p in _sturm_chain(c)]
+    g = chain[-1] if len(chain[-1]) > 1 else None
     d = _polyder(c).tolist()
     c = c.tolist()
     roots: list[float] = []
@@ -299,17 +354,7 @@ def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
             roots.append(0.5 * (a + b))
             continue
         if n == 1:
-            # bisection on the variation count, then Newton polish
-            aa, bb = a, b
-            for _ in range(200):
-                if bb - aa < _ROOT_WIDTH:
-                    break
-                m = 0.5 * (aa + bb)
-                vm = _variations(chain, m)
-                if va - vm >= 1:
-                    bb = m
-                else:
-                    aa, va = m, vm
+            aa, bb = _bisect_sign(c, g, a, b) or _bisect_count(chain, a, b, va)
             r = 0.5 * (aa + bb)
             for _ in range(3):
                 fp = _polyval(d, r)

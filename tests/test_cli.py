@@ -272,6 +272,15 @@ class TestConfigBlocks:
                         "z_grid": [0.0]}),
         ("nf-table", {"gamma": math.nan}),
         ("nf-table", {"h": -4.0}),
+        # integer keys: a count that samples nothing, and values that used to be truncated
+        ("reduce", {"integrals": _INTEGRALS, "count": 0}),
+        ("reduce", {"state": _STATE, "integrals": _INTEGRALS, "count": -1}),
+        ("reduce", {"integrals": _INTEGRALS, "count": 1.5}),
+        ("reduce", {"integrals": _INTEGRALS, "count": True}),
+        ("integrate", {"kind": "normalized", "delaunay": _DELAUNAY,
+                       "params": {"epsilon": 1e-3, "h": 4.0}, "t_end": 1.0, "order": 1.9}),
+        ("integrate", {"kind": "cartesian", "state": _STATE, "t_end": 1.0, "n_out": 500.7}),
+        ("integrate", {"kind": "reduced", "integrals": _INTEGRALS, "t_end": 1.0, "n_out": True}),
     ], ids=["state_without_Q", "null_n", "delaunay_without_momenta", "reduced_state_without_K",
             "state_with_three_q", "grid_num_not_a_number",
             "null_tol", "null_reduced_beta", "params_not_an_object", "list_count", "text_h",
@@ -279,11 +288,13 @@ class TestConfigBlocks:
             "int_json_out", "int_suites", "unknown_suite", "unknown_fault",
             "normalized_n_out_zero", "cartesian_n_out_zero", "reduced_n_out_zero",
             "infinite_t_end", "zero_t_end", "nan_alpha", "infinite_alpha", "nan_grid_stop",
-            "nan_gamma", "negative_h"])
+            "nan_gamma", "negative_h", "zero_count", "negative_count", "fractional_count",
+            "boolean_count", "fractional_order", "fractional_n_out", "boolean_n_out"])
     def test_malformed_block_is_config_error(self, command, cfg, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]  # nothing written
 
 
 class TestOutputPaths:

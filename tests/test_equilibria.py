@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from resonance_lab import equilibria as eq
+from resonance_lab import equilibria as eq, model
 from resonance_lab.model import IntegralValues
 
 
@@ -130,7 +131,42 @@ def _variations_reference(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _isolate_roots_reference(c, lo, hi):
+def _refine_by_counts(c, chain, a, b, va):
+    """Bisect an isolating interval on the Sturm variation count."""
+    for _ in range(200):
+        if b - a < eq._ROOT_WIDTH:
+            break
+        m = 0.5 * (a + b)
+        vm = _variations_reference(chain, m)
+        if va - vm >= 1:
+            b = m
+        else:
+            a, va = m, vm
+    return a, b
+
+
+def _refine_by_sign(c, chain, a, b, va):
+    """Bisect on the sign of p g, g = gcd(p, p'); counts where p g does not change sign."""
+    g = chain[-1] if len(chain[-1]) > 1 else np.ones(1)
+    sa = _polyval_reference(c, a) * _polyval_reference(g, a)
+    sb = _polyval_reference(c, b) * _polyval_reference(g, b)
+    if not (sa < 0.0 < sb or sb < 0.0 < sa):
+        return _refine_by_counts(c, chain, a, b, va)
+    for _ in range(200):
+        if b - a < eq._ROOT_WIDTH:
+            break
+        m = 0.5 * (a + b)
+        sm = _polyval_reference(c, m) * _polyval_reference(g, m)
+        if sm == 0.0:
+            return m, m
+        if (sm < 0.0) == (sa < 0.0):
+            a = m
+        else:
+            b = m
+    return a, b
+
+
+def _isolate_roots_reference(c, lo, hi, refine=_refine_by_sign):
     c = np.asarray(c, dtype=float)
     c = eq._trim(c[::-1], 1e-14 * float(np.max(np.abs(c))))[::-1]
     chain = eq._sturm_chain(c)
@@ -145,16 +181,7 @@ def _isolate_roots_reference(c, lo, hi):
             roots.append(0.5 * (a + b))
             continue
         if n == 1:
-            aa, bb = a, b
-            for _ in range(200):
-                if bb - aa < eq._ROOT_WIDTH:
-                    break
-                m = 0.5 * (aa + bb)
-                vm = _variations_reference(chain, m)
-                if va - vm >= 1:
-                    bb = m
-                else:
-                    aa, va = m, vm
+            aa, bb = refine(c, chain, a, b, va)
             r = 0.5 * (aa + bb)
             d = eq._polyder(c)
             for _ in range(3):
@@ -177,9 +204,24 @@ def _isolate_roots_reference(c, lo, hi):
     return sorted(roots)
 
 
+def _isolate_roots_by_counts(c, lo, hi):
+    """The isolator as it was before the sign refinement: every step a Sturm count."""
+    return _isolate_roots_reference(c, lo, hi, refine=_refine_by_counts)
+
+
 # w z = 0 cells make every root of the branch product double; w = z cells put
 # a double root of f at the end of the interval
 _RATIO = st.one_of(st.just(0.0), st.floats(-0.45, 0.45))
+
+
+def _root_cases(w, z, alpha):
+    """(name, coefficients, lo, hi) of every polynomial solve_tori3 and periodic_branches isolate."""
+    cases = [("branch", eq.branch_product_coeffs(w, z, alpha),
+              max(w * w, z * z) + 1e-11, 1.0 - 1e-11),
+             ("published", eq.assemble_eta_poly(w, z, alpha).coeffs, 1e-12, 1.0 + 1e-9)]
+    cases += [("case", eq._case_coeffs(alpha, cosg), 1e-6, 1.0 - 1e-6) for cosg in (1.0, -1.0)]
+    # a vanishing polynomial is reported as a continuum instead
+    return [case for case in cases if max(abs(float(c)) for c in case[1]) >= 1e-12]
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,17 +229,95 @@ _RATIO = st.one_of(st.just(0.0), st.floats(-0.45, 0.45))
 def test_float_sturm_matches_the_ndarray_form_exactly(w, z, tie, alpha):
     if tie:
         z = w
-    cases = [(eq.branch_product_coeffs(w, z, alpha), max(w * w, z * z) + 1e-11, 1.0 - 1e-11),
-             (eq.assemble_eta_poly(w, z, alpha).coeffs, 1e-12, 1.0 + 1e-9)]
-    cases += [(eq._case_coeffs(alpha, cosg), 1e-6, 1.0 - 1e-6) for cosg in (1.0, -1.0)]
-    for coeffs, lo, hi in cases:
-        if max(abs(float(c)) for c in coeffs) < 1e-12:
-            continue  # solve_tori3 reports a continuum instead
+    for _, coeffs, lo, hi in _root_cases(w, z, alpha):
         got = eq._isolate_roots(coeffs, lo, hi)
         want = _isolate_roots_reference(coeffs, lo, hi)
         assert len(got) == len(want)
         assert all(g == r for g, r in zip(got, want))
         assert all(type(g) is float for g in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIO, _RATIO, st.booleans(), st.floats(-0.99, 5.0))
+def test_sign_refinement_agrees_with_count_bisection(w, z, tie, alpha):
+    if tie:
+        z = w
+    for name, coeffs, lo, hi in _root_cases(w, z, alpha):
+        got = eq._isolate_roots(coeffs, lo, hi)
+        old = _isolate_roots_by_counts(coeffs, lo, hi)
+        assert len(got) == len(old)
+        if name != "branch":  # the branch product's double roots are ill-conditioned
+            assert all(abs(g - r) <= 2e-15 for g, r in zip(got, old))
+    new = eq.solve_tori3(w, z, alpha)
+    with mock.patch.object(eq, "_isolate_roots", _isolate_roots_by_counts):
+        ref = eq.solve_tori3(w, z, alpha)
+    assert new.continuum == ref.continuum
+    assert [(r.kind, r.g, r.flags) for r in new.records] == \
+        [(r.kind, r.g, r.flags) for r in ref.records]
+    assert all(abs(a.eta - b.eta) <= 1e-12 for a, b in zip(new.records, ref.records))
+    assert [s["reason"] for s in new.spurious] == [s["reason"] for s in ref.spurious]
+
+
+@pytest.mark.parametrize("w, z, alpha", [(0.3, 0.0, 1.5), (0.2, 0.3, 1.0)],
+                         ids=["wz_zero", "generic"])
+def test_isolated_roots_take_no_sturm_count(w, z, alpha, monkeypatch):
+    # the counted points split [lo, hi] into neighbouring intervals; a count
+    # may only split one whose end counts differ by two or more roots
+    counted = {}
+    spent_on_one_root = []
+    variations = eq._variations
+
+    def spy(chain, x):
+        v = variations(chain, x)
+        if len(counted) >= 2:
+            left = max(p for p in counted if p < x)
+            right = min(p for p in counted if p > x)
+            if x != 0.5 * (left + right) or counted[left] - counted[right] < 2:
+                spent_on_one_root.append(x)
+        counted[x] = v
+        return v
+
+    monkeypatch.setattr(eq, "_variations", spy)
+    roots = eq._isolate_roots(eq.branch_product_coeffs(w, z, alpha),
+                              max(w * w, z * z) + 1e-11, 1.0 - 1e-11)
+    assert roots
+    assert spent_on_one_root == []
+
+
+def test_same_sign_at_both_ends_falls_back_to_counts(monkeypatch):
+    # at this w = z cell float noise gives p g one sign across one isolating
+    # interval, so that root alone is bisected on the variation count
+    w = z = 0.4
+    alpha = -0.9 + 3.9 * 6 / 7
+    coeffs = eq.branch_product_coeffs(w, z, alpha)
+    lo, hi = w * w + 1e-11, 1.0 - 1e-11
+    fallbacks = []
+    bisect_count = eq._bisect_count
+
+    def spy(chain, a, b, va):
+        fallbacks.append((a, b))
+        return bisect_count(chain, a, b, va)
+
+    monkeypatch.setattr(eq, "_bisect_count", spy)
+    roots = eq._isolate_roots(coeffs, lo, hi)
+    assert len(fallbacks) == 1
+    assert len(roots) == 3
+    assert roots == _isolate_roots_reference(coeffs, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIO, _RATIO, st.floats(-0.99, 5.0), st.sampled_from([1.0, -1.0]),
+       st.floats(0.0, 1.0, exclude_min=True))
+def test_scalar_complex_step_matches_the_jacobian_entry(w, z, alpha, cosg, frac):
+    # branch_equation's G-partial: one input, one output, the same step
+    lo = max(abs(w), abs(z))
+    eta = lo + frac * (1.0 - lo)
+    assume(lo < eta <= 1.0)
+    P = eq._sin_g_zero_kernel(alpha, cosg)
+    want = float(model._complex_step_jacobian(lambda G: P(G, w, z), (eta,))[0, 0])
+    got = model._complex_step_derivative(lambda G: P(G, w, z)[0], eta)
+    assert got == want and type(got) is float
+    assert eq.branch_equation(eta, w, z, alpha, cosg) == want
 
 
 class TestSolveTori3:
