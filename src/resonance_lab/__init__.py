@@ -58,6 +58,7 @@ from .charts import (
     connection_G,
     delaunay_to_andoyer,
     delaunay_to_cartesian,
+    delaunay_to_positions,
     euler_to_andoyer,
     euler_to_cartesian,
     kepler_solve,

@@ -31,6 +31,13 @@ the first such element; scalar input gives Python floats back.  The inverse
 maps take scalars only and call ``math`` directly: their callers map a
 trajectory one sample at a time, where even the dispatch check would show.
 
+``delaunay_to_positions`` is ``delaunay_to_cartesian`` without the cotangent
+lift: the positions q alone, with the same domain checks, for callers that
+read only q.  ``kepler_solve`` remembers its last 8 array solves, keyed by
+the shapes and exact bytes of the float64 ``ell`` and ``e``, and returns a
+copy of the remembered E; a mean-anomaly average of R1 and of W1 at the same
+momenta then solves Kepler's equation once.  Scalar solves bypass the cache.
+
 The chart points are ``NamedTuple`` records: immutable tuples whose
 positional order is their field order, so the maps build them positionally
 and ``_ns(*point)`` reads every field.  ``point._replace(ell=...)`` gives a
@@ -41,6 +48,7 @@ same eight values, so compare ``type(...)`` too where the chart matters.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -66,7 +74,9 @@ __all__ = [
     "delaunay_to_andoyer",
     "andoyer_to_delaunay",
     "delaunay_to_cartesian",
+    "delaunay_to_positions",
     "cartesian_to_delaunay",
+    "require_angles_defined",
     "composed_h0",
     "connection_G",
     "integrals_from_momenta",
@@ -86,6 +96,7 @@ L1_PER_PHI = -2.0
 _TWO_PI = 2.0 * math.pi
 _KEPLER_TOL = 1e-14
 _KEPLER_MAX_ITER = 60
+_KEPLER_CACHE_SIZE = 8
 
 
 class ChartDomainError(ValueError):
@@ -94,6 +105,9 @@ class ChartDomainError(ValueError):
 
 class DegenerateEccentricityError(ChartDomainError):
     """Circular limit: the perigee angle is not defined."""
+
+
+_CIRCULAR = "circular point: perigee angle g is not defined"
 
 
 class EulerPoint(NamedTuple):
@@ -205,9 +219,12 @@ def momenta_from_integrals(xi: float, l1: float) -> tuple[float, float]:
 
 # -- projective Euler ---------------------------------------------------------
 
-def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
-    """Forward chart map; the momenta follow by the cotangent lift."""
-    xp = _ns(*ep)
+def _euler_positions(ep: EulerPoint, xp):
+    """q1..q4 of an Euler point, with sin(theta) and the half-angle sine and cosine.
+
+    Both domain checks of ``euler_to_cartesian`` are made here; the lift
+    reuses the three trigonometric values.
+    """
     _require(ep.rho > 0.0, "rho must be positive, got {}", ep.rho)
     st = xp.sin(ep.theta)
     _require(st > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", ep.theta)
@@ -220,7 +237,13 @@ def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
     q2 = sr * s * xp.sin(hm)
     q3 = sr * c * xp.sin(hp)
     q4 = sr * c * xp.cos(hp)
+    return (q1, q2, q3, q4), st, s, c
 
+
+def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
+    """Forward chart map; the momenta follow by the cotangent lift."""
+    xp = _ns(*ep)
+    (q1, q2, q3, q4), st, s, c = _euler_positions(ep, xp)
     # The columns of A are dq/d(rho, phi, theta, psi) and the momenta solve
     # A^T Q = (P, Phi, Theta, Psi), so Q = A x with x = (A^T A)^-1 (P, Phi,
     # Theta, Psi).  A^T A is block diagonal: diag(1/(4 rho), rho/4) on the
@@ -338,13 +361,15 @@ def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
              "|U1| or |U3| too close to U2")
     s1 = xp.sqrt(s1sq)
     s2 = xp.sqrt(s2sq)
-    ct = c1 * c2 + s1 * s2 * xp.cos(ap.u2)
+    su2 = xp.sin(ap.u2)
+    cu2 = xp.cos(ap.u2)
+    ct = c1 * c2 + s1 * s2 * cu2
     stsq = 1.0 - ct * ct
     _require(stsq >= SINGULARITY_GUARD ** 2, "image hits the theta singular set")
     st = xp.sqrt(stsq)
     theta = xp.arccos(ct)
-    Theta = ap.U2 * s1 * s2 * xp.sin(ap.u2) / st
-    d1, d3 = _andoyer_deltas(xp.sin(ap.u2), xp.cos(ap.u2), c1, s1, c2, s2, xp.arctan2)
+    Theta = ap.U2 * s1 * s2 * su2 / st
+    d1, d3 = _andoyer_deltas(su2, cu2, c1, s1, c2, s2, xp.arctan2)
     phi = (ap.u1 - d1) % _TWO_PI
     psi = ap.u3 - d3
     # keep psi in the principal interval used by the Euler chart
@@ -363,11 +388,31 @@ def kepler_solve(ell, e):
     broadcast (ell, e) at once; an element stops moving once its residual is
     below ``_KEPLER_TOL``.  The returned branch is the continuous one with
     E(ell + 2 pi k) = E(ell) + 2 pi k.
+
+    Array solves are cached: the last ``_KEPLER_CACHE_SIZE`` (8) are kept,
+    keyed by the shapes and exact bytes of the float64 ``ell`` and ``e``, so
+    a hit is a bitwise-equal input and returns the same bits as a fresh
+    solve.  Every array return is a copy, so a caller may modify it.  Scalar
+    calls bypass the cache, and a call that raises stores nothing.
     """
+    if _ns(ell, e) is _MATH:
+        return _kepler_newton(ell, e)
+    ell = np.asarray(ell, dtype=float)
+    e = np.asarray(e, dtype=float)
+    E = _kepler_cached(ell.shape, ell.tobytes(), e.shape, e.tobytes())
+    return E.copy() if isinstance(E, np.ndarray) else E
+
+
+@functools.lru_cache(maxsize=_KEPLER_CACHE_SIZE)
+def _kepler_cached(ell_shape, ell_bytes, e_shape, e_bytes):
+    """The array solve, memoized on the shapes and bytes of its float64 input."""
+    return _kepler_newton(np.frombuffer(ell_bytes).reshape(ell_shape),
+                          np.frombuffer(e_bytes).reshape(e_shape))
+
+
+def _kepler_newton(ell, e):
+    """The uncached Newton solve of ``kepler_solve`` on floats or float64 arrays."""
     xp = _ns(ell, e)
-    if xp is np:
-        ell = np.asarray(ell, dtype=float)
-        e = np.asarray(e, dtype=float)
     _require((0.0 <= e) & (e < 1.0), "eccentricity must lie in [0, 1), got {}", e)
     k = xp.floor((ell + math.pi) / _TWO_PI)
     m = ell - _TWO_PI * k  # in (-pi, pi]
@@ -392,13 +437,8 @@ def kepler_solve(ell, e):
 
 # -- Delaunay -----------------------------------------------------------------
 
-def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
-    """Radial block (ell, g, L, G) -> (rho, u2, P, U2); u1, u3, U1, U3 pass through.
-
-    For e = 0 the perigee direction degenerates; the forward map uses the
-    natural convention f = E = ell, so it stays defined on the closure.
-    """
-    xp = _ns(gamma, *dp)
+def _delaunay_orbit(dp: DelaunayPoint, gamma, xp):
+    """Domain checks of the forward Delaunay map, then the orbit's (a, eta, e)."""
     _require(gamma > 0.0, "gamma must be positive, got {}", gamma)
     _require((0.0 < dp.G) & (dp.G <= dp.L), "need 0 < G <= L, got G={}, L={}", dp.G, dp.L)
     _require((xp.abs(dp.U1) < dp.G) & (xp.abs(dp.U3) < dp.G),
@@ -406,6 +446,30 @@ def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
     a = dp.L * dp.L / gamma
     eta = dp.G / dp.L
     e = xp.sqrt(xp.maximum(0.0, 1.0 - eta * eta))
+    return a, eta, e
+
+
+def require_angles_defined(dp: DelaunayPoint, gamma: float) -> None:
+    """Raise unless every Delaunay angle is defined at ``dp``.
+
+    That is the forward map's domain (0 < G <= L, |U1|, |U3| < G), minus the
+    circular orbits e < ``SINGULARITY_GUARD``, where the perigee angle g is
+    not defined (DegenerateEccentricityError, as in ``andoyer_to_delaunay``).
+    """
+    xp = _ns(gamma, *dp)
+    _, _, e = _delaunay_orbit(dp, gamma, xp)
+    if xp.any(e < SINGULARITY_GUARD):
+        raise DegenerateEccentricityError(_CIRCULAR)
+
+
+def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
+    """Radial block (ell, g, L, G) -> (rho, u2, P, U2); u1, u3, U1, U3 pass through.
+
+    For e = 0 the perigee direction degenerates; the forward map uses the
+    natural convention f = E = ell, so it stays defined on the closure.
+    """
+    xp = _ns(gamma, *dp)
+    a, eta, e = _delaunay_orbit(dp, gamma, xp)
     E = kepler_solve(dp.ell, e)
     se, ce = xp.sin(E), xp.cos(E)
     r = a * (1.0 - e * ce)
@@ -436,9 +500,7 @@ def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:
     esq = max(0.0, 1.0 - eta * eta)
     e = math.sqrt(esq)
     if e < SINGULARITY_GUARD:
-        raise DegenerateEccentricityError(
-            "circular point: perigee angle g is not defined"
-        )
+        raise DegenerateEccentricityError(_CIRCULAR)
     e_ce = 1.0 - ap.rho / a
     e_se = ap.rho * ap.P / L
     E = math.atan2(e_se, e_ce)
@@ -451,6 +513,13 @@ def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:
 def delaunay_to_cartesian(dp: DelaunayPoint, gamma: float) -> CartesianState:
     """Full chain Delaunay -> Andoyer -> Euler -> Cartesian."""
     return euler_to_cartesian(andoyer_to_euler(delaunay_to_andoyer(dp, gamma)))
+
+
+def delaunay_to_positions(dp: DelaunayPoint, gamma: float) -> tuple:
+    """Positions (q1, q2, q3, q4) of ``delaunay_to_cartesian``, without the momenta."""
+    ep = andoyer_to_euler(delaunay_to_andoyer(dp, gamma))
+    q, _, _, _ = _euler_positions(ep, _ns(*ep))
+    return tuple(map(_value, q))
 
 
 def cartesian_to_delaunay(state: CartesianState, gamma: float) -> DelaunayPoint:

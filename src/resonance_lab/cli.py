@@ -84,18 +84,26 @@ def _out_dir(args) -> Path:
 
 
 def _grid(spec, name: str) -> np.ndarray:
-    """A grid is either an explicit list or {start, stop, num} of finite values."""
+    """A grid is either an explicit list or {start, stop, num} of at least one finite value.
+
+    ``num`` follows the integer rule of ``_scalar``: a boolean or a fractional
+    number is an error, never truncated.
+    """
     try:
         if isinstance(spec, list):
             grid = np.asarray(spec, dtype=float)
         elif isinstance(spec, dict):
-            grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
+            # reading spec["num"] for the unused default makes a missing num a KeyError
+            grid = np.linspace(float(spec["start"]), float(spec["stop"]),
+                               _scalar(spec, "num", spec["num"], int))
         else:
             raise ConfigError(f"grid {name!r} must be a list or start/stop/num object")
     except KeyError as exc:
         raise ConfigError(f"grid {name!r} needs start/stop/num") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid {name!r}: {exc}") from exc
+    if not grid.size:
+        raise ConfigError(f"grid {name!r} must hold at least one value")
     if not np.isfinite(grid).all():
         raise ConfigError(f"grid {name!r} must hold finite values, got {grid.tolist()}")
     return grid
@@ -271,6 +279,7 @@ def cmd_integrate(args) -> int:
             raise ConfigError("normalized runs need params.h or params.gamma")
         dp0 = _block(cfg, "delaunay")
         order = _scalar(cfg, "order", 1, int)
+        charts.require_angles_defined(dp0, p.gamma)
 
         def fun(t, y):
             dp = charts.DelaunayPoint(ell=y[0], g=y[1], u1=y[2], u3=y[3],

@@ -153,13 +153,17 @@ def h_quadratic(state: CartesianState, omega: float = 1.0) -> float:
     return 0.5 * kin + 0.5 * omega * omega * pot
 
 
-def h_sextic(state: CartesianState, beta: float) -> float:
-    """Sextic coupling V6(q); independent of the momenta."""
-    q1, q2, q3, q4 = state.q
+def _v6(q1, q2, q3, q4, beta: float):
+    """V6 on the four positions (floats or arrays); the one formula behind h_sextic."""
     r1 = q1 * q1 + q2 * q2
     r2 = q3 * q3 + q4 * q4
     d = r1 - r2
     return (r1 + r2) * (beta * beta * d * d + 4.0 * r1 * r2)
+
+
+def h_sextic(state: CartesianState, beta: float) -> float:
+    """Sextic coupling V6(q); independent of the momenta."""
+    return _v6(*state.q, beta)
 
 
 def hamiltonian(state: CartesianState, p: ModelParams) -> float:

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import charts
-from .model import ModelParams, _complex_step_jacobian, h_sextic
+from .model import ModelParams, _complex_step_jacobian, _v6
 from .charts import DelaunayPoint, _value, kepler_solve
 
 __all__ = [
@@ -107,8 +107,8 @@ def perturbation_delaunay(dp: DelaunayPoint, p: ModelParams) -> float:
     fields of ``dp`` give an array of values.
     """
     gamma = _require_chart_params(p)
-    state = charts.delaunay_to_cartesian(dp, gamma)
-    return h_sextic(state, p.beta) / (4.0 * state.rho)
+    q = charts.delaunay_to_positions(dp, gamma)
+    return _v6(*q, p.beta) / (4.0 * sum(v * v for v in q))
 
 
 def average_over_ell(fn, quadrature_n: int = 512) -> float:

@@ -137,6 +137,38 @@ class TestKepler:
             charts.kepler_solve(1.0, 1.0)
 
 
+class TestKeplerCache:
+    """Array solves are remembered by the exact bytes of (ell, e); scalars are not."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        charts._kepler_cached.cache_clear()
+
+    def test_hit_is_a_copy_of_a_fresh_solve(self, rng):
+        ell = rng.uniform(-20.0, 20.0, 64)
+        e = 0.7
+        fresh = charts._kepler_newton(ell, np.float64(e))
+        first = charts.kepler_solve(ell, e)
+        first[:] = 0.0  # a caller's write must not reach the cache
+        hit = charts.kepler_solve(ell.copy(), e)
+        assert charts._kepler_cached.cache_info().hits == 1
+        assert hit.tobytes() == fresh.tobytes()
+        hit[:] = 0.0
+        assert charts.kepler_solve(ell, e).tobytes() == fresh.tobytes()
+
+    def test_size_is_bounded(self):
+        nodes = np.linspace(0.0, TWO_PI, 16)
+        for k in range(20):
+            charts.kepler_solve(nodes, 0.04 * k)
+        assert charts._kepler_cached.cache_info().currsize == 8
+
+    def test_scalars_and_failures_store_nothing(self):
+        charts.kepler_solve(0.3, 0.5)
+        with pytest.raises(ChartDomainError):
+            charts.kepler_solve(np.array([0.1, 0.2]), 1.0)
+        assert charts._kepler_cached.cache_info().currsize == 0
+
+
 class TestDelaunayChart:
     def test_circular_radial_block(self):
         gamma = 1.0
@@ -389,6 +421,28 @@ class TestArrayChain:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         assert math.isnan(charts.kepler_solve(fields.get("ell", math.nan), 0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.one_of(_FAR_ELL, st.lists(_FAR_ELL, min_size=1, max_size=32)))
+    def test_positions_are_the_q_of_the_full_chain(self, seed, ell):
+        rng = np.random.default_rng(seed)
+        dp = random_delaunay(rng)._replace(ell=ell if isinstance(ell, float) else np.array(ell))
+        gamma = float(rng.uniform(0.5, 1.5))
+        q = charts.delaunay_to_positions(dp, gamma)
+        full = charts.delaunay_to_cartesian(dp, gamma).q
+        assert [type(v) for v in q] == [type(v) for v in full]
+        assert [np.asarray(v).tobytes() for v in q] == [np.asarray(v).tobytes() for v in full]
+
+    @pytest.mark.parametrize("ell", [1e-10, np.array([0.5, -1e-10, 2.0])])
+    def test_positions_raise_like_the_full_chain_in_the_guard_band(self, ell):
+        # circular orbit with U1 = U3 = 0 and g = 0: theta = ell, so ell near 0
+        # puts the Euler image within the guard band of theta = 0
+        dp = DelaunayPoint(ell=ell, g=0.0, u1=0.3, u3=0.4, L=1.0, G=1.0, U1=0.0, U3=0.0)
+        with pytest.raises(ChartDomainError) as full:
+            charts.delaunay_to_cartesian(dp, 1.0)
+        with pytest.raises(ChartDomainError) as positions:
+            charts.delaunay_to_positions(dp, 1.0)
+        assert str(positions.value) == str(full.value)
 
 
 _NON_FINITE_BASES = (

@@ -132,6 +132,27 @@ class TestIntegrateCommand:
         assert "integration failed: work budget" in capsys.readouterr().err
         assert not (tmp_path / "traj.csv").exists()
 
+    @pytest.mark.parametrize("delaunay", [
+        {"G": 1.0, "U1": 0.2, "U3": -0.1},   # e = 0: g is not defined
+        {"G": 1.0, "U1": 0.0, "U3": 0.0},    # circular with U1 U3 = 0, which used to run
+        {"G": 0.7, "U1": 0.7},               # |U1| = G: u1 is not defined
+        {"G": 0.0},                          # outside 0 < G <= L
+    ], ids=["circular", "circular_equatorial", "U1_equals_G", "zero_G"])
+    def test_normalized_start_on_a_singular_set_is_a_domain_error(self, delaunay, tmp_path,
+                                                                  monkeypatch, capsys):
+        # the README normalized config with the start moved onto a singular set
+        # of the Delaunay chart; the budget keeps a run that starts anyway short
+        monkeypatch.setattr(model, "_MAX_NFEV", 20_000)
+        cfg = write_config(tmp_path / "n.json", {
+            "kind": "normalized", "order": 1,
+            "delaunay": {**_DELAUNAY, **delaunay},
+            "params": {"epsilon": 1e-3, "beta": math.sqrt(2.0), "h": 4.0},
+            "t_end": 10.0, "out": "normalized.csv",
+        })
+        assert run(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "domain error" in capsys.readouterr().err
+        assert not (tmp_path / "normalized.csv").exists()
+
     def test_non_finite_param_is_config_error(self, tmp_path):
         cfg = tmp_path / "nan.json"
         cfg.write_text('{"kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},'
@@ -281,6 +302,11 @@ class TestConfigBlocks:
                        "params": {"epsilon": 1e-3, "h": 4.0}, "t_end": 1.0, "order": 1.9}),
         ("integrate", {"kind": "cartesian", "state": _STATE, "t_end": 1.0, "n_out": 500.7}),
         ("integrate", {"kind": "reduced", "integrals": _INTEGRALS, "t_end": 1.0, "n_out": True}),
+        # grid sizes that used to be truncated, and grids with no value
+        ("equilibria", {**_GRIDS, "alpha_grid": {"start": 0.0, "stop": 1.0, "num": 2.5}}),
+        ("equilibria", {**_GRIDS, "alpha_grid": {"start": 0.0, "stop": 1.0, "num": True}}),
+        ("equilibria", {**_GRIDS, "alpha_grid": {"start": 0.0, "stop": 1.0, "num": 0}}),
+        ("equilibria", {**_GRIDS, "alpha_grid": []}),
     ], ids=["state_without_Q", "null_n", "delaunay_without_momenta", "reduced_state_without_K",
             "state_with_three_q", "grid_num_not_a_number",
             "null_tol", "null_reduced_beta", "params_not_an_object", "list_count", "text_h",
@@ -289,7 +315,8 @@ class TestConfigBlocks:
             "normalized_n_out_zero", "cartesian_n_out_zero", "reduced_n_out_zero",
             "infinite_t_end", "zero_t_end", "nan_alpha", "infinite_alpha", "nan_grid_stop",
             "nan_gamma", "negative_h", "zero_count", "negative_count", "fractional_count",
-            "boolean_count", "fractional_order", "fractional_n_out", "boolean_n_out"])
+            "boolean_count", "fractional_order", "fractional_n_out", "boolean_n_out",
+            "fractional_grid_num", "boolean_grid_num", "zero_grid_num", "empty_grid"])
     def test_malformed_block_is_config_error(self, command, cfg, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resonance_lab import charts, equilibria as eq, model, normalform as nf
 from resonance_lab.charts import DelaunayPoint
@@ -49,6 +50,33 @@ class TestPerturbation:
         dp = DelaunayPoint(ell=0.1, g=0.2, u1=0.0, u3=0.0, L=1.0, G=0.8, U1=0.1, U3=0.0)
         with pytest.raises(ValueError):
             nf.perturbation_delaunay(dp, ModelParams(omega=2.0, gamma=1.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.floats(-20.0, 20.0), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=37)),
+           st.sampled_from([0.0, 0.5, 1.0, math.sqrt(2.0), 2.0]))
+    def test_positions_route_equals_the_cartesian_route(self, seed, ell, beta):
+        # the route before the positions-only chain, kept as the reference
+        rng = np.random.default_rng(seed)
+        dp = random_delaunay(rng)._replace(ell=ell if isinstance(ell, float) else np.array(ell))
+        p = params(beta=beta, gamma=float(rng.uniform(0.5, 1.5)))
+        state = charts.delaunay_to_cartesian(dp, p.gamma)
+        want = model.h_sextic(state, p.beta) / (4.0 * state.rho)
+        got = nf.perturbation_delaunay(dp, p)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_r1_and_w1_averages_share_one_kepler_solve(self, monkeypatch):
+        charts._kepler_cached.cache_clear()
+        solves = []
+        newton = charts._kepler_newton
+        monkeypatch.setattr(charts, "_kepler_newton",
+                            lambda ell, e: solves.append(e) or newton(ell, e))
+        p = params(beta=1.3, gamma=0.8)
+        dp = DelaunayPoint(ell=0.0, g=0.9, u1=0.0, u3=0.0, L=1.2, G=0.9, U1=0.2, U3=-0.3)
+        nf.average_over_ell(lambda ell: nf.perturbation_delaunay(dp._replace(ell=ell), p))
+        nf.average_over_ell(lambda ell: nf.w1(dp._replace(ell=ell), p))
+        assert len(solves) == 1
 
 
 class TestAverage:
