@@ -27,14 +27,12 @@ from .model import (
     first_integrals,
     hamiltonian,
     integrate,
-    vector_field,
 )
 from .invariants import (
     EmptyReducedSpaceError,
     KLJVector,
     PiVector,
     ThriceReducedPoint,
-    bracket_table_check,
     f_of_K,
     feasible_interval,
     klj_map,
@@ -76,7 +74,6 @@ from .normalform import (
 )
 from .equilibria import (
     EquilibriumRecord,
-    EtaPolynomial,
     assemble_eta_poly,
     cross_validate,
     periodic_branches,

@@ -80,9 +80,6 @@ __all__ = [
     "composed_h0",
     "connection_G",
     "integrals_from_momenta",
-    "momenta_from_integrals",
-    "chart_point_to_dict",
-    "chart_point_from_dict",
 ]
 
 #: Inputs closer than this to a chart singularity are rejected.
@@ -212,11 +209,6 @@ def integrals_from_momenta(U1: float, U3: float) -> tuple[float, float]:
     return XI_PER_PSI * U3, L1_PER_PHI * U1
 
 
-def momenta_from_integrals(xi: float, l1: float) -> tuple[float, float]:
-    """(U1, U3) realizing given integral values; inverse of ``integrals_from_momenta``."""
-    return l1 / L1_PER_PHI, xi / XI_PER_PSI
-
-
 # -- projective Euler ---------------------------------------------------------
 
 def _euler_positions(ep: EulerPoint, xp):
@@ -286,17 +278,6 @@ def cartesian_to_euler(state: CartesianState) -> EulerPoint:
     Psi = 0.5 * (q2 * Q1 - q1 * Q2 + q4 * Q3 - q3 * Q4)
     Phi = 0.5 * (q1 * Q2 - q2 * Q1 + q4 * Q3 - q3 * Q4)
     return EulerPoint(rho, phi, theta, psi, P, Phi, Theta, Psi)
-
-
-def h2_euler(ep: EulerPoint, omega: float = 1.0) -> float:
-    """Oscillator energy in Euler variables (omega = 1 form).
-
-    omega rho / 2 + 2 rho P^2 + (2/rho)(Theta^2
-        + (Psi^2 + Phi^2 - 2 Phi Psi cos(theta)) / sin(theta)^2).
-    """
-    st = math.sin(ep.theta)
-    ang = ep.Theta ** 2 + (ep.Psi ** 2 + ep.Phi ** 2 - 2.0 * ep.Phi * ep.Psi * math.cos(ep.theta)) / (st * st)
-    return 0.5 * omega * ep.rho + 2.0 * ep.rho * ep.P ** 2 + 2.0 * ang / ep.rho
 
 
 # -- projective Andoyer -------------------------------------------------------
@@ -551,24 +532,3 @@ def connection_G(K: float, N: float, iv: IntegralValues) -> float:
         )
     return 0.5 * math.sqrt(radicand)
 
-
-# -- serialization ------------------------------------------------------------
-
-_CHART_TYPES = {"euler": EulerPoint, "andoyer": AndoyerPoint, "delaunay": DelaunayPoint}
-
-
-def chart_point_to_dict(point) -> dict:
-    """Tagged JSON-friendly representation of any chart point."""
-    for tag, cls in _CHART_TYPES.items():
-        if isinstance(point, cls):
-            return {"chart": tag, **point._asdict()}
-    raise TypeError(f"not a chart point: {type(point)!r}")
-
-
-def chart_point_from_dict(data: dict):
-    """Inverse of ``chart_point_to_dict``."""
-    tag = data.get("chart")
-    if tag not in _CHART_TYPES:
-        raise ValueError(f"unknown chart tag: {tag!r}")
-    fields = {k: v for k, v in data.items() if k != "chart"}
-    return _CHART_TYPES[tag](**fields)

@@ -264,7 +264,7 @@ def cmd_integrate(args) -> int:
         else:
             lo, hi = invariants.feasible_interval(iv)
             pt0 = invariants.reduced_point_on_surface(
-                0.5 * (lo + hi), iv, beta, angle=_scalar(cfg, "angle", 0.0))
+                0.5 * (lo + hi), iv, angle=_scalar(cfg, "angle", 0.0))
         traj = invariants.reduced_flow(pt0, beta, t_end, tol, n_out=n_out)
         _write_csv(path, "t,K,N,S,H3,casimir_residual",
                    np.column_stack([traj.t, traj.K, traj.N, traj.S, traj.h3, traj.casimir]))
@@ -362,6 +362,8 @@ def cmd_nf_table(args) -> int:
 
 
 def cmd_equilibria(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config)
     out = _out_dir(args)
     alphas = _grid(cfg.get("alpha_grid", [0.0, 1.0]), "alpha_grid")
@@ -369,12 +371,12 @@ def cmd_equilibria(args) -> int:
     zs = _grid(cfg.get("z_grid", [0.0]), "z_grid")
     path = _out_path(out, cfg, "out", "equilibria_sweep.csv")
     jpath = _out_path(out, cfg, "json_out", "") if cfg.get("json_out") else None
-    result = equilibria.sweep(alphas, ws, zs, workers=args.workers)
+    rows = equilibria.sweep(alphas, ws, zs, workers=args.workers)
     # the flags cell is free text that may hold commas, so csv.writer quotes it
     with open(path, "w", newline="") as fh:
         table = csv.writer(fh, lineterminator="\n")
         table.writerow(["alpha", "w", "z", "kind", "eta", "g", "residual", "flags"])
-        for row in result.rows:
+        for row in rows:
             table.writerow([
                 format_float(row["alpha"]), format_float(row["w"]),
                 format_float(row["z"]), row["kind"],
@@ -385,15 +387,15 @@ def cmd_equilibria(args) -> int:
             ])
     wrote = [path]
     if jpath is not None:
-        _write_json(jpath, result.rows)
+        _write_json(jpath, rows)
         wrote.append(jpath)
-    checked = [row["reduced_rhs_max"] for row in result.rows if "reduced_rhs_max" in row]
+    checked = [row["reduced_rhs_max"] for row in rows if "reduced_rhs_max" in row]
     print(f"cross-validated {len(checked)} records, "
           f"{sum(r > 1e-6 for r in checked)} above tolerance")
-    errors = sum(1 for row in result.rows if row["kind"] == "error")
+    errors = sum(1 for row in rows if row["kind"] == "error")
     for path in wrote:
         print(f"wrote {path}")
-    if errors and errors == len(result.rows):
+    if errors and errors == len(rows):
         print("every cell failed", file=sys.stderr)
         return 1
     return 0
@@ -411,10 +413,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
         sp.add_argument("--config", help="JSON config file", default=None)
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sweeps")
+        if name == "verify":
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed for randomized suites")
+        if name == "equilibria":
+            sp.add_argument("--workers", type=int, default=1,
+                            help="worker processes for the sweep (at least 1)")
         sp.add_argument("--out", default=None,
                         help=f"output directory (default: ${ENV_OUT_DIR} or '.')")
     return ap

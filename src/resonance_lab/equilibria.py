@@ -33,7 +33,7 @@ L = 1, gamma = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -42,12 +42,10 @@ from .model import IntegralValues, _complex_step_derivative, _complex_step_jacob
 from .charts import DelaunayPoint
 
 __all__ = [
-    "EtaPolynomial",
     "EquilibriumRecord",
     "Tori3Result",
     "PeriodicBranch",
     "CrossValidation",
-    "SweepResult",
     "assemble_eta_poly",
     "rq_x",
     "branch_equation",
@@ -57,28 +55,8 @@ __all__ = [
     "sweep",
 ]
 
-@dataclass(frozen=True)
-class EtaPolynomial:
-    """Degree-six branch-product polynomial with its parameters."""
-
-    coeffs: tuple[float, float, float, float, float, float, float]  # a0..a6
-    w: float
-    z: float
-    alpha: float
-
-    def __call__(self, eta: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * eta + c
-        return acc
-
-    @property
-    def scale(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
-
-def assemble_eta_poly(w: float, z: float, alpha: float) -> EtaPolynomial:
-    """Assemble the published closed-form coefficients a0..a6, verbatim."""
+def assemble_eta_poly(w: float, z: float, alpha: float) -> np.ndarray:
+    """The published closed-form coefficients a0..a6 of P(eta), ascending, verbatim."""
     if not (abs(w) < 1.0 and abs(z) < 1.0):
         raise ValueError(f"state ratios must satisfy |w| < 1, |z| < 1, got w={w}, z={z}")
     w2 = w * w
@@ -114,7 +92,7 @@ def assemble_eta_poly(w: float, z: float, alpha: float) -> EtaPolynomial:
                      + 7.0 * al * w6 * z2 + 24.0 * z4 * w4 + al * z6 * w4
                      + 5.0 * al * z2 * w4 + 18.0 * al * z4 * w4 - 5.0 * al * z6
                      + 5.0 * al * z4 * w2 + 7.0 * al * z6 * w2)
-    return EtaPolynomial(coeffs=(a0, a1, a2, a3, a4, a5, a6), w=w, z=z, alpha=alpha)
+    return np.array([a0, a1, a2, a3, a4, a5, a6])
 
 
 def branch_product_coeffs(w: float, z: float, alpha: float) -> np.ndarray:
@@ -382,7 +360,7 @@ def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
 class EquilibriumRecord:
     """Accepted relative equilibrium of the slow (g, G) system."""
 
-    kind: str            # torus3 | torus2_u1 | torus2_u3 | periodic
+    kind: str            # always "torus3" from solve_tori3
     eta: float
     g: float             # 0 or pi (undefined and set to 0 for circular records)
     L: float
@@ -406,7 +384,6 @@ class Tori3Result:
     records: tuple[EquilibriumRecord, ...]
     spurious: tuple[dict, ...]
     continuum: bool
-    poly: EtaPolynomial
 
 
 def _polish_branch(eta0: float, w: float, z: float, alpha: float, cosg: float,
@@ -464,11 +441,12 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
     """
     if not -1.0 <= alpha < math.inf:
         raise ValueError(f"alpha = beta^2 - 1 must be >= -1 and finite, got {alpha}")
-    poly = assemble_eta_poly(w, z, alpha)
+    pcoeffs = assemble_eta_poly(w, z, alpha)
+    pscale = float(np.max(np.abs(pcoeffs)))
     bcoeffs = branch_product_coeffs(w, z, alpha)
     bscale = float(np.max(np.abs(bcoeffs)))
-    if poly.scale < 1e-12 and bscale < 1e-12:
-        return Tori3Result(records=(), spurious=(), continuum=True, poly=poly)
+    if pscale < 1e-12 and bscale < 1e-12:
+        return Tori3Result(records=(), spurious=(), continuum=True)
 
     records: list[EquilibriumRecord] = []
     spurious: list[dict] = []
@@ -515,8 +493,8 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
                              "rq_plus": rq_p_val, "rq_minus": rq_m_val})
 
     # 3. classify every root of the published polynomial on (0, 1]
-    if poly.scale >= 1e-12:
-        p_roots = [min(r, 1.0) for r in _isolate_roots(poly.coeffs, 1e-12, 1.0 + 1e-9)]
+    if pscale >= 1e-12:
+        p_roots = [min(r, 1.0) for r in _isolate_roots(pcoeffs, 1e-12, 1.0 + 1e-9)]
         for r in p_roots:
             matched = None
             for rec in records:
@@ -531,8 +509,7 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
                 spurious.append({"eta": r,
                                  "reason": "published-polynomial root, no branch satisfied",
                                  "rq_plus": rq_p_val, "rq_minus": rq_m_val})
-    return Tori3Result(records=tuple(records), spurious=tuple(spurious),
-                       continuum=False, poly=poly)
+    return Tori3Result(records=tuple(records), spurious=tuple(spurious), continuum=False)
 
 
 def _rq_values(eta: float, w: float, z: float, alpha: float) -> tuple[float, float]:
@@ -644,8 +621,7 @@ class CrossValidation:
     s_expected_zero: bool
 
 
-def cross_validate(rec: EquilibriumRecord, beta: float,
-                   iv: IntegralValues | None = None) -> CrossValidation:
+def cross_validate(rec: EquilibriumRecord, beta: float) -> CrossValidation:
     """Map a record to (K, N, S) and evaluate the reduced vector field there.
 
     Normalization follows the energy shell of the chart chain: with L fixed
@@ -656,12 +632,7 @@ def cross_validate(rec: EquilibriumRecord, beta: float,
     gamma = rec.L / 2.0
     n = 4.0 * gamma
     xi, l1 = charts.integrals_from_momenta(rec.U1, rec.U3)
-    if iv is None:
-        iv = IntegralValues(n=n, xi=xi, l=l1)
-    else:
-        if (abs(iv.n - n) > 1e-9 * n or abs(iv.xi - xi) > 1e-9 * n
-                or abs(iv.l - l1) > 1e-9 * n):
-            raise ValueError("integral values inconsistent with the record momenta")
+    iv = IntegralValues(n=n, xi=xi, l=l1)
     dp = DelaunayPoint(ell=0.9, g=rec.g, u1=0.4, u3=1.3,
                        L=rec.L, G=rec.G, U1=rec.U1, U3=rec.U3)
     state = charts.delaunay_to_cartesian(dp, gamma)
@@ -683,13 +654,6 @@ def cross_validate(rec: EquilibriumRecord, beta: float,
 
 
 # -- parameter sweeps ------------------------------------------------------------
-
-@dataclass
-class SweepResult:
-    """Deterministic grid sweep output."""
-
-    rows: list[dict] = field(default_factory=list)
-
 
 def _sweep_cell(args) -> list[dict]:
     ia, iw, iz, alpha, w, z = args
@@ -719,19 +683,20 @@ def _sweep_cell(args) -> list[dict]:
     return rows
 
 
-def sweep(alpha_grid, w_grid, z_grid, workers: int = 1) -> SweepResult:
+def sweep(alpha_grid, w_grid, z_grid, workers: int = 1) -> list[dict]:
     """Deterministic enumeration of solve_tori3 over a parameter grid.
 
     Every record is cross-validated against the reduced Poisson flow in the
     same cell, and its row carries ``reduced_rhs_max``; a cell that raises
     becomes one ``error`` row.  Output ordering follows grid indices
     regardless of the worker count, so sharded and serial runs produce
-    identical tables.
+    identical tables.  At most one worker process is started per cell.
     """
     cells = [(ia, iw, iz, float(a), float(w), float(z))
              for ia, a in enumerate(alpha_grid)
              for iw, w in enumerate(w_grid)
              for iz, z in enumerate(z_grid)]
+    workers = min(workers, len(cells))
     if workers > 1:
         import multiprocessing as mp
 
@@ -739,7 +704,4 @@ def sweep(alpha_grid, w_grid, z_grid, workers: int = 1) -> SweepResult:
             chunks = pool.map(_sweep_cell, cells)
     else:
         chunks = [_sweep_cell(c) for c in cells]
-    result = SweepResult()
-    for chunk in chunks:
-        result.rows.extend(chunk)
-    return result
+    return [row for chunk in chunks for row in chunk]

@@ -39,7 +39,6 @@ __all__ = [
     "thrice_map",
     "bracket_computed",
     "bracket_expected",
-    "bracket_table_check",
     "f_of_K",
     "f_roots",
     "feasible_interval",
@@ -73,9 +72,6 @@ class PiVector(NamedTuple):
     pi14: float
     pi15: float
     pi16: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
 
 
 class KLJVector(NamedTuple):
@@ -238,14 +234,6 @@ def bracket_expected(M: float, N: float, Z: float, S: float, K: float, L1: float
     return out
 
 
-def bracket_table_check(state: CartesianState) -> float:
-    """Max |computed - tabulated| bracket over all 15 invariant pairs."""
-    pt = thrice_map(klj_map(pi_map(state)))
-    expected = bracket_expected(pt.M, pt.N, pt.Z, pt.S, pt.K, pt.integrals.l)
-    computed = bracket_computed(state)
-    return float(np.max(np.abs(computed - expected)))
-
-
 # -- the thrice reduced space ------------------------------------------------
 
 def f_of_K(K: float, iv: IntegralValues) -> float:
@@ -386,14 +374,12 @@ def reduced_flow(
     return ReducedTrajectory(t=sol.t, K=K, N=N, S=S, h3=h3, casimir=cas, integrals=iv)
 
 
-def reduced_point_on_surface(
-    K: float, iv: IntegralValues, beta: float, sign: float = 1.0, angle: float = 0.0
-) -> ThriceReducedPoint:
+def reduced_point_on_surface(K: float, iv: IntegralValues, angle: float = 0.0) -> ThriceReducedPoint:
     """Construct a surface point at abscissa K with N + iS = (sqrt(f)/2) e^{i angle}."""
     fk = f_of_K(K, iv)
     if fk < 0.0:
         raise EmptyReducedSpaceError(f"f(K) < 0 at K={K}")
-    r = 0.5 * np.sqrt(fk) * sign
+    r = 0.5 * np.sqrt(fk)
     n_ = r * np.cos(angle)
     s_ = r * np.sin(angle)
     m = 0.5 * (iv.n ** 2 + iv.xi ** 2 - K * K - iv.l ** 2)

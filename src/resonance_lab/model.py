@@ -47,7 +47,6 @@ __all__ = [
     "h_sextic",
     "grad_h_sextic",
     "first_integrals",
-    "vector_field",
     "integrate",
     "canonical_bracket",
 ]
@@ -78,11 +77,6 @@ class CartesianState:
     def as_array(self) -> np.ndarray:
         return np.array(self.q + self.Q, dtype=float)
 
-    @property
-    def rho(self) -> float:
-        """Squared configuration radius sum(q_i^2)."""
-        return sum(v * v for v in self.q)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -106,11 +100,6 @@ class ModelParams:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.gamma is not None and not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive when set, got {self.gamma}")
-
-    @property
-    def alpha(self) -> float:
-        """Coupling shorthand beta^2 - 1 (vanishes in the central case)."""
-        return self.beta * self.beta - 1.0
 
     def require_gamma(self) -> float:
         if self.gamma is None:
@@ -138,12 +127,6 @@ class IntegralValues:
             raise ValueError(f"|xi| <= n required, got xi={self.xi}, n={self.n}")
         if abs(self.l) > self.n:
             raise ValueError(f"|l| <= n required, got l={self.l}, n={self.n}")
-
-    @classmethod
-    def from_state(cls, state: CartesianState) -> "IntegralValues":
-        """Integral values carried by a state (with omega = 1)."""
-        xi, l1 = first_integrals(state)
-        return cls(n=h_quadratic(state, 1.0), xi=xi, l=l1)
 
 
 def h_quadratic(state: CartesianState, omega: float = 1.0) -> float:
@@ -215,11 +198,6 @@ def _rhs(x: np.ndarray, p: ModelParams) -> np.ndarray:
     g1, g2, g3, g4 = _grad_v6(q1, q2, q3, q4, p.beta)
     return np.array([Q1, Q2, Q3, Q4,
                      c * q1 - e * g1, c * q2 - e * g2, c * q3 - e * g3, c * q4 - e * g4])
-
-
-def vector_field(state: CartesianState, p: ModelParams) -> CartesianState:
-    """Tangent (dq/dt, dQ/dt) at a state, shaped like a state."""
-    return CartesianState.from_array(_rhs(state.as_array(), p))
 
 
 class IntegrationError(RuntimeError):

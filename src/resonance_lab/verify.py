@@ -414,12 +414,11 @@ def suite_dynamics(rng) -> SuiteResult:
 
     iv = model.IntegralValues(n=1.0, xi=0.3, l=0.1)
     lo, hi = invariants.feasible_interval(iv)
-    pt0 = invariants.reduced_point_on_surface(0.5 * (lo + hi) + 0.1 * (hi - lo), iv,
-                                              beta=1.0, angle=0.7)
+    pt0 = invariants.reduced_point_on_surface(0.5 * (lo + hi) + 0.1 * (hi - lo), iv, angle=0.7)
     rtraj = invariants.reduced_flow(pt0, beta=1.0, t_end=1000.0, tol=1e-12)
     worst = max(worst, rtraj.casimir_drift, rtraj.h3_drift)
 
-    pt1 = invariants.reduced_point_on_surface(0.5 * (lo + hi), iv, beta=2.0, angle=0.9)
+    pt1 = invariants.reduced_point_on_surface(0.5 * (lo + hi), iv, angle=0.9)
     ktraj = invariants.reduced_flow(pt1, beta=2.0, t_end=100.0, tol=1e-12)
     k_drift = float(np.max(np.abs(ktraj.K - ktraj.K[0])))
     passed = worst < 1e-8 and k_drift < 1e-10

@@ -232,6 +232,31 @@ class TestEquilibriaCommand:
         run(["equilibria", "--config", cfg, "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "s.csv").read_bytes() == (tmp_path / "b" / "s.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_config_error(self, workers, tmp_path, monkeypatch, capsys):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(equilibria, "sweep", not_reached)
+        cfg = write_config(tmp_path / "eq.json", {"alpha_grid": [1.0], "out": "s.csv"})
+        assert run(["equilibria", "--config", cfg, "--workers", workers,
+                    "--out", str(tmp_path)]) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("integrate", "--seed"), ("reduce", "--seed"), ("nf-table", "--seed"),
+        ("equilibria", "--seed"), ("verify", "--workers"), ("integrate", "--workers"),
+        ("reduce", "--workers"), ("nf-table", "--workers"),
+    ])
+    def test_flag_only_on_the_command_that_reads_it(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
 
 class TestEnvironment:
     def test_default_out_dir_env(self, tmp_path, monkeypatch):
@@ -374,7 +399,7 @@ def _cartesian_rows():
 def _reduced_rows():
     iv = model.IntegralValues(n=1.0, xi=0.3, l=0.1)
     lo, hi = invariants.feasible_interval(iv)
-    pt0 = invariants.reduced_point_on_surface(0.5 * (lo + hi), iv, 1.0, angle=0.3)
+    pt0 = invariants.reduced_point_on_surface(0.5 * (lo + hi), iv, angle=0.3)
     traj = invariants.reduced_flow(pt0, 1.0, 1.0, 1e-10, n_out=4)
     return np.column_stack([traj.t, traj.K, traj.N, traj.S, traj.h3, traj.casimir])
 
@@ -399,7 +424,7 @@ def _nf_table_rows():
 
 def _sweep_rows():
     return [[r["alpha"], r["w"], r["z"], r["kind"], r["eta"], r["g"], r["residual"],
-             ";".join(r["flags"])] for r in equilibria.sweep([1.0], [0.0, 0.2], [0.1]).rows]
+             ";".join(r["flags"])] for r in equilibria.sweep([1.0], [0.0, 0.2], [0.1])]
 
 
 CSV_CASES = {

@@ -119,8 +119,12 @@ class TestThriceMap:
 
 class TestBracketTable:
     def test_random_states(self, rng):
-        worst = max(inv.bracket_table_check(CartesianState.from_array(rng.normal(size=8)))
-                    for _ in range(100))
+        worst = 0.0
+        for _ in range(100):
+            s = CartesianState.from_array(rng.normal(size=8))
+            pt = inv.thrice_map(inv.klj_map(inv.pi_map(s)))
+            expected = inv.bracket_expected(pt.M, pt.N, pt.Z, pt.S, pt.K, pt.integrals.l)
+            worst = max(worst, float(np.max(np.abs(inv.bracket_computed(s) - expected))))
         assert worst < 1e-10
 
     def test_k_n_bracket_value(self):
@@ -210,14 +214,14 @@ class TestReducedHamiltonian:
 class TestReducedFlow:
     def test_beta_sq_4_freezes_K(self):
         iv = IntegralValues(n=1.0, xi=0.3, l=0.1)
-        pt0 = inv.reduced_point_on_surface(0.05, iv, beta=2.0, angle=0.8)
+        pt0 = inv.reduced_point_on_surface(0.05, iv, angle=0.8)
         traj = inv.reduced_flow(pt0, beta=2.0, t_end=30.0, tol=1e-12, n_out=64)
         assert np.max(np.abs(traj.K - traj.K[0])) < 1e-10
 
     def test_equilibrium_stays_fixed(self):
         # S = 0 and dS/dt = 0: the circular point K = 0 for xi = l = 0
         iv = IntegralValues(n=1.0, xi=1e-14, l=1e-14)
-        pt0 = inv.reduced_point_on_surface(0.0, iv, beta=1.3, angle=math.pi)
+        pt0 = inv.reduced_point_on_surface(0.0, iv, angle=math.pi)
         assert abs(pt0.S) < 1e-12 and pt0.N < 0
         d = inv.reduced_rhs(pt0.K, pt0.N, pt0.S, iv, 1.3)
         assert max(abs(v) for v in d) < 1e-12
@@ -228,8 +232,7 @@ class TestReducedFlow:
     def test_conservation(self):
         iv = IntegralValues(n=1.0, xi=0.3, l=0.1)
         lo, hi = inv.feasible_interval(iv)
-        pt0 = inv.reduced_point_on_surface(0.5 * (lo + hi) + 0.1 * (hi - lo), iv,
-                                           beta=1.0, angle=0.7)
+        pt0 = inv.reduced_point_on_surface(0.5 * (lo + hi) + 0.1 * (hi - lo), iv, angle=0.7)
         traj = inv.reduced_flow(pt0, beta=1.0, t_end=1000.0, tol=1e-12)
         assert traj.casimir_drift < 1e-8
         assert traj.h3_drift < 1e-8
@@ -239,7 +242,7 @@ class TestReducedFlow:
         # retraces the trajectory back to the reflected start
         iv = IntegralValues(n=1.0, xi=0.2, l=0.1)
         lo, hi = inv.feasible_interval(iv)
-        pt0 = inv.reduced_point_on_surface(0.5 * (lo + hi), iv, beta=1.2, angle=0.5)
+        pt0 = inv.reduced_point_on_surface(0.5 * (lo + hi), iv, angle=0.5)
         fwd = inv.reduced_flow(pt0, beta=1.2, t_end=5.0, tol=1e-12, n_out=11)
         end = inv.ThriceReducedPoint(
             M=0.5 * (iv.n ** 2 + iv.xi ** 2 - fwd.K[-1] ** 2 - iv.l ** 2),
@@ -253,7 +256,7 @@ class TestReducedFlow:
     def test_monitors_equal_per_sample_values(self):
         iv = IntegralValues(n=2.0, xi=0.5, l=0.4)
         lo, hi = inv.feasible_interval(iv)
-        pt0 = inv.reduced_point_on_surface(0.5 * (lo + hi), iv, beta=0.7, angle=0.4)
+        pt0 = inv.reduced_point_on_surface(0.5 * (lo + hi), iv, angle=0.4)
         traj = inv.reduced_flow(pt0, beta=0.7, t_end=20.0, tol=1e-12, n_out=400)
         n, xi, l = iv.n, iv.xi, iv.l
         for k, n_, s_, h3, cas in zip(traj.K.tolist(), traj.N.tolist(), traj.S.tolist(),

@@ -34,7 +34,7 @@ class TestPerturbation:
             dp = random_delaunay(rng)
             val = nf.perturbation_delaunay(dp, p)
             s = charts.delaunay_to_cartesian(dp, p.gamma)
-            assert val * 4.0 * s.rho == pytest.approx(model.h_sextic(s, p.beta),
+            assert val * 4.0 * sum(v * v for v in s.q) == pytest.approx(model.h_sextic(s, p.beta),
                                                       rel=1e-12, abs=1e-12)
 
     def test_central_case_closed_form(self, rng):
@@ -44,7 +44,7 @@ class TestPerturbation:
             dp = random_delaunay(rng)
             s = charts.delaunay_to_cartesian(dp, p.gamma)
             assert nf.perturbation_delaunay(dp, p) == pytest.approx(
-                s.rho ** 2 / 4.0, rel=1e-12)
+                sum(v * v for v in s.q) ** 2 / 4.0, rel=1e-12)
 
     def test_requires_unit_frequency(self):
         dp = DelaunayPoint(ell=0.1, g=0.2, u1=0.0, u3=0.0, L=1.0, G=0.8, U1=0.1, U3=0.0)
@@ -61,7 +61,7 @@ class TestPerturbation:
         dp = random_delaunay(rng)._replace(ell=ell if isinstance(ell, float) else np.array(ell))
         p = params(beta=beta, gamma=float(rng.uniform(0.5, 1.5)))
         state = charts.delaunay_to_cartesian(dp, p.gamma)
-        want = model.h_sextic(state, p.beta) / (4.0 * state.rho)
+        want = model.h_sextic(state, p.beta) / (4.0 * sum(v * v for v in state.q))
         got = nf.perturbation_delaunay(dp, p)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

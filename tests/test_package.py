@@ -1,0 +1,39 @@
+import ast
+import contextlib
+import importlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+import resonance_lab
+
+PACKAGE_DIR = Path(resonance_lab.__file__).parent
+README = PACKAGE_DIR.parents[1] / "README.md"
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(f"resonance_lab.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"resonance_lab.{node.module}")
+        assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
+
+
+def test_readme_quick_start_runs():
+    text = README.read_text()
+    section = text[text.index("## Library quick start"):].split("\n## ")[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().count("\n") == 4   # one line per 3-torus record at w = 0.2, z = 0.1
