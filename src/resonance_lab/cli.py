@@ -10,14 +10,13 @@ digits so reruns diff byte-identically, and uses exit codes
        cell of a sweep failed,
     2  configuration or domain error.
 
-This module is the only one that writes output files: numeric tables go
-through ``_write_csv``, JSON payloads through ``_write_json``.
+This module is the only one that writes output files: tables go through
+``_write_csv``, JSON payloads through ``_write_json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -39,16 +38,24 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """Numeric table: the header line, then one line per row of format_float cells.
+def _quote(text: str) -> str:
+    """A text cell as csv.writer's default (QUOTE_MINIMAL) dialect writes it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    Cells are joined with bare commas and never quoted, so every table
-    parses back to ``float(cell)`` exactly.
+
+def _write_csv(path, header: str, rows) -> None:
+    """Table: the header line, then one line per row of comma-joined cells.
+
+    A ``str`` cell is written as is, quoted only where it holds a comma, a
+    quote or a line break; every other cell goes through format_float and
+    is never quoted, so a numeric cell parses back to ``float(cell)`` exactly.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+            fh.write(",".join(_quote(v) if type(v) is str else format_float(v) for v in row) + "\n")
 
 
 def _write_json(path, payload) -> None:
@@ -372,19 +379,10 @@ def cmd_equilibria(args) -> int:
     path = _out_path(out, cfg, "out", "equilibria_sweep.csv")
     jpath = _out_path(out, cfg, "json_out", "") if cfg.get("json_out") else None
     rows = equilibria.sweep(alphas, ws, zs, workers=args.workers)
-    # the flags cell is free text that may hold commas, so csv.writer quotes it
-    with open(path, "w", newline="") as fh:
-        table = csv.writer(fh, lineterminator="\n")
-        table.writerow(["alpha", "w", "z", "kind", "eta", "g", "residual", "flags"])
-        for row in rows:
-            table.writerow([
-                format_float(row["alpha"]), format_float(row["w"]),
-                format_float(row["z"]), row["kind"],
-                format_float(row["eta"]) if row["eta"] is not None else "",
-                format_float(row["g"]) if row["g"] is not None else "",
-                format_float(row["residual"]) if row["residual"] is not None else "",
-                ";".join(row["flags"]),
-            ])
+    _write_csv(path, "alpha,w,z,kind,eta,g,residual,flags",
+               ([row["alpha"], row["w"], row["z"], row["kind"],
+                 *("" if row[k] is None else row[k] for k in ("eta", "g", "residual")),
+                 ";".join(row["flags"])] for row in rows))
     wrote = [path]
     if jpath is not None:
         _write_json(jpath, rows)

@@ -386,8 +386,8 @@ class Tori3Result:
     continuum: bool
 
 
-def _polish_branch(eta0: float, w: float, z: float, alpha: float, cosg: float,
-                   fscale: float) -> tuple[float, float] | None:
+def _polish_branch(eta0: float, w: float, z: float, alpha: float,
+                   cosg: float) -> tuple[float, float] | None:
     """Newton-polish a branch equation from eta0; None if it does not converge."""
     lo = max(abs(w), abs(z)) + 1e-12
     eta = min(max(eta0, lo + 1e-9), 1.0 - 1e-12)
@@ -397,7 +397,7 @@ def _polish_branch(eta0: float, w: float, z: float, alpha: float, cosg: float,
             f = branch_equation(eta, w, z, alpha, cosg)
         except ValueError:
             return None
-        if abs(f) < 1e-12 * fscale:
+        if abs(f) < 1e-12:
             break
         fp = (branch_equation(min(eta + h, 1.0 - 1e-13), w, z, alpha, cosg)
               - branch_equation(max(eta - h, lo + 1e-13), w, z, alpha, cosg)) / (2 * h)
@@ -416,7 +416,7 @@ def _polish_branch(eta0: float, w: float, z: float, alpha: float, cosg: float,
         eta = eta_new
     else:
         f = branch_equation(eta, w, z, alpha, cosg)
-    if abs(f) < 1e-9 * fscale and abs(eta - eta0) < 0.05:
+    if abs(f) < 1e-9 and abs(eta - eta0) < 0.05:
         return eta, abs(f)
     return None
 
@@ -450,7 +450,6 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
 
     records: list[EquilibriumRecord] = []
     spurious: list[dict] = []
-    fscale = 1.0
 
     # 1. circular point: equilibrium of the (e cos g, e sin g) flow iff the
     #    cos g forcing C11 ~ w z vanishes; the perigee angle is undefined.
@@ -469,7 +468,7 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
         eta0 = math.sqrt(t)
         hit = False
         for cosg, gval in ((1.0, 0.0), (-1.0, math.pi)):
-            out = _polish_branch(eta0, w, z, alpha, cosg, fscale)
+            out = _polish_branch(eta0, w, z, alpha, cosg)
             if out is None:
                 continue
             eta_star, resid = out
@@ -489,7 +488,7 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
             hit = True
         if not hit:
             rq_p_val, rq_m_val = _rq_values(eta0, w, z, alpha)
-            spurious.append({"eta": eta0, "reason": "branch-product root, no branch satisfied",
+            spurious.append({"eta": eta0, "reason": "branch-product root; no branch satisfied",
                              "rq_plus": rq_p_val, "rq_minus": rq_m_val})
 
     # 3. classify every root of the published polynomial on (0, 1]
@@ -507,7 +506,7 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
             elif not any(abs(rec.eta - r) < 1e-6 for rec in records):
                 rq_p_val, rq_m_val = _rq_values(r, w, z, alpha)
                 spurious.append({"eta": r,
-                                 "reason": "published-polynomial root, no branch satisfied",
+                                 "reason": "published-polynomial root; no branch satisfied",
                                  "rq_plus": rq_p_val, "rq_minus": rq_m_val})
     return Tori3Result(records=tuple(records), spurious=tuple(spurious), continuum=False)
 
@@ -676,7 +675,7 @@ def _sweep_cell(args) -> list[dict]:
                      "residual": rec.residual, "flags": rec.flags, "reduced_rhs_max": rhs})
     for sp in res.spurious:
         rows.append({**base, "kind": "spurious", "eta": sp["eta"], "g": None,
-                     "residual": None, "flags": (sp["reason"].replace(",", ";"),)})
+                     "residual": None, "flags": (sp["reason"],)})
     if not res.records and not res.spurious:
         rows.append({**base, "kind": "none", "eta": None, "g": None,
                      "residual": None, "flags": ()})

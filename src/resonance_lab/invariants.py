@@ -186,7 +186,11 @@ def _mnzs(kv: KLJVector) -> tuple:
 
 def thrice_map(kv: KLJVector) -> ThriceReducedPoint:
     """Invariants of the L1 action on the second reduced space."""
-    return ThriceReducedPoint(*_mnzs(kv), kv.k1, IntegralValues(kv.h2, kv.xi, kv.l1))
+    # |xi|, |l1| <= h2 hold exactly, but rounding can leave them an ulp above h2
+    h2, xi, l1 = kv.h2, kv.xi, kv.l1
+    xi = xi if -h2 <= xi <= h2 else min(max(xi, -h2), h2)
+    l1 = l1 if -h2 <= l1 <= h2 else min(max(l1, -h2), h2)
+    return ThriceReducedPoint(*_mnzs(kv), kv.k1, IntegralValues(h2, xi, l1))
 
 
 def eo3_residuals(pt: ThriceReducedPoint) -> tuple[float, float, float]:

@@ -49,6 +49,7 @@ __all__ = [
     "first_integrals",
     "integrate",
     "canonical_bracket",
+    "numerical_jacobian",
 ]
 
 
@@ -316,6 +317,26 @@ def integrate(
     return Trajectory(t=sol.t, states=sol.y.T, energy=hamiltonian(rows, p), xi=xi, l1=l1)
 
 
+def numerical_jacobian(fn, x, h: float = 1e-6, order: int = 2) -> np.ndarray:
+    """Central-difference Jacobian of fn at x (the gradient if fn is scalar).
+
+    The one finite-difference routine of the oracles.  ``order=4`` applies
+    one Richardson step (five-point stencil), which keeps the truncation
+    error negligible even near chart-domain edges where third derivatives grow.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def central(i, step):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        return (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * step)
+
+    return np.stack([(4.0 * central(i, h) - central(i, 2.0 * h)) / 3.0 if order == 4
+                     else central(i, h) for i in range(len(x))], axis=-1)
+
+
 def canonical_bracket(f, g, state: CartesianState, step: float = 1e-5) -> float:
     """Numerical canonical bracket {f, g} = df/dq . dg/dQ - df/dQ . dg/dq.
 
@@ -323,20 +344,8 @@ def canonical_bracket(f, g, state: CartesianState, step: float = 1e-5) -> float:
     observables of degree <= 2 the differencing is exact up to roundoff, so a
     relatively large step minimizes cancellation error.
     """
-    x = state.as_array()
-
-    def grad(fn):
-        out = np.empty(8)
-        for i in range(8):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += step
-            xm[i] -= step
-            out[i] = (fn(CartesianState.from_array(xp)) - fn(CartesianState.from_array(xm))) / (2.0 * step)
-        return out
-
-    gf = grad(f)
-    gg = grad(g)
+    gf, gg = (numerical_jacobian(lambda x: fn(CartesianState.from_array(x)), state.as_array(), step)
+              for fn in (f, g))
     return float(gf[:4] @ gg[4:] - gf[4:] @ gg[:4])
 
 

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import charts
-from .model import ModelParams, _complex_step_jacobian, _v6
+from .model import ModelParams, _complex_step_jacobian, _v6, numerical_jacobian
 from .charts import DelaunayPoint, _value, kepler_solve
 
 __all__ = [
@@ -321,11 +321,8 @@ def homological_residual(dp: DelaunayPoint, p: ModelParams) -> float:
     central differences; vanishes identically for the correct W1.
     """
     gamma = _require_chart_params(p)
-    dpp = DelaunayPoint(ell=dp.ell + _HOMOLOGICAL_STEP, g=dp.g, u1=dp.u1, u3=dp.u3,
-                        L=dp.L, G=dp.G, U1=dp.U1, U3=dp.U3)
-    dpm = DelaunayPoint(ell=dp.ell - _HOMOLOGICAL_STEP, g=dp.g, u1=dp.u1, u3=dp.u3,
-                        L=dp.L, G=dp.G, U1=dp.U1, U3=dp.U3)
-    dw = (w1(dpp, p) - w1(dpm, p)) / (2.0 * _HOMOLOGICAL_STEP)
+    (dw,) = numerical_jacobian(lambda x: w1(dp._replace(ell=float(x[0])), p), [dp.ell],
+                               _HOMOLOGICAL_STEP)
     k1 = kernel(dp.g, dp.L, dp.G, dp.U1, dp.U3, p.beta, gamma, order=1)
     return dw * gamma ** 2 / dp.L ** 3 - (perturbation_delaunay(dp, p) - k1)
 
@@ -345,17 +342,17 @@ def _bracket_ell_g(dp_builder, w_fn, h_fn, ell, g: float, step: float):
     """Canonical bracket {h, w} over the (ell, L) and (g, G) pairs by central FD.
 
     ``dp_builder(ell, g, dL, dG)`` builds the point with L and G shifted by
-    dL and dG.  ``ell`` may be an array of nodes; the bracket is then an
-    array too.
+    dL and dG; the differences are taken in offsets from (ell, g, 0, 0).
+    ``ell`` may be an array of nodes; the bracket is then an array too.
     """
-    def fd(fn, k):
-        # central difference in argument k of dp_builder
-        up = [x + step if i == k else x for i, x in enumerate((ell, g, 0.0, 0.0))]
-        dn = [x - step if i == k else x for i, x in enumerate((ell, g, 0.0, 0.0))]
-        return (fn(dp_builder(*up)) - fn(dp_builder(*dn))) / (2 * step)
+    def partials(fn):
+        def at(d):
+            dl, dg, dL, dG = d.tolist()
+            return fn(dp_builder(ell + dl, g + dg, dL, dG))
+        return numerical_jacobian(at, np.zeros(4), step).T
 
-    h_ell, h_g, h_L, h_G = (fd(h_fn, k) for k in range(4))
-    w_ell, w_g, w_L, w_G = (fd(w_fn, k) for k in range(4))
+    h_ell, h_g, h_L, h_G = partials(h_fn)
+    w_ell, w_g, w_L, w_G = partials(w_fn)
     return (h_ell * w_L - h_L * w_ell) + (h_g * w_G - h_G * w_g)
 
 

@@ -1,10 +1,12 @@
 """Property suites: every structural claim of the library, run as one battery.
 
-Each suite draws its own deterministic random stream from the master seed,
-returns a ``SuiteResult`` with the worst observed residuals, and never raises
-on a mere failure (the CLI turns failures into exit codes).  ``fault`` names
-an intentional defect to inject, used to prove the harness actually detects
-failures ("bracket_table_sign" flips one tabulated bracket entry).
+Each suite fixes its sample sizes, draws its own deterministic random stream
+from the master seed, returns a ``SuiteResult`` with the worst observed
+residuals, and never raises on a mere failure (the CLI turns failures into
+exit codes).  ``run_suites`` serves the CLI and the tier-1 criteria alike.
+``fault`` names an intentional defect to inject, used to prove the harness
+actually detects failures ("bracket_table_sign" flips one tabulated bracket
+entry).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import charts, equilibria, invariants, model, normalform
 
-__all__ = ["SuiteResult", "run_suites", "SUITES", "FAULTS", "numerical_jacobian", "OMEGA_MATRIX"]
+__all__ = ["SuiteResult", "run_suites", "SUITES", "FAULTS", "OMEGA_MATRIX"]
 
 OMEGA_MATRIX = np.block([
     [np.zeros((4, 4)), np.eye(4)],
@@ -42,38 +44,14 @@ class SuiteResult:
             "passed": bool(self.passed),
             "max_residual": float(self.max_residual),
             "tolerance": float(self.tolerance),
-            "details": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                        for k, v in self.details.items()},
+            "details": {k: v if isinstance(v, bool) else float(v) for k, v in self.details.items()},
         }
 
 
-def numerical_jacobian(fn, x: np.ndarray, h: float = 1e-6, order: int = 2) -> np.ndarray:
-    """Central-difference Jacobian of a vector map.
-
-    ``order=4`` applies one Richardson step (five-point stencil), which keeps
-    the truncation error negligible even near chart-domain edges where third
-    derivatives grow.
-    """
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fn(x))
-    out = np.zeros((len(f0), len(x)))
-
-    def central(step, i):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        return (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * step)
-
-    for i in range(len(x)):
-        if order == 4:
-            out[:, i] = (4.0 * central(h, i) - central(2.0 * h, i)) / 3.0
-        else:
-            out[:, i] = central(h, i)
-    return out
-
-
 # -- samplers -------------------------------------------------------------------
+
+_PAD = 0.05   # sampled chart angles keep this distance from 0 and 2 pi
+
 
 def _random_state(rng, scale: float = 1.0) -> model.CartesianState:
     return model.CartesianState.from_array(scale * rng.normal(size=8))
@@ -92,14 +70,14 @@ def random_euler(rng) -> charts.EulerPoint:
     )
 
 
-def random_andoyer(rng, pad: float = 0.05) -> charts.AndoyerPoint:
+def random_andoyer(rng) -> charts.AndoyerPoint:
     while True:
         U2 = float(rng.uniform(0.5, 2.0))
         ap = charts.AndoyerPoint(
             rho=float(rng.uniform(0.5, 3.0)),
-            u1=float(rng.uniform(pad, 2 * math.pi - pad)),
-            u2=float(rng.uniform(pad, 2 * math.pi - pad)),
-            u3=float(rng.uniform(pad, 2 * math.pi - pad)),
+            u1=float(rng.uniform(_PAD, 2 * math.pi - _PAD)),
+            u2=float(rng.uniform(_PAD, 2 * math.pi - _PAD)),
+            u3=float(rng.uniform(_PAD, 2 * math.pi - _PAD)),
             P=float(rng.normal(0, 0.4)),
             U1=float(rng.uniform(-0.8, 0.8)) * U2,
             U2=U2,
@@ -120,15 +98,15 @@ def random_andoyer(rng, pad: float = 0.05) -> charts.AndoyerPoint:
         return ap
 
 
-def random_delaunay(rng, pad: float = 0.05) -> charts.DelaunayPoint:
+def random_delaunay(rng) -> charts.DelaunayPoint:
     L = float(rng.uniform(0.6, 2.0))
     eta = float(rng.uniform(0.35, 0.95))
     G = eta * L
     return charts.DelaunayPoint(
-        ell=float(rng.uniform(pad, 2 * math.pi - pad)),
-        g=float(rng.uniform(pad, 2 * math.pi - pad)),
-        u1=float(rng.uniform(pad, 2 * math.pi - pad)),
-        u3=float(rng.uniform(pad, 2 * math.pi - pad)),
+        ell=float(rng.uniform(_PAD, 2 * math.pi - _PAD)),
+        g=float(rng.uniform(_PAD, 2 * math.pi - _PAD)),
+        u1=float(rng.uniform(_PAD, 2 * math.pi - _PAD)),
+        u3=float(rng.uniform(_PAD, 2 * math.pi - _PAD)),
         L=L,
         G=G,
         U1=float(rng.uniform(-0.75, 0.75)) * G,
@@ -145,8 +123,9 @@ def random_momenta(rng) -> tuple[float, float, float, float]:
 
 # -- suites ---------------------------------------------------------------------
 
-def suite_bracket_table(rng, fault: str | None = None, n: int = 1000) -> SuiteResult:
+def suite_bracket_table(rng, fault: str | None = None) -> SuiteResult:
     """Canonical brackets of (M, N, Z, S, K, L1) against the tabulated form."""
+    n = 1000
     worst = 0.0
     for _ in range(n):
         s = _random_state(rng)
@@ -161,8 +140,9 @@ def suite_bracket_table(rng, fault: str | None = None, n: int = 1000) -> SuiteRe
     return SuiteResult("bracket_table", worst < 1e-10, worst, 1e-10, {"states": n})
 
 
-def suite_reduced_relations(rng, n: int = 1000) -> SuiteResult:
+def suite_reduced_relations(rng) -> SuiteResult:
     """Both second-space relations and the three final-space relations."""
+    n = 1000
     worst = 0.0
     for _ in range(n):
         s = _random_state(rng, scale=0.6)
@@ -174,44 +154,36 @@ def suite_reduced_relations(rng, n: int = 1000) -> SuiteResult:
     return SuiteResult("reduced_relations", worst < 1e-12, worst, 1e-12, {"states": n})
 
 
-def suite_chart_roundtrips(rng, n: int = 1000) -> SuiteResult:
+def _gap(a, b, angles) -> float:
+    """Largest |a_i - b_i| of two chart points, the ``angles`` components modulo 2 pi."""
+    d = np.abs(np.array(a) - np.array(b))
+    d[angles] = np.minimum(d[angles], 2 * math.pi - d[angles])
+    return float(np.max(d))
+
+
+def suite_chart_roundtrips(rng) -> SuiteResult:
     """Roundtrip closure of the three chart pairs away from guard bands."""
+    n = 1000
     worst = 0.0
     for _ in range(n):
         ep = random_euler(rng)
-        s = charts.euler_to_cartesian(ep)
-        ep2 = charts.cartesian_to_euler(s)
-        v1 = np.array(ep)
-        v2 = np.array(ep2)
-        d = np.abs(v1 - v2)
-        d[1] = min(d[1], 2 * math.pi - d[1])
-        worst = max(worst, float(np.max(d)))
+        ep2 = charts.cartesian_to_euler(charts.euler_to_cartesian(ep))
+        worst = max(worst, _gap(ep, ep2, [1]))
 
         ap = random_andoyer(rng)
-        ep3 = charts.andoyer_to_euler(ap)
-        ap2 = charts.euler_to_andoyer(ep3)
-        v1 = np.array(ap)
-        v2 = np.array(ap2)
-        d = np.abs(v1 - v2)
-        for i in (1, 2, 3):
-            d[i] = min(d[i], 2 * math.pi - d[i])
-        worst = max(worst, float(np.max(d)))
+        ap2 = charts.euler_to_andoyer(charts.andoyer_to_euler(ap))
+        worst = max(worst, _gap(ap, ap2, [1, 2, 3]))
 
         dp = random_delaunay(rng)
         gamma = float(rng.uniform(0.5, 1.5))
-        ap3 = charts.delaunay_to_andoyer(dp, gamma)
-        dp2 = charts.andoyer_to_delaunay(ap3, gamma)
-        v1 = np.array(dp)
-        v2 = np.array(dp2)
-        d = np.abs(v1 - v2)
-        for i in (0, 1, 2, 3):
-            d[i] = min(d[i], 2 * math.pi - d[i])
-        worst = max(worst, float(np.max(d)))
+        dp2 = charts.andoyer_to_delaunay(charts.delaunay_to_andoyer(dp, gamma), gamma)
+        worst = max(worst, _gap(dp, dp2, [0, 1, 2, 3]))
     return SuiteResult("chart_roundtrips", worst < 1e-9, worst, 1e-9, {"points": n})
 
 
-def suite_chart_symplectic(rng, n: int = 100) -> SuiteResult:
+def suite_chart_symplectic(rng) -> SuiteResult:
     """J^T Omega J = Omega for the three forward maps, by central differences."""
+    n = 100
 
     def euler_fn(x):
         ep = charts.EulerPoint(*x)
@@ -234,13 +206,13 @@ def suite_chart_symplectic(rng, n: int = 100) -> SuiteResult:
     while count < n:
         ep = random_euler(rng)
         x = np.array(ep)
-        J = numerical_jacobian(euler_fn, x, h=3e-6, order=4)
+        J = model.numerical_jacobian(euler_fn, x, h=3e-6, order=4)
         worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
 
         ap = random_andoyer(rng)
         x = np.array(ap)
         try:
-            J = numerical_jacobian(andoyer_fn, x, h=3e-6, order=4)
+            J = model.numerical_jacobian(andoyer_fn, x, h=3e-6, order=4)
         except charts.ChartDomainError:
             continue
         worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
@@ -249,7 +221,7 @@ def suite_chart_symplectic(rng, n: int = 100) -> SuiteResult:
         gamma = float(rng.uniform(0.5, 1.5))
         x = np.array(dp)
         try:
-            J = numerical_jacobian(delaunay_fn(gamma), x, h=3e-6, order=4)
+            J = model.numerical_jacobian(delaunay_fn(gamma), x, h=3e-6, order=4)
         except charts.ChartDomainError:
             continue
         worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
@@ -257,8 +229,9 @@ def suite_chart_symplectic(rng, n: int = 100) -> SuiteResult:
     return SuiteResult("chart_symplectic", worst < 1e-8, worst, 1e-8, {"points": n})
 
 
-def suite_composed_h0(rng, n: int = 100) -> SuiteResult:
+def suite_composed_h0(rng) -> SuiteResult:
     """Chart-chain energy equals -gamma^2/(2 L^2), independent of all angles."""
+    n = 100
     worst = 0.0
     for _ in range(n):
         dp = random_delaunay(rng)
@@ -281,13 +254,13 @@ def suite_composed_h0(rng, n: int = 100) -> SuiteResult:
                        {"points": n, "angle_spread": spread})
 
 
-def suite_averaging_oracle(rng, points_per_beta: int = 100, n_ell: int = 512) -> SuiteResult:
-    """Closed-form first-order coefficients against the quadrature average."""
+def suite_averaging_oracle(rng) -> SuiteResult:
+    """Closed-form first-order coefficients against the 512-node quadrature average."""
     worst = 0.0
     exact_zero_ok = True
     for beta_sq in (0.0, 0.25, 1.0, 2.0, 4.0):
         beta = math.sqrt(beta_sq)
-        for _ in range(points_per_beta):
+        for _ in range(100):
             L, G, U1, U3 = random_momenta(rng)
             gamma = float(rng.uniform(0.5, 1.5))
             p = model.ModelParams(omega=1.0, epsilon=0.0, beta=beta, gamma=gamma)
@@ -302,7 +275,7 @@ def suite_averaging_oracle(rng, points_per_beta: int = 100, n_ell: int = 512) ->
                 avgs[i] = normalform.average_over_ell(
                     lambda ell: normalform.perturbation_delaunay(
                         charts.DelaunayPoint(ell=ell, **dp_args), p),
-                    n_ell)
+                    512)
             spec = np.fft.rfft(avgs) / n_g
             worst = max(worst,
                         abs(float(spec[0].real) - c.C01),
@@ -315,10 +288,10 @@ def suite_averaging_oracle(rng, points_per_beta: int = 100, n_ell: int = 512) ->
                        {"central_case_exact": exact_zero_ok})
 
 
-def suite_homological(rng, n: int = 100) -> SuiteResult:
+def suite_homological(rng) -> SuiteResult:
     """W1 solves the first-order averaging identity and has zero mean."""
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         L, G, U1, U3 = random_momenta(rng)
         beta = math.sqrt(float(rng.uniform(0.0, 4.0)))
         gamma = float(rng.uniform(0.5, 1.5))
@@ -336,8 +309,9 @@ def suite_homological(rng, n: int = 100) -> SuiteResult:
     return SuiteResult("homological", passed, worst, 1e-6, {"w1_mean": abs(mean)})
 
 
-def suite_order2_audit(rng, n: int = 3) -> SuiteResult:
+def suite_order2_audit(rng) -> SuiteResult:
     """Closed-form second-order coefficients against the bracket oracle."""
+    n = 3
     worst = 0.0
     for k in range(n):
         L, G, U1, U3 = random_momenta(rng)
@@ -352,12 +326,12 @@ def suite_order2_audit(rng, n: int = 3) -> SuiteResult:
     return SuiteResult("order2_audit", worst < 1e-4, worst, 1e-4, {"points": n})
 
 
-def suite_equilibria(rng, n_cells: int = 12) -> SuiteResult:
+def suite_equilibria(rng) -> SuiteResult:
     """Soundness of the torus search and the periodic branch formulas."""
     worst = 0.0
     details: dict = {}
     # residuals of accepted records at random cells
-    for _ in range(n_cells):
+    for _ in range(12):
         w = float(rng.uniform(-0.4, 0.4))
         z = float(rng.uniform(-0.4, 0.4))
         alpha = float(rng.uniform(-0.9, 3.0))
@@ -380,8 +354,9 @@ def suite_equilibria(rng, n_cells: int = 12) -> SuiteResult:
     return SuiteResult("equilibria_soundness", passed, worst, 1e-8, details)
 
 
-def suite_cross_formalism(rng, n_cells: int = 20) -> SuiteResult:
+def suite_cross_formalism(rng) -> SuiteResult:
     """Mapped symplectic equilibria annihilate the reduced Lie-Poisson field."""
+    n_cells = 20
     worst = 0.0
     worst_s = 0.0
     n_records = 0

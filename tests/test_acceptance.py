@@ -1,99 +1,61 @@
 """Acceptance battery: one test per criterion, each at its stated tolerance.
 
 Every test prints a single [PASS]/[FAIL] line (run with ``pytest -s`` to see
-them on success).  The heavy numeric work lives in ``resonance_lab.verify``,
-which is the same battery the ``resonance-lab verify`` command runs.
+them on success).  Each criterion runs its suites through
+``verify.run_suites`` at seed 0, so tier-1 checks exactly the streams, sizes
+and tolerances that ``resonance-lab verify --seed 0`` reports.
 """
-
-import numpy as np
 
 from resonance_lab import verify
 
 SEED = 0
 
-
-def report(number, label, passed, detail):
-    line = f"[{'PASS' if passed else 'FAIL'}] criterion {number}: {label} ({detail})"
-    print(line)
-    assert passed, line
-
-
-def _run(name, **kwargs):
-    rng = np.random.default_rng([SEED, 1])
-    fn = verify.SUITES[name]
-    return fn(rng, **kwargs)
-
-
-def test_c01_bracket_table():
-    res = _run("bracket_table", n=1000)
-    report(1, "bracket table reproduced at 1000 states, tol 1e-10",
-           res.passed, f"max residual {res.max_residual:.3e}")
-
-
-def test_c02_reduced_space_relations():
-    res = _run("reduced_relations", n=1000)
-    report(2, "second-space and final-space relations vanish, tol 1e-12",
-           res.passed, f"max residual {res.max_residual:.3e}")
-
-
-def test_c03_chart_validity():
-    rt = _run("chart_roundtrips", n=1000)
-    sp = _run("chart_symplectic", n=100)
-    h0 = _run("composed_h0", n=100)
-    ok = rt.passed and sp.passed and h0.passed
-    report(3, "chart roundtrips 1e-9, symplecticity 1e-8, composed energy 1e-10",
-           ok, f"roundtrip {rt.max_residual:.2e}, symplectic {sp.max_residual:.2e}, "
-               f"H0 {h0.max_residual:.2e}")
+# test name, the verify suites it runs, what it checks
+CRITERIA = [
+    ("test_c01_bracket_table", ["bracket_table"],
+     "bracket table reproduced at 1000 states, tol 1e-10"),
+    ("test_c02_reduced_space_relations", ["reduced_relations"],
+     "second-space and final-space relations vanish, tol 1e-12"),
+    ("test_c03_chart_validity", ["chart_roundtrips", "chart_symplectic", "composed_h0"],
+     "chart roundtrips 1e-9, symplecticity 1e-8, composed energy 1e-10"),
+    ("test_c04_averaging_oracle", ["averaging_oracle"],
+     "closed-form first-order coefficients vs 512-node quadrature, tol 1e-8"),
+    ("test_c05_homological_residual", ["homological"],
+     "generating function solves the averaging identity, tol 1e-6"),
+    ("test_c06_second_order_audit", ["order2_audit"],
+     "second-order tables vs bracket oracle, rel tol 1e-4"),
+    ("test_c07_equilibria_soundness", ["equilibria_soundness"],
+     "equilibria soundness: residuals 1e-8, circular family, continuum, small-coupling limit"),
+    ("test_c08_cross_formalism", ["cross_formalism"],
+     "mapped equilibria annihilate the reduced field, tol 1e-6"),
+    ("test_c09_dynamics_consistency", ["dynamics_conservation"],
+     "t = 1e3 conservation at tol 1e-12 (rel drift 1e-8); reduced "
+     "Casimir/energy 1e-8; frozen-K case 1e-10"),
+    ("test_c10_normal_form_predictivity", ["nf_predictivity"],
+     "averaged-flow error halves with epsilon (ratio 2.0 +- 0.3)"),
+]
 
 
-def test_c04_averaging_oracle():
-    res = _run("averaging_oracle", points_per_beta=100, n_ell=512)
-    report(4, "closed-form first-order coefficients vs 512-node quadrature, tol 1e-8",
-           res.passed,
-           f"max abs deviation {res.max_residual:.3e}, "
-           f"central-case exact zeros: {res.details['central_case_exact']}")
+def _criterion(name, number, names, label):
+    def test():
+        report = verify.run_suites(seed=SEED, names=names)
+        detail = "; ".join(
+            f"{s['name']} max residual {s['max_residual']:.3e} (tol {s['tolerance']:.0e})"
+            + "".join(f", {k} {v if isinstance(v, bool) else format(v, '.4g')}"
+                      for k, v in s["details"].items())
+            for s in report["suites"])
+        line = f"[{'PASS' if report['passed'] else 'FAIL'}] criterion {number}: {label} ({detail})"
+        print(line)
+        assert [s["name"] for s in report["suites"]] == names
+        assert report["passed"], line
+    test.__name__ = name
+    return test
 
 
-def test_c05_homological_residual():
-    res = _run("homological", n=100)
-    report(5, "generating function solves the averaging identity, tol 1e-6",
-           res.passed, f"max residual {res.max_residual:.3e}, "
-                       f"|<W1>| = {res.details['w1_mean']:.2e}")
+for _number, (_name, _names, _label) in enumerate(CRITERIA, 1):
+    globals()[_name] = _criterion(_name, _number, _names, _label)
 
 
-def test_c06_second_order_audit():
-    res = _run("order2_audit", n=3)
-    report(6, "second-order tables vs bracket oracle, rel tol 1e-4",
-           res.passed, f"max rel deviation {res.max_residual:.3e}")
-
-
-def test_c07_equilibria_soundness():
-    res = _run("equilibria_soundness")
-    d = res.details
-    report(7, "equilibria soundness: residuals 1e-8, circular family, continuum, "
-              "small-coupling limit", res.passed,
-           f"worst residual {res.max_residual:.2e}, circular {d['circular_family']}, "
-           f"continuum {d['continuum_flag']}, case-i limit {d['case_i_limit']}")
-
-
-def test_c08_cross_formalism():
-    res = _run("cross_formalism", n_cells=20)
-    report(8, "mapped equilibria annihilate the reduced field, tol 1e-6",
-           res.passed, f"{res.details['records']} records, "
-                       f"worst rhs {res.max_residual:.3e}, "
-                       f"worst |S| {res.details['worst_S']:.3e}")
-
-
-def test_c09_dynamics_consistency():
-    res = _run("dynamics_conservation")
-    report(9, "t = 1e3 conservation at tol 1e-12 (rel drift 1e-8); reduced "
-              "Casimir/energy 1e-8; frozen-K case 1e-10", res.passed,
-           f"worst drift {res.max_residual:.3e}, "
-           f"K drift {res.details['K_drift_beta2_4']:.2e}")
-
-
-def test_c10_normal_form_predictivity():
-    res = _run("nf_predictivity")
-    report(10, "averaged-flow error halves with epsilon (ratio 2.0 +- 0.3)",
-           res.passed, f"ratio_g {res.details['ratio_g']:.3f}, "
-                       f"ratio_G {res.details['ratio_G']:.3f}")
+def test_criteria_run_every_suite_once():
+    names = [n for _, suites, _ in CRITERIA for n in suites]
+    assert sorted(names) == sorted(verify.SUITES)

@@ -12,9 +12,9 @@ from resonance_lab.charts import (
     DelaunayPoint,
     EulerPoint,
 )
+from resonance_lab.model import numerical_jacobian
 from resonance_lab.verify import (
     OMEGA_MATRIX,
-    numerical_jacobian,
     random_andoyer,
     random_delaunay,
     random_euler,

@@ -1,11 +1,13 @@
 import ast
 import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resonance_lab import cli, equilibria, invariants, model, normalform, verify
 
@@ -51,6 +53,14 @@ class TestVerifyCommand:
         bad.write_text("{nope")
         rc = run(["verify", "--config", str(bad)])
         assert rc == 2
+
+    def test_boolean_details_stay_json_booleans(self, tmp_path):
+        cfg = write_config(tmp_path / "v.json", {"suites": ["equilibria_soundness"]})
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        (suite,) = json.loads((tmp_path / "verify_report.json").read_text())["suites"]
+        # 1.0 == True, so compare by identity: a boolean must not come back as a float
+        assert {k: v is True for k, v in suite["details"].items()} == {
+            "circular_family": True, "continuum_flag": True, "case_i_limit": True}
 
     def test_deterministic_report(self, tmp_path):
         cfg = write_config(tmp_path / "v.json", {"suites": ["reduced_relations"]})
@@ -173,6 +183,16 @@ class TestReduceCommand:
         lines = (tmp_path / "surf.csv").read_text().splitlines()
         assert lines[0] == "K,sqrt_f_over_2"
         assert len(lines) == 41
+
+    def test_state_on_the_xi_equals_n_boundary(self, tmp_path):
+        # Q = (-q2, q1, -q4, q3) puts the state on xi = n exactly; rounding
+        # once put the image's xi one ulp above n
+        q = [-0.3452157100512797, -1.4818182737222112, -0.11001076471125099, -0.4458281530112322]
+        cfg = write_config(tmp_path / "red.json", {
+            "state": {"q": q, "Q": [-q[1], q[0], -q[3], q[2]]}})
+        assert run(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 0
+        thrice = json.loads((tmp_path / "invariants.json").read_text())["thrice"]
+        assert thrice["xi"] == thrice["n"]
 
 
 class TestNfTableCommand:
@@ -478,17 +498,38 @@ class TestCsvOutputs:
                     assert float(cell) == value
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.lists(st.one_of(st.text(), st.floats()), min_size=2, max_size=5))
+    def test_text_cells_are_quoted_as_csv_writer_quotes_them(self, row, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "quoting.csv"
+        cli._write_csv(path, "h", [row])
+        want = io.StringIO()
+        csv.writer(want).writerow([v if type(v) is str else cli.format_float(v) for v in row])
+        with open(path, newline="") as fh:
+            # csv.writer ends its line with its dialect's "\r\n", _write_csv with "\n"
+            assert fh.read() == "h\n" + want.getvalue()[:-2] + "\n"
+
+
+def _importers(module):
+    """Names of the package's files that import ``module``."""
+    importers = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(module in name.split(".") for name in names):
+                importers.append(path.name)
+    return importers
+
+
 class TestLayering:
     def test_only_cli_imports_cli(self):
-        importers = []
-        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
-                else:
-                    continue
-                if any("cli" in name.split(".") for name in names):
-                    importers.append(path.name)
-        assert set(importers) <= {"cli.py"}
+        assert set(_importers("cli")) <= {"cli.py"}
+
+    def test_no_module_imports_csv(self):
+        # cli._write_csv is the one table writer
+        assert _importers("csv") == []

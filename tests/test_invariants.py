@@ -108,6 +108,24 @@ class TestThriceMap:
             pt = inv.thrice_map(kv)
             assert pt.M ** 2 - pt.N ** 2 == pytest.approx(pt.Z ** 2 + pt.S ** 2, abs=1e-12)
 
+    # momenta that put a state exactly on xi = n, xi = -n, l = n or l = -n
+    BOUNDARY = {
+        "xi=n": (lambda q1, q2, q3, q4: (-q2, q1, -q4, q3), "xi", 1.0),
+        "xi=-n": (lambda q1, q2, q3, q4: (q2, -q1, q4, -q3), "xi", -1.0),
+        "l=n": (lambda q1, q2, q3, q4: (q2, -q1, -q4, q3), "l", 1.0),
+        "l=-n": (lambda q1, q2, q3, q4: (-q2, q1, q4, -q3), "l", -1.0),
+    }
+
+    @pytest.mark.parametrize("family", BOUNDARY)
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.tuples(*[st.floats(-3.0, 3.0)] * 4).filter(lambda q: sum(v * v for v in q) > 1e-6))
+    def test_images_on_the_integral_bounds_are_valid(self, family, q):
+        momenta, name, sign = self.BOUNDARY[family]
+        pt = inv.thrice_map(inv.klj_map(inv.pi_map(CartesianState(q=q, Q=momenta(*q)))))
+        iv = pt.integrals
+        assert abs(getattr(iv, name)) <= iv.n
+        assert getattr(iv, name) == pytest.approx(sign * iv.n, rel=1e-14)
+
     def test_eo3_on_images(self, rng):
         worst = 0.0
         for _ in range(200):
