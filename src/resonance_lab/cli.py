@@ -319,10 +319,7 @@ def cmd_reduce(args) -> int:
         pt = invariants.thrice_map(kv)
         r1, r2 = invariants.second_space_residuals(kv)
         payload = {
-            "pi": {f"pi{i}": getattr(pv, f"pi{i}") for i in range(1, 17)},
-            "klj": {k: getattr(kv, k) for k in
-                    ("h2", "xi", "k1", "k2", "k3", "l1", "l2", "l3",
-                     "j1", "j2", "j3", "j4", "j5", "j6", "j7", "j8")},
+            "pi": pv._asdict(), "klj": kv._asdict(),
             "thrice": {"M": pt.M, "N": pt.N, "Z": pt.Z, "S": pt.S, "K": pt.K,
                        "n": pt.integrals.n, "xi": pt.integrals.xi, "l": pt.integrals.l},
             "second_space_residuals": [r1, r2],

@@ -20,20 +20,20 @@ re-validated on the original trigonometric system.  Sturm counts only split
 intervals that hold two or more roots; an isolated root is bisected on the
 sign of the square-free part p * gcd(p, p'), which changes sign across a
 double root too, and falls back to count bisection where float noise hides
-that sign change.  The chain is built with numpy and evaluated on lists of
-Python floats, so the roots are floats.
+that sign change.  The chain is built and evaluated on lists of Python
+floats, so the roots are floats.
 Spurious roots of the squaring step are kept, flagged, in the result.  The
 short-period families (``periodic_branches``) go through the same Sturm
 isolator, on the numerator of alpha(e) - alpha.
 
 Everything here is scale-invariant in (L, gamma); records are normalized to
-L = 1, gamma = 1.
+L = 1, gamma = 1, so a record's (eta, w, z) is its (G, U1, U3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def branch_equation(eta: float, w: float, z: float, alpha: float, cosg: float) -
 
 # -- Sturm-chain root isolation ------------------------------------------------
 
-def _trim(c: np.ndarray, tol: float) -> np.ndarray:
+def _trim(c: list[float], tol: float) -> list[float]:
     """Drop negligible leading (high-degree) coefficients."""
     k = len(c)
     while k > 1 and abs(c[k - 1]) <= tol:
@@ -204,38 +204,38 @@ def _polyval(c: list[float], x: float) -> float:
     return acc
 
 
-def _polyder(c: np.ndarray) -> np.ndarray:
+def _polyder(c: list[float]) -> list[float]:
     if len(c) <= 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, len(c))
+        return [0.0]
+    return [c[k] * k for k in range(1, len(c))]
 
 
-def _polyrem(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _polyrem(a: list[float], b: list[float]) -> list[float]:
     """Remainder of a / b, coefficients ascending."""
-    r = a.astype(float).copy()
+    r = list(a)
     db = len(b) - 1
     lead = b[-1]
     while len(r) - 1 >= db and len(r) > 1:
         k = len(r) - 1 - db
         f = r[-1] / lead
-        r[k:k + db + 1] -= f * b
-        r = r[:-1]
+        r[k:] = [rj - f * bj for rj, bj in zip(r[k:], b)]
+        r.pop()
     return r
 
 
-def _sturm_chain(c: np.ndarray) -> list[np.ndarray]:
-    scale = max(1e-300, float(np.max(np.abs(c))))
+def _sturm_chain(c: list[float]) -> list[list[float]]:
+    scale = max(1e-300, max(map(abs, c)))
     tol = 1e-13 * scale
     chain = [_trim(c, tol)]
     d = _trim(_polyder(c), tol)
-    if len(d) >= 1 and np.any(d != 0.0):
+    if any(v != 0.0 for v in d):
         chain.append(d)
     while len(chain[-1]) > 1:
         rem = _polyrem(chain[-2], chain[-1])
         rem = _trim(rem, tol * 10.0)
         if len(rem) == 1 and abs(rem[0]) <= tol * 10.0:
             break
-        chain.append(-rem)
+        chain.append([-v for v in rem])
     return chain
 
 
@@ -310,17 +310,16 @@ def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
     or two polynomial values a step instead of a whole chain.  Where float
     noise gives that product the same sign at both ends, the root falls back
     to bisection on the variation count (``_bisect_count``).  Three Newton
-    steps on p polish either result.  The chain is built on arrays, then
-    evaluated on lists of Python floats: the same operations in the same
-    order as on numpy scalars, so the same roots, at a fraction of the cost
-    per operation.
+    steps on p polish either result.  The input becomes a list of Python
+    floats on entry, and the chain is built and evaluated on lists: the same
+    operations in the same order as on numpy arrays, so the same roots, at a
+    fraction of the cost per operation.
     """
-    c = np.asarray(c, dtype=float)
-    c = _trim(c[::-1], 1e-14 * float(np.max(np.abs(c))))[::-1]
-    chain = [p.tolist() for p in _sturm_chain(c)]
+    c = [float(v) for v in c]
+    c = _trim(c[::-1], 1e-14 * max(map(abs, c)))[::-1]
+    chain = _sturm_chain(c)
     g = chain[-1] if len(chain[-1]) > 1 else None
-    d = _polyder(c).tolist()
-    c = c.tolist()
+    d = _polyder(c)
     roots: list[float] = []
     stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
@@ -360,20 +359,12 @@ def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
 class EquilibriumRecord:
     """Accepted relative equilibrium of the slow (g, G) system."""
 
-    kind: str            # always "torus3" from solve_tori3
-    eta: float
+    eta: float           # G / L, with L = 1
     g: float             # 0 or pi (undefined and set to 0 for circular records)
-    L: float
-    G: float
-    U1: float
-    U3: float
     residual: float
-    w: float
-    z: float
+    w: float             # U1 / L
+    z: float             # U3 / L
     alpha: float
-    p_root: float        # the polynomial root that seeded this record
-    rq_plus: float
-    rq_minus: float
     flags: tuple[str, ...] = ()
 
 
@@ -454,11 +445,8 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
     # 1. circular point: equilibrium of the (e cos g, e sin g) flow iff the
     #    cos g forcing C11 ~ w z vanishes; the perigee angle is undefined.
     if abs(w * z) < 1e-14:
-        rq_p_val, rq_m_val = _rq_values(1.0, w, z, alpha)
         records.append(EquilibriumRecord(
-            kind="torus3", eta=1.0, g=0.0, L=1.0, G=1.0, U1=w, U3=z,
-            residual=0.0, w=w, z=z, alpha=alpha, p_root=1.0,
-            rq_plus=rq_p_val, rq_minus=rq_m_val,
+            eta=1.0, g=0.0, residual=0.0, w=w, z=z, alpha=alpha,
             flags=("circular", "g_undefined")))
 
     # 2. interior equilibria from the exact branch product, in t = eta^2
@@ -481,29 +469,19 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
             if abs(rq_val) > 1e-6 * (1.0 + abs(rq_p_val) + abs(rq_m_val)):
                 flags.append("rq_mismatch")
             records.append(EquilibriumRecord(
-                kind="torus3", eta=eta_star, g=gval, L=1.0, G=eta_star,
-                U1=w, U3=z, residual=resid, w=w, z=z, alpha=alpha,
-                p_root=float("nan"),
-                rq_plus=rq_p_val, rq_minus=rq_m_val, flags=tuple(flags)))
+                eta=eta_star, g=gval, residual=resid, w=w, z=z, alpha=alpha,
+                flags=tuple(flags)))
             hit = True
         if not hit:
             rq_p_val, rq_m_val = _rq_values(eta0, w, z, alpha)
             spurious.append({"eta": eta0, "reason": "branch-product root; no branch satisfied",
                              "rq_plus": rq_p_val, "rq_minus": rq_m_val})
 
-    # 3. classify every root of the published polynomial on (0, 1]
+    # 3. a published root on (0, 1] is spurious unless a record lies within 1e-6
     if pscale >= 1e-12:
-        p_roots = [min(r, 1.0) for r in _isolate_roots(pcoeffs, 1e-12, 1.0 + 1e-9)]
-        for r in p_roots:
-            matched = None
-            for rec in records:
-                if abs(rec.eta - r) < 1e-6 and math.isnan(rec.p_root):
-                    matched = rec
-                    break
-            if matched is not None:
-                records[records.index(matched)] = EquilibriumRecord(
-                    **{**asdict(matched), "p_root": r})
-            elif not any(abs(rec.eta - r) < 1e-6 for rec in records):
+        for r in _isolate_roots(pcoeffs, 1e-12, 1.0 + 1e-9):
+            r = min(r, 1.0)
+            if not any(abs(rec.eta - r) < 1e-6 for rec in records):
                 rq_p_val, rq_m_val = _rq_values(r, w, z, alpha)
                 spurious.append({"eta": r,
                                  "reason": "published-polynomial root; no branch satisfied",
@@ -528,7 +506,6 @@ class PeriodicBranch:
     g: float
     residual: float
     u_ratio_printed: float | None   # the published |U|/G expression at this point
-    characterization: str
     flags: tuple[str, ...] = ()
 
 
@@ -577,8 +554,7 @@ def periodic_branches(alpha: float) -> list[PeriodicBranch]:
     if abs(alpha + 0.75) < 1e-12:
         out.append(PeriodicBranch(
             case="axial", e=None, c2sq=0.0, g=0.0, residual=0.0,
-            u_ratio_printed=None, characterization="U1 = U3 = 0, any e in [0, 1)",
-            flags=("family", "e_free")))
+            u_ratio_printed=None, flags=("family", "e_free")))
     for case, cosg, gval in (("i", 1.0, 0.0), ("ii", -1.0, math.pi)):
         for e_root in _isolate_roots(_case_coeffs(alpha, cosg), 1e-6, 1.0 - 1e-6):
             c2sq = _case_c2sq(e_root, case)
@@ -590,18 +566,13 @@ def periodic_branches(alpha: float) -> list[PeriodicBranch]:
                 continue
             resid = _periodic_residual(e_root, c, alpha, cosg)
             ratio = _printed_u_ratio(e_root, cosg)
-            match = (ratio is not None and abs(ratio - c) < 1e-8)
-            characterization = (
-                "|U1| = |U3| = G*sqrt(c2sq), published ratio "
-                + ("matches" if match else "does not match"))
-            flags = [] if match else ["u_ratio_mismatch"]
+            flags = [] if ratio is not None and abs(ratio - c) < 1e-8 else ["u_ratio_mismatch"]
             zero_resid = _periodic_residual(e_root, 0.0, alpha, cosg)
             if zero_resid < 1e-10:
                 flags.append("u_zero_also_solves")
             out.append(PeriodicBranch(
                 case=case, e=e_root, c2sq=c2sq, g=gval, residual=resid,
-                u_ratio_printed=ratio, characterization=characterization,
-                flags=tuple(flags)))
+                u_ratio_printed=ratio, flags=tuple(flags)))
     return out
 
 
@@ -623,24 +594,23 @@ class CrossValidation:
 def cross_validate(rec: EquilibriumRecord, beta: float) -> CrossValidation:
     """Map a record to (K, N, S) and evaluate the reduced vector field there.
 
-    Normalization follows the energy shell of the chart chain: with L fixed
-    by the record, gamma = L/2 and n = 4 gamma = 2L; (xi, l) come from the
+    The record's point is L = 1, G = eta, U1 = w, U3 = z; on the energy shell
+    of the chart chain gamma = L/2 and n = 4 gamma, and (xi, l) come from the
     frozen momentum identification.  At an equilibrium with beta^2 != 4 the
     mapped point must have S = 0 and annihilate the reduced vector field.
     """
-    gamma = rec.L / 2.0
-    n = 4.0 * gamma
-    xi, l1 = charts.integrals_from_momenta(rec.U1, rec.U3)
-    iv = IntegralValues(n=n, xi=xi, l=l1)
+    gamma = 0.5
+    xi, l1 = charts.integrals_from_momenta(rec.w, rec.z)
+    iv = IntegralValues(n=4.0 * gamma, xi=xi, l=l1)
     dp = DelaunayPoint(ell=0.9, g=rec.g, u1=0.4, u3=1.3,
-                       L=rec.L, G=rec.G, U1=rec.U1, U3=rec.U3)
+                       L=1.0, G=rec.eta, U1=rec.w, U3=rec.z)
     state = charts.delaunay_to_cartesian(dp, gamma)
     pt = invariants.thrice_map(invariants.klj_map(invariants.pi_map(state)))
     dK, dN, dS = invariants.reduced_rhs(pt.K, pt.N, pt.S, iv, beta)
     cas = invariants.casimir_residual(pt.K, pt.N, pt.S, iv)
     try:
         g_conn = charts.connection_G(pt.K, pt.N, iv)
-        conn_res = abs(g_conn - rec.G)
+        conn_res = abs(g_conn - rec.eta)
     except charts.ChartDomainError:
         conn_res = float("nan")
     return CrossValidation(
@@ -671,7 +641,7 @@ def _sweep_cell(args) -> list[dict]:
                      "residual": None, "flags": ("degenerate_family",)})
         return rows
     for rec, rhs in zip(res.records, rhs_max):
-        rows.append({**base, "kind": rec.kind, "eta": rec.eta, "g": rec.g,
+        rows.append({**base, "kind": "torus3", "eta": rec.eta, "g": rec.g,
                      "residual": rec.residual, "flags": rec.flags, "reduced_rhs_max": rhs})
     for sp in res.spurious:
         rows.append({**base, "kind": "spurious", "eta": sp["eta"], "g": None,

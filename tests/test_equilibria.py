@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -112,8 +113,56 @@ class TestBranchProduct:
             assert len(seen) == len(set(seen)) > 2
 
 
-# The Sturm evaluation on numpy-array elements, as it was before it moved to
-# lists of Python floats: the float form must return the same roots bit for bit.
+# The Sturm isolator on numpy arrays, as it was before it moved to lists of
+# Python floats: the float form must build the same chains and return the
+# same roots bit for bit.
+def _trim_reference(c, tol):
+    k = len(c)
+    while k > 1 and abs(c[k - 1]) <= tol:
+        k -= 1
+    return c[:k]
+
+
+def _polyder_reference(c):
+    if len(c) <= 1:
+        return np.zeros(1)
+    return c[1:] * np.arange(1, len(c))
+
+
+def _polyrem_reference(a, b):
+    r = a.astype(float).copy()
+    db = len(b) - 1
+    lead = b[-1]
+    while len(r) - 1 >= db and len(r) > 1:
+        k = len(r) - 1 - db
+        f = r[-1] / lead
+        r[k:k + db + 1] -= f * b
+        r = r[:-1]
+    return r
+
+
+def _sturm_chain_reference(c):
+    scale = max(1e-300, float(np.max(np.abs(c))))
+    tol = 1e-13 * scale
+    chain = [_trim_reference(c, tol)]
+    d = _trim_reference(_polyder_reference(c), tol)
+    if len(d) >= 1 and np.any(d != 0.0):
+        chain.append(d)
+    while len(chain[-1]) > 1:
+        rem = _polyrem_reference(chain[-2], chain[-1])
+        rem = _trim_reference(rem, tol * 10.0)
+        if len(rem) == 1 and abs(rem[0]) <= tol * 10.0:
+            break
+        chain.append(-rem)
+    return chain
+
+
+def _trim_low_reference(c):
+    """Drop negligible low-order coefficients, as the isolator does on entry."""
+    c = np.asarray(c, dtype=float)
+    return _trim_reference(c[::-1], 1e-14 * float(np.max(np.abs(c))))[::-1]
+
+
 def _polyval_reference(c, x):
     acc = 0.0
     for v in c[::-1]:
@@ -166,9 +215,8 @@ def _refine_by_sign(c, chain, a, b, va):
 
 
 def _isolate_roots_reference(c, lo, hi, refine=_refine_by_sign):
-    c = np.asarray(c, dtype=float)
-    c = eq._trim(c[::-1], 1e-14 * float(np.max(np.abs(c))))[::-1]
-    chain = eq._sturm_chain(c)
+    c = _trim_low_reference(c)
+    chain = _sturm_chain_reference(c)
     roots = []
     stack = [(lo, hi, _variations_reference(chain, lo), _variations_reference(chain, hi))]
     while stack:
@@ -182,7 +230,7 @@ def _isolate_roots_reference(c, lo, hi, refine=_refine_by_sign):
         if n == 1:
             aa, bb = refine(c, chain, a, b, va)
             r = 0.5 * (aa + bb)
-            d = eq._polyder(c)
+            d = _polyder_reference(c)
             for _ in range(3):
                 fp = _polyval_reference(d, r)
                 if fp == 0.0:
@@ -223,6 +271,25 @@ def _root_cases(w, z, alpha):
     return [case for case in cases if max(abs(float(c)) for c in case[1]) >= 1e-12]
 
 
+def _hex(p):
+    assert all(type(v) is float for v in p)
+    return [v.hex() for v in p]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIO, _RATIO, st.booleans(), st.floats(-0.99, 5.0))
+def test_list_chain_matches_the_ndarray_chain_exactly(w, z, tie, alpha):
+    # every member of the chain, element by element, and the derivative
+    if tie:
+        z = w
+    for _, coeffs, _, _ in _root_cases(w, z, alpha):
+        c = _trim_low_reference(coeffs)
+        got = eq._sturm_chain(c.tolist())
+        want = _sturm_chain_reference(c)
+        assert [_hex(p) for p in got] == [_hex(p.tolist()) for p in want]
+        assert _hex(eq._polyder(c.tolist())) == _hex(_polyder_reference(c).tolist())
+
+
 @settings(max_examples=200, deadline=None)
 @given(_RATIO, _RATIO, st.booleans(), st.floats(-0.99, 5.0))
 def test_float_sturm_matches_the_ndarray_form_exactly(w, z, tie, alpha):
@@ -251,8 +318,7 @@ def test_sign_refinement_agrees_with_count_bisection(w, z, tie, alpha):
     with mock.patch.object(eq, "_isolate_roots", _isolate_roots_by_counts):
         ref = eq.solve_tori3(w, z, alpha)
     assert new.continuum == ref.continuum
-    assert [(r.kind, r.g, r.flags) for r in new.records] == \
-        [(r.kind, r.g, r.flags) for r in ref.records]
+    assert [(r.g, r.flags) for r in new.records] == [(r.g, r.flags) for r in ref.records]
     assert all(abs(a.eta - b.eta) <= 1e-12 for a, b in zip(new.records, ref.records))
     assert [s["reason"] for s in new.spurious] == [s["reason"] for s in ref.spurious]
 
@@ -349,6 +415,21 @@ class TestSolveTori3:
                 assert rec.residual < 1e-8
                 assert max(abs(w), abs(z)) < rec.eta <= 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(_RATIO, _RATIO, st.booleans(), st.floats(-0.99, 5.0))
+    def test_published_root_is_matched_or_spurious(self, w, z, tie, alpha):
+        # a published root in (0, 1] is near a record or logged, never both
+        if tie:
+            z = w
+        res = eq.solve_tori3(w, z, alpha)
+        coeffs = eq.assemble_eta_poly(w, z, alpha)
+        assume(not res.continuum and max(abs(float(c)) for c in coeffs) >= 1e-12)
+        logged = [sp["eta"] for sp in res.spurious
+                  if sp["reason"].startswith("published-polynomial root")]
+        roots = [min(r, 1.0) for r in eq._isolate_roots(coeffs, 1e-12, 1.0 + 1e-9)]
+        near = [any(abs(rec.eta - r) < 1e-6 for rec in res.records) for r in roots]
+        assert logged == [r for r, n in zip(roots, near) if not n]
+
     def test_published_roots_classified(self):
         # every root of the published polynomial is matched or spurious
         res = eq.solve_tori3(0.2, 0.1, 1.0)
@@ -376,6 +457,14 @@ class TestSolveTori3:
         res = eq.solve_tori3(0.3, 0.0, 1.5)
         circ = [r for r in res.records if "circular" in r.flags]
         assert len(circ) == 1 and "g_undefined" in circ[0].flags
+
+
+def test_record_fields_are_pinned():
+    # a record holds what solve_tori3 computes; (L, G, U1, U3) = (1, eta, w, z)
+    assert [f.name for f in dataclasses.fields(eq.EquilibriumRecord)] == \
+        ["eta", "g", "residual", "w", "z", "alpha", "flags"]
+    assert [f.name for f in dataclasses.fields(eq.PeriodicBranch)] == \
+        ["case", "e", "c2sq", "g", "residual", "u_ratio_printed", "flags"]
 
 
 class TestPeriodicBranches:

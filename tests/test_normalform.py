@@ -265,7 +265,7 @@ class TestNormalizedField:
         rec = next(r for r in res.records if "circular" not in r.flags)
         p = ModelParams(omega=1.0, epsilon=1e-3, beta=math.sqrt(2.0), gamma=1.0)
         dp = DelaunayPoint(ell=0.3, g=rec.g, u1=0.0, u3=0.0,
-                           L=rec.L, G=rec.G, U1=rec.U1, U3=rec.U3)
+                           L=1.0, G=rec.eta, U1=rec.w, U3=rec.z)
         tan = nf.normalized_rhs(dp, p, order=1)
         assert abs(tan.g) < 1e-10 * p.epsilon or abs(tan.g) < 1e-12
         assert abs(tan.G) < 1e-12

@@ -37,3 +37,31 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().count("\n") == 4   # one line per 3-torus record at w = 0.2, z = 0.1
+
+
+
+def test_every_parameter_is_read():
+    """Every module-level function and method reads each of its parameters.
+
+    Nested functions are left out, since solver callbacks take ``t`` whether
+    or not they read it.  The suites of ``verify`` all take the ``rng`` that
+    ``run_suites`` passes them.
+    """
+    unread = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for fn in defs:
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if p is not None and p.arg not in ("self", "cls")]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            for name in params:
+                if name in read or (path.stem == "verify" and fn.name.startswith("suite_")
+                                    and name == "rng"):
+                    continue
+                unread.append(f"{path.stem}.{fn.name}({name})")
+    assert unread == []
