@@ -289,8 +289,9 @@ def cmd_integrate(args) -> int:
         charts.require_angles_defined(dp0, p.gamma)
 
         def fun(t, y):
-            dp = charts.DelaunayPoint(ell=y[0], g=y[1], u1=y[2], u3=y[3],
-                                      L=dp0.L, G=y[4], U1=dp0.U1, U3=dp0.U3)
+            ell, g, u1, u3, G = y.tolist()
+            dp = charts.DelaunayPoint(ell=ell, g=g, u1=u1, u3=u3,
+                                      L=dp0.L, G=G, U1=dp0.U1, U3=dp0.U3)
             tan = normalform.normalized_rhs(dp, p, order=order)
             return [tan.ell, tan.g, tan.u1, tan.u3, tan.G]
 

@@ -11,20 +11,25 @@ whose sin g = 0 branches reduce to the two scalar equations
 
 with eta = G/L and the state ratios w = U1/L, z = U3/L as parameters.
 ``branch_equation`` takes F+- as the complex-step G-partial of the
-normalized flow's own kernel (``normalform._kernel``) at g = 0 and g = pi.
-Multiplying the two branches clears the square roots and yields a degree-six
-polynomial P(eta) whose coefficients are assembled verbatim by
-``assemble_eta_poly``; its real roots in (0, 1] are isolated by a Sturm
-chain, polished against the branch equations, and every accepted record is
-re-validated on the original trigonometric system.  Sturm counts only split
-intervals that hold two or more roots; an isolated root is bisected on the
-sign of the square-free part p * gcd(p, p'), which changes sign across a
-double root too, and falls back to count bisection where float noise hides
-that sign change.  The chain is built and evaluated on lists of Python
-floats, so the roots are floats.
-Spurious roots of the squaring step are kept, flagged, in the result.  The
-short-period families (``periodic_branches``) go through the same Sturm
-isolator, on the numerator of alpha(e) - alpha.
+normalized flow's own first-order terms (``normalform._kernel1_terms``),
+summed as ``normalform._kernel`` sums them at g = 0 and g = pi.  The exact
+product F+ F- clears the square roots; its numerator, a polynomial in
+eta^2 (``branch_product_coeffs``), has its real roots isolated by a Sturm
+chain, and each root is Newton-polished against both branch equations.  A
+polished root becomes a record when |F| < 1e-9 there and it lies within 0.05
+of its start; nothing else is checked here, and the sweep then maps each
+record through ``cross_validate`` to the reduced Poisson flow.  The published
+degree-six polynomial P(eta), assembled verbatim by ``assemble_eta_poly``,
+is isolated alongside, and its roots are matched to records or logged as
+spurious, so the squaring artifacts stay visible in the result.
+
+Sturm counts only split intervals that hold two or more roots; an isolated
+root is bisected on the sign of the square-free part p * gcd(p, p'), which
+changes sign across a double root too, and falls back to count bisection
+where float noise hides that sign change.  The chain is built and evaluated
+on lists of Python floats, so the roots are floats.  The short-period
+families (``periodic_branches``) go through the same Sturm isolator, on the
+numerator of alpha(e) - alpha.
 
 Everything here is scale-invariant in (L, gamma); records are normalized to
 L = 1, gamma = 1, so a record's (eta, w, z) is its (G, U1, U3).
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import charts, invariants, normalform
-from .model import IntegralValues, _complex_step_derivative, _complex_step_jacobian
+from .model import _COMPLEX_STEP, IntegralValues, _complex_step_jacobian
 from .charts import DelaunayPoint
 
 __all__ = [
@@ -164,27 +169,36 @@ def rq_x(eta: float, w: float, z: float, alpha: float) -> tuple[float, float, fl
     return R, Q, x
 
 
-def _sin_g_zero_kernel(alpha: float, cosg: float):
-    """(G, U1, U3) -> (P,): the first-order kernel at L = gamma = 1 and g = 0 (cosg = 1) or pi (cosg = -1)."""
+def _branch_beta(alpha: float, cosg: float) -> float:
+    """beta = sqrt(alpha + 1) of the g = 0 (cosg = 1) or g = pi (cosg = -1) branch, inputs checked."""
     if not -1.0 <= alpha < math.inf:
         raise ValueError(f"alpha = beta^2 - 1 must be >= -1 and finite, got {alpha}")
     if cosg not in (1.0, -1.0):
         raise ValueError(f"cosg must be +1 or -1, got {cosg}")
+    return math.sqrt(alpha + 1.0)
+
+
+def _sin_g_zero_kernel(alpha: float, cosg: float):
+    """(G, U1, U3) -> (P,): the first-order kernel at L = gamma = 1 and g = 0 (cosg = 1) or pi (cosg = -1)."""
+    beta = _branch_beta(alpha, cosg)
     g = 0.0 if cosg > 0.0 else math.pi
-    beta = math.sqrt(alpha + 1.0)
     return lambda G, U1, U3: (normalform._kernel(g, 1.0, G, U1, U3, beta, 1.0),)
 
 
 def branch_equation(eta: float, w: float, z: float, alpha: float, cosg: float) -> float:
     """F(eta) = d(C01 + cosg*C11 + C21)/dG at L = 1, gamma = 1.
 
-    The G-partial, by complex step, of the normalized kernel at g = 0
-    (cosg = +1) or g = pi (cosg = -1): the two sin g = 0 branches.
+    The G-partial, by complex step, of the first-order terms
+    (``normalform._kernel1_terms``) summed as the kernel sums them at g = 0
+    (cosg = +1) or g = pi (cosg = -1), the two sin g = 0 branches.  cos 0,
+    cos pi and cos 2pi are exactly 1, -1 and 1, so the value is bit for bit
+    the complex-step G-partial of ``normalform._kernel`` there.
     """
-    P = _sin_g_zero_kernel(alpha, cosg)
+    beta = _branch_beta(alpha, cosg)
     if not max(abs(w), abs(z)) < eta <= 1.0:
         raise ValueError(f"need max(|w|,|z|) < eta <= 1, got eta={eta}, w={w}, z={z}")
-    return _complex_step_derivative(lambda G: P(G, w, z)[0], eta)
+    c01, c11, c21 = normalform._kernel1_terms(1.0, complex(eta, _COMPLEX_STEP), w, z, beta, 1.0)
+    return (c01 + cosg * c11 + c21).imag / _COMPLEX_STEP
 
 
 # -- Sturm-chain root isolation ------------------------------------------------
@@ -379,17 +393,33 @@ class Tori3Result:
 
 def _polish_branch(eta0: float, w: float, z: float, alpha: float,
                    cosg: float) -> tuple[float, float] | None:
-    """Newton-polish a branch equation from eta0; None if it does not converge."""
+    """Newton-polish a branch equation from eta0.
+
+    Returns (eta, |F|) at the polished root, or None if the polish does not
+    converge or converges more than 0.05 from eta0.  Each iteration is a
+    function of eta alone, so once an iterate repeats the polish goes round
+    an exact cycle until the 60-iteration cap; it stops there at once with
+    the (eta, F) the cap would have left.
+    """
     lo = max(abs(w), abs(z)) + 1e-12
     eta = min(max(eta0, lo + 1e-9), 1.0 - 1e-12)
     h = 1e-7
-    for _ in range(60):
+    seen: dict[float, int] = {}
+    visited: list[tuple[float, float]] = []
+    for it in range(60):
+        j = seen.get(eta)
+        if j is not None:
+            # iterations j .. it - 1 repeat with period it - j up to the cap
+            eta, f = visited[j + (60 - j) % (it - j)]
+            break
         try:
             f = branch_equation(eta, w, z, alpha, cosg)
         except ValueError:
             return None
         if abs(f) < 1e-12:
             break
+        seen[eta] = it
+        visited.append((eta, f))
         fp = (branch_equation(min(eta + h, 1.0 - 1e-13), w, z, alpha, cosg)
               - branch_equation(max(eta - h, lo + 1e-13), w, z, alpha, cosg)) / (2 * h)
         if fp == 0.0:
@@ -416,9 +446,13 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
     """Invariant 3-tori at one (w, z, alpha) cell, normalized to L = 1.
 
     Candidate eccentricities are isolated with a Sturm chain on the exact
-    branch-product polynomial (``branch_product_coeffs``), assigned to the
-    cos g = +1 or -1 branch, polished against the branch equation, and
-    validated on the original trigonometric system.  The circular point
+    branch-product polynomial (``branch_product_coeffs``) and Newton-polished
+    against the branch equation of each of the cos g = +1 and -1 branches.
+    A polish that ends with |F| < 1e-9 within 0.05 of its candidate gives a
+    record with residual |F| there, flagged ``rq_mismatch`` when the published
+    R x +- Q of its branch does not vanish; that is all the check a record
+    gets here (``cross_validate`` maps it to the reduced flow).  A candidate
+    that no branch accepts is logged as spurious.  The circular point
     eta = 1 is accepted (with the perigee angle undefined) whenever the
     cos g forcing vanishes, which requires w z = 0.  A vanishing polynomial
     signals a continuum of equilibria and is flagged instead of enumerated.
@@ -473,19 +507,15 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
                 flags=tuple(flags)))
             hit = True
         if not hit:
-            rq_p_val, rq_m_val = _rq_values(eta0, w, z, alpha)
-            spurious.append({"eta": eta0, "reason": "branch-product root; no branch satisfied",
-                             "rq_plus": rq_p_val, "rq_minus": rq_m_val})
+            spurious.append({"eta": eta0, "reason": "branch-product root; no branch satisfied"})
 
     # 3. a published root on (0, 1] is spurious unless a record lies within 1e-6
     if pscale >= 1e-12:
         for r in _isolate_roots(pcoeffs, 1e-12, 1.0 + 1e-9):
             r = min(r, 1.0)
             if not any(abs(rec.eta - r) < 1e-6 for rec in records):
-                rq_p_val, rq_m_val = _rq_values(r, w, z, alpha)
                 spurious.append({"eta": r,
-                                 "reason": "published-polynomial root; no branch satisfied",
-                                 "rq_plus": rq_p_val, "rq_minus": rq_m_val})
+                                 "reason": "published-polynomial root; no branch satisfied"})
     return Tori3Result(records=tuple(records), spurious=tuple(spurious), continuum=False)
 
 

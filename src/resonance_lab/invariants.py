@@ -367,7 +367,8 @@ def reduced_flow(
         )
 
     def fun(t, y):
-        return reduced_rhs(y[0], y[1], y[2], iv, beta)
+        K, N, S = y.tolist()
+        return reduced_rhs(K, N, S, iv, beta)
 
     sol = _solve_ivp(fun, t_end, [pt0.K, pt0.N, pt0.S], np.linspace(0.0, t_end, n_out), tol, tol)
     K, N, S = sol.y

@@ -350,9 +350,9 @@ def canonical_bracket(f, g, state: CartesianState, step: float = 1e-5) -> float:
 
 
 # Complex step h: Im f(x + ih)/h = f'(x) + O(h^2) takes no difference, so h can
-# sit far below roundoff and the partial is exact to working precision.  Two
-# entry points share the step: _complex_step_jacobian for many inputs and
-# outputs, _complex_step_derivative for one scalar in and one out (no matrix).
+# sit far below roundoff and the partial is exact to working precision.
+# _complex_step_jacobian takes every partial of a many-input function;
+# equilibria.branch_equation perturbs its one input, G, by the same step.
 _COMPLEX_STEP = 1e-30
 
 
@@ -370,8 +370,3 @@ def _complex_step_jacobian(fn, x) -> np.ndarray:
         z[k] = complex(x[k], _COMPLEX_STEP)
         cols.append([v.imag / _COMPLEX_STEP for v in fn(*z)])
     return np.array(cols).T
-
-
-def _complex_step_derivative(fn, x) -> float:
-    """Derivative of a real-analytic scalar fn at x by complex step: Im fn(x + ih) / h."""
-    return fn(complex(x, _COMPLEX_STEP)).imag / _COMPLEX_STEP

@@ -21,11 +21,12 @@ The second-order coefficients frozen here were derived by exact harmonic
 algebra from W1 and R1 and are regression-tested against an independent
 finite-difference bracket oracle (``second_order_oracle``).
 
-Partials of the averaged kernel P are taken by complex step through one
-function, ``_kernel``, built on these same closed forms: the normalized flow
-differentiates it in (g, L, G, U1, U3), and the branch equations of the
-equilibria (``equilibria.branch_equation``) are its G-partial at g = 0 and
-g = pi, so a partial cannot drift from the value it differentiates.  Both the
+Partials of the averaged kernel P are taken by complex step through these
+same closed forms: the normalized flow differentiates ``_kernel`` in
+(g, L, G, U1, U3), and the branch equations of the equilibria
+(``equilibria.branch_equation``) are its G-partial at g = 0 and g = pi,
+read straight from the first-order terms ``_kernel1_terms`` that ``_kernel``
+sums, so a partial cannot drift from the value it differentiates.  Both the
 equilibria and the periodic families are then found by the one Sturm-chain
 root isolator in ``equilibria``.
 

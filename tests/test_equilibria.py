@@ -380,9 +380,87 @@ def test_scalar_complex_step_matches_the_jacobian_entry(w, z, alpha, cosg, frac)
     assume(lo < eta <= 1.0)
     P = eq._sin_g_zero_kernel(alpha, cosg)
     want = float(model._complex_step_jacobian(lambda G: P(G, w, z), (eta,))[0, 0])
-    got = model._complex_step_derivative(lambda G: P(G, w, z)[0], eta)
-    assert got == want and type(got) is float
     assert eq.branch_equation(eta, w, z, alpha, cosg) == want
+
+
+def _polish_branch_reference(eta0, w, z, alpha, cosg):
+    """The polish as it was before the cycle exit: every one of the 60 iterations run."""
+    lo = max(abs(w), abs(z)) + 1e-12
+    eta = min(max(eta0, lo + 1e-9), 1.0 - 1e-12)
+    h = 1e-7
+    for _ in range(60):
+        try:
+            f = eq.branch_equation(eta, w, z, alpha, cosg)
+        except ValueError:
+            return None
+        if abs(f) < 1e-12:
+            break
+        fp = (eq.branch_equation(min(eta + h, 1.0 - 1e-13), w, z, alpha, cosg)
+              - eq.branch_equation(max(eta - h, lo + 1e-13), w, z, alpha, cosg)) / (2 * h)
+        if fp == 0.0:
+            return None
+        step = f / fp
+        step = max(min(step, 0.1), -0.1)
+        eta_new = eta - step
+        if not lo < eta_new < 1.0:
+            eta_new = 0.5 * (eta + (lo if eta_new <= lo else 1.0))
+        if abs(eta_new - eta) < 1e-15:
+            eta = eta_new
+            f = eq.branch_equation(eta, w, z, alpha, cosg)
+            break
+        eta = eta_new
+    else:
+        f = eq.branch_equation(eta, w, z, alpha, cosg)
+    if abs(f) < 1e-9 and abs(eta - eta0) < 0.05:
+        return eta, abs(f)
+    return None
+
+
+def _hex_or_none(out):
+    return None if out is None else _hex(out)
+
+
+@st.composite
+def _polish_starts(draw):
+    """(eta0, w, z, alpha, cosg): a start solve_tori3 would polish from, or any eta0 in (0, 1]."""
+    w, z = draw(_RATIO), draw(_RATIO)
+    alpha = draw(st.floats(-0.99, 5.0))
+    starts = [math.sqrt(t) for t in eq._isolate_roots(
+        eq.branch_product_coeffs(w, z, alpha), max(w * w, z * z) + 1e-11, 1.0 - 1e-11)]
+    eta0 = draw(st.sampled_from(starts) if starts and draw(st.booleans())
+                else st.floats(0.0, 1.0, exclude_min=True))
+    return eta0, w, z, alpha, draw(st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polish_starts())
+def test_polish_matches_the_full_sixty_iterations(start):
+    assert _hex_or_none(eq._polish_branch(*start)) == _hex_or_none(_polish_branch_reference(*start))
+
+
+# (eta0, w, z, alpha, cosg) of failing polishes whose eta falls into a cycle of
+# period 2 from iteration 2, 12 and 7; run to the cap they take 181
+# branch_equation calls each
+_CYCLING_STARTS = [
+    (0.99899220386673, 0.05978776105505401, 0.2881392617199279, -0.5943694744631585, 1.0),
+    (0.19029920351423785, -0.15085407313644483, 0.12430537886514659, -0.1780046385425017, 1.0),
+    (0.9999840788170504, -0.15085407313644483, 0.12430537886514659, -0.1780046385425017, -1.0),
+]
+
+
+@pytest.mark.parametrize("start", _CYCLING_STARTS, ids=["from_2", "from_12", "g_pi_from_7"])
+def test_a_cycling_polish_stops_at_the_repeat(start, monkeypatch):
+    want = _polish_branch_reference(*start)
+    calls = []
+    branch_equation = eq.branch_equation
+
+    def counted(*args):
+        calls.append(args[0])
+        return branch_equation(*args)
+
+    monkeypatch.setattr(eq, "branch_equation", counted)
+    assert _hex_or_none(eq._polish_branch(*start)) == _hex_or_none(want)
+    assert len(calls) <= 45
 
 
 class TestSolveTori3:
@@ -444,7 +522,8 @@ class TestSolveTori3:
         sp = [s for s in res.spurious if s["eta"] < 0.2]
         assert sp
         for s in sp:
-            assert abs(s["rq_plus"]) > 0.0 and abs(s["rq_minus"]) > 0.0
+            rq_plus, rq_minus = eq._rq_values(s["eta"], 0.2, 0.1, 1.0)
+            assert abs(rq_plus) > 0.0 and abs(rq_minus) > 0.0
 
     def test_sensitivity_off_root(self):
         res = eq.solve_tori3(0.2, 0.1, 1.0)

@@ -65,3 +65,25 @@ def test_every_parameter_is_read():
                     continue
                 unread.append(f"{path.stem}.{fn.name}({name})")
     assert unread == []
+
+
+def test_every_private_helper_is_referenced():
+    """Every module-level ``_name`` function or class is used somewhere in the package.
+
+    A use is a name, an attribute or an imported name in the syntax tree, so
+    a helper that only a comment or a docstring mentions counts as dead.
+    """
+    helpers, used = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helpers += [f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert helpers
+    assert [h for h in helpers if h.split(".")[1] not in used] == []
