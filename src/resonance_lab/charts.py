@@ -463,6 +463,10 @@ def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
                   P, dp.U1, dp.G, dp.U3)
 
 
+def _andoyer_energy(ap: AndoyerPoint, gamma: float):
+    return 0.5 * (ap.P ** 2 + (ap.U2 / ap.rho) ** 2) - gamma / ap.rho
+
+
 def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:
     """Inverse radial block, defined for bound (negative-energy) points."""
     if not gamma > 0.0:
@@ -471,7 +475,7 @@ def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:
         raise ChartDomainError("rho must be positive")
     if not ap.U2 > 0.0:
         raise ChartDomainError("U2 must be positive")
-    k0 = 0.5 * (ap.P ** 2 + (ap.U2 / ap.rho) ** 2) - gamma / ap.rho
+    k0 = _andoyer_energy(ap, gamma)
     if not k0 < 0.0:
         raise ChartDomainError("point is not in the bound (negative-energy) regime")
     L = gamma / math.sqrt(-2.0 * k0)
@@ -514,8 +518,7 @@ def composed_h0(dp: DelaunayPoint, gamma: float) -> float:
     Computes (P^2 + U2^2/rho^2)/2 - gamma/rho on the Andoyer image; on the
     chart domain this equals -gamma^2 / (2 L^2) for every angle.
     """
-    ap = delaunay_to_andoyer(dp, gamma)
-    return 0.5 * (ap.P ** 2 + (ap.U2 / ap.rho) ** 2) - gamma / ap.rho
+    return _andoyer_energy(delaunay_to_andoyer(dp, gamma), gamma)
 
 
 def connection_G(K: float, N: float, iv: IntegralValues) -> float:

@@ -31,6 +31,9 @@ from . import charts, equilibria, invariants, model, normalform, verify
 __all__ = ["main", "format_float"]
 
 ENV_OUT_DIR = "RESONANCE_LAB_OUT"
+# work bounds, each at least 100 times the largest run of the README, tests and benchmark
+MAX_SAMPLES = 1_000_000   # an integrate run's n_out, a reduce run's count
+MAX_CELLS = 100_000       # a grid's num, and the cells of an equilibria or nf-table grid product
 
 
 def format_float(x: float) -> str:
@@ -93,16 +96,18 @@ def _out_dir(args) -> Path:
 def _grid(spec, name: str) -> np.ndarray:
     """A grid is either an explicit list or {start, stop, num} of at least one finite value.
 
-    ``num`` follows the integer rule of ``_scalar``: a boolean or a fractional
-    number is an error, never truncated.
+    ``num`` follows the integer rule of ``_scalar`` (a boolean or a fractional
+    number is an error, never truncated) and is at most ``MAX_CELLS``.
     """
     try:
         if isinstance(spec, list):
             grid = np.asarray(spec, dtype=float)
         elif isinstance(spec, dict):
             # reading spec["num"] for the unused default makes a missing num a KeyError
-            grid = np.linspace(float(spec["start"]), float(spec["stop"]),
-                               _scalar(spec, "num", spec["num"], int))
+            num = _scalar(spec, "num", spec["num"], int)
+            if num > MAX_CELLS:
+                raise ConfigError(f"grid {name!r}: 'num' must be at most {MAX_CELLS}, got {num}")
+            grid = np.linspace(float(spec["start"]), float(spec["stop"]), num)
         else:
             raise ConfigError(f"grid {name!r} must be a list or start/stop/num object")
     except KeyError as exc:
@@ -114,6 +119,15 @@ def _grid(spec, name: str) -> np.ndarray:
     if not np.isfinite(grid).all():
         raise ConfigError(f"grid {name!r} must hold finite values, got {grid.tolist()}")
     return grid
+
+
+def _grids(cfg: dict, **defaults) -> list:
+    """A command's grids ``cfg[name]``, ``defaults[name]`` if absent; at most ``MAX_CELLS`` cells in all."""
+    grids = [_grid(cfg.get(name, default), name) for name, default in defaults.items()]
+    cells = math.prod(g.size for g in grids)
+    if cells > MAX_CELLS:
+        raise ConfigError(f"the grids span {cells} cells, more than {MAX_CELLS}")
+    return grids
 
 
 def _scalar(block: dict, key: str, default, kind=float):
@@ -245,8 +259,8 @@ def cmd_integrate(args) -> int:
     n_out = _scalar(cfg, "n_out", 1000, int)
     if not (math.isfinite(t_end) and t_end != 0.0):
         raise ConfigError(f"'t_end' must be finite and nonzero, got {t_end!r}")
-    if n_out < 1:
-        raise ConfigError(f"'n_out' must be at least 1, got {n_out!r}")
+    if not 1 <= n_out <= MAX_SAMPLES:
+        raise ConfigError(f"'n_out' must be from 1 to {MAX_SAMPLES}, got {n_out!r}")
 
     if kind == "cartesian":
         path = _out_path(out, cfg, "out", "trajectory.csv")
@@ -264,10 +278,7 @@ def cmd_integrate(args) -> int:
         iv = _block(cfg, "integrals")
         beta = _scalar(_params_block(cfg), "beta", 0.0)
         if "reduced_state" in cfg:
-            K, N, S = _block(cfg, "reduced_state")
-            pt0 = invariants.ThriceReducedPoint(
-                M=0.5 * (iv.n ** 2 + iv.xi ** 2 - K ** 2 - iv.l ** 2),
-                N=N, Z=iv.n * iv.xi - K * iv.l, S=S, K=K, integrals=iv)
+            pt0 = invariants.reduced_point(*_block(cfg, "reduced_state"), iv)
         else:
             lo, hi = invariants.feasible_interval(iv)
             pt0 = invariants.reduced_point_on_surface(
@@ -311,8 +322,8 @@ def cmd_reduce(args) -> int:
     invariants_path = _out_path(out, cfg, "out", "invariants.json")
     surface_path = _out_path(out, cfg, "surface_out", "surface.csv")
     count = _scalar(cfg, "count", 200, int)
-    if count < 1:
-        raise ConfigError(f"'count' must be at least 1, got {count!r}")
+    if not 1 <= count <= MAX_SAMPLES:
+        raise ConfigError(f"'count' must be from 1 to {MAX_SAMPLES}, got {count!r}")
     wrote = []
     if "state" in cfg:
         pv = invariants.pi_map(_block(cfg, "state"))
@@ -347,11 +358,8 @@ def cmd_nf_table(args) -> int:
     gamma = _scalar(cfg, "gamma", h / 4.0 if h is not None else 1.0)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ConfigError(f"nf-table needs a finite gamma > 0, got {gamma!r}")
-    betas = _grid(cfg.get("beta_grid", [0.0, 1.0, math.sqrt(2.0)]), "beta_grid")
-    Ls = _grid(cfg.get("L_grid", [1.0]), "L_grid")
-    etas = _grid(cfg.get("eta_grid", [0.6, 0.8]), "eta_grid")
-    c1s = _grid(cfg.get("c1_grid", [0.0, 0.4]), "c1_grid")
-    c2s = _grid(cfg.get("c2_grid", [0.0, 0.4]), "c2_grid")
+    betas, Ls, etas, c1s, c2s = _grids(cfg, beta_grid=[0.0, 1.0, math.sqrt(2.0)], L_grid=[1.0],
+                                       eta_grid=[0.6, 0.8], c1_grid=[0.0, 0.4], c2_grid=[0.0, 0.4])
     rows = []
     for beta, L, eta, c1, c2 in itertools.product(betas, Ls, etas, c1s, c2s):
         G = eta * L
@@ -371,9 +379,7 @@ def cmd_equilibria(args) -> int:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    alphas = _grid(cfg.get("alpha_grid", [0.0, 1.0]), "alpha_grid")
-    ws = _grid(cfg.get("w_grid", [0.0]), "w_grid")
-    zs = _grid(cfg.get("z_grid", [0.0]), "z_grid")
+    alphas, ws, zs = _grids(cfg, alpha_grid=[0.0, 1.0], w_grid=[0.0], z_grid=[0.0])
     path = _out_path(out, cfg, "out", "equilibria_sweep.csv")
     jpath = _out_path(out, cfg, "json_out", "") if cfg.get("json_out") else None
     rows = equilibria.sweep(alphas, ws, zs, workers=args.workers)

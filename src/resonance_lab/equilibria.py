@@ -11,7 +11,7 @@ whose sin g = 0 branches reduce to the two scalar equations
 
 with eta = G/L and the state ratios w = U1/L, z = U3/L as parameters.
 ``branch_equation`` takes F+- as the complex-step G-partial of the
-normalized flow's own first-order terms (``normalform._kernel1_terms``),
+normalized flow's own first-order terms (``normalform._kernel_terms``),
 summed as ``normalform._kernel`` sums them at g = 0 and g = pi.  The exact
 product F+ F- clears the square roots; its numerator, a polynomial in
 eta^2 (``branch_product_coeffs``), has its real roots isolated by a Sturm
@@ -189,7 +189,7 @@ def branch_equation(eta: float, w: float, z: float, alpha: float, cosg: float) -
     """F(eta) = d(C01 + cosg*C11 + C21)/dG at L = 1, gamma = 1.
 
     The G-partial, by complex step, of the first-order terms
-    (``normalform._kernel1_terms``) summed as the kernel sums them at g = 0
+    (``normalform._kernel_terms``) summed as the kernel sums them at g = 0
     (cosg = +1) or g = pi (cosg = -1), the two sin g = 0 branches.  cos 0,
     cos pi and cos 2pi are exactly 1, -1 and 1, so the value is bit for bit
     the complex-step G-partial of ``normalform._kernel`` there.
@@ -197,7 +197,7 @@ def branch_equation(eta: float, w: float, z: float, alpha: float, cosg: float) -
     beta = _branch_beta(alpha, cosg)
     if not max(abs(w), abs(z)) < eta <= 1.0:
         raise ValueError(f"need max(|w|,|z|) < eta <= 1, got eta={eta}, w={w}, z={z}")
-    c01, c11, c21 = normalform._kernel1_terms(1.0, complex(eta, _COMPLEX_STEP), w, z, beta, 1.0)
+    c01, c11, c21 = normalform._kernel_terms(1.0, complex(eta, _COMPLEX_STEP), w, z, beta, 1.0)
     return (c01 + cosg * c11 + c21).imag / _COMPLEX_STEP
 
 

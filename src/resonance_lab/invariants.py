@@ -44,6 +44,7 @@ __all__ = [
     "feasible_interval",
     "surface_samples",
     "reduced_h3",
+    "reduced_point",
     "reduced_rhs",
     "reduced_flow",
     "ReducedTrajectory",
@@ -243,7 +244,8 @@ def bracket_expected(M: float, N: float, Z: float, S: float, K: float, L1: float
 def f_of_K(K: float, iv: IntegralValues) -> float:
     """Radius-squared profile f(K) = 4 N^2 + 4 S^2 of the reduced surface; K may be an array."""
     n, xi, l = iv.n, iv.xi, iv.l
-    return ((n + xi) ** 2 - (K + l) ** 2) * ((n - xi) ** 2 - (K - l) ** 2)
+    # products, not ** 2: a scalar ** 2 is libm's pow, which can miss x * x by one ulp
+    return ((n + xi) * (n + xi) - (K + l) * (K + l)) * ((n - xi) * (n - xi) - (K - l) * (K - l))
 
 
 def f_roots(iv: IntegralValues) -> tuple[float, float, float, float]:
@@ -284,42 +286,50 @@ def surface_samples(iv: IntegralValues, count: int = 200) -> np.ndarray:
     return np.column_stack([ks, radii])
 
 
+def _h3_coeffs(iv: IntegralValues, beta: float) -> tuple:
+    """(A, B, C, D, E) with ``reduced_h3`` = A K^2 + B K + C N + D - E."""
+    n, xi, l = iv.n, iv.xi, iv.l
+    b2 = beta * beta
+    return (0.75 * n * (3.0 * b2 - 2.0), xi * l * (1.0 - b2), 0.5 * n * (4.0 - b2),
+            n ** 3 * (1.5 + 0.25 * b2), (l * l + xi * xi) * (0.5 * b2 + 1.0) * 0.5 * n)
+
+
 def reduced_h3(pt: ThriceReducedPoint, beta: float) -> float:
     """Reduced Hamiltonian on the thrice reduced space (a function of K, N)."""
-    n, xi, l = pt.integrals.n, pt.integrals.xi, pt.integrals.l
-    b2 = beta * beta
-    return (
-        0.75 * n * (3.0 * b2 - 2.0) * pt.K * pt.K
-        + xi * l * (1.0 - b2) * pt.K
-        + 0.5 * n * (4.0 - b2) * pt.N
-        + n ** 3 * (1.5 + 0.25 * b2)
-        - (l * l + xi * xi) * (0.5 * b2 + 1.0) * 0.5 * n
-    )
+    a, b, c, d, e = _h3_coeffs(pt.integrals, beta)
+    return a * pt.K * pt.K + b * pt.K + c * pt.N + d - e
+
+
+def _surface_mz(K, iv: IntegralValues) -> tuple:
+    """(M, Z) at abscissa K: M = (n^2 + xi^2 - K^2 - l^2)/2 and Z = n xi - K l."""
+    n, xi, l = iv.n, iv.xi, iv.l
+    return 0.5 * (n * n + xi * xi - K * K - l * l), n * xi - K * l
+
+
+def reduced_point(K: float, N: float, S: float, iv: IntegralValues) -> ThriceReducedPoint:
+    """The reduced-space point (K, N, S), with M and Z from the defining relations."""
+    m, z = _surface_mz(K, iv)
+    return ThriceReducedPoint(M=m, N=N, Z=z, S=S, K=K, integrals=iv)
 
 
 def reduced_rhs(K: float, N: float, S: float, iv: IntegralValues, beta: float) -> tuple[float, float, float]:
     """Lie-Poisson vector field of ``reduced_h3`` on the reduced surface.
 
-    M and Z are eliminated through the defining relations
-    M = (n^2 + xi^2 - K^2 - l^2)/2 and Z = n xi - K l, after which
+    M and Z are eliminated through the defining relations (``_surface_mz``), after which
 
         dK/dt = {K, N} dH/dN,
         dN/dt = {N, K} dH/dK,
         dS/dt = {S, K} dH/dK + {S, N} dH/dN,
 
-    with the bracket table of ``bracket_expected``.  This conserves both the
-    Hamiltonian and the surface Casimir 4 N^2 + 4 S^2 - f(K) identically.
+    with the bracket table of ``bracket_expected``, dH/dK = 2 A K + B and
+    dH/dN = C (``_h3_coeffs``).  This conserves both the Hamiltonian and the
+    surface Casimir 4 N^2 + 4 S^2 - f(K) identically.
     """
-    n, xi, l = iv.n, iv.xi, iv.l
-    b2 = beta * beta
-    m = 0.5 * (n * n + xi * xi - K * K - l * l)
-    z = n * xi - K * l
-    dh_dk = 1.5 * n * (3.0 * b2 - 2.0) * K + xi * l * (1.0 - b2)
-    dh_dn = 0.5 * n * (4.0 - b2)
-    dK = -4.0 * S * dh_dn
-    dN = 4.0 * S * dh_dk
-    dS = -4.0 * N * dh_dk + 4.0 * (K * m - l * z) * dh_dn
-    return dK, dN, dS
+    a, b, dh_dn, _, _ = _h3_coeffs(iv, beta)
+    m, z = _surface_mz(K, iv)
+    dh_dk = 2.0 * a * K + b
+    return (-4.0 * S * dh_dn, 4.0 * S * dh_dk,
+            -4.0 * N * dh_dk + 4.0 * (K * m - iv.l * z) * dh_dn)
 
 
 def casimir_residual(K: float, N: float, S: float, iv: IntegralValues) -> float:
@@ -367,14 +377,11 @@ def reduced_flow(
         )
 
     def fun(t, y):
-        K, N, S = y.tolist()
-        return reduced_rhs(K, N, S, iv, beta)
+        return reduced_rhs(*y.tolist(), iv, beta)
 
     sol = _solve_ivp(fun, t_end, [pt0.K, pt0.N, pt0.S], np.linspace(0.0, t_end, n_out), tol, tol)
     K, N, S = sol.y
-    # reduced_h3 reads only K and N, and both closed forms broadcast over the
-    # sample rows
-    h3 = reduced_h3(ThriceReducedPoint(M=0.0, N=N, Z=0.0, S=S, K=K, integrals=iv), beta)
+    h3 = reduced_h3(reduced_point(K, N, S, iv), beta)
     cas = casimir_residual(K, N, S, iv)
     return ReducedTrajectory(t=sol.t, K=K, N=N, S=S, h3=h3, casimir=cas, integrals=iv)
 
@@ -385,8 +392,4 @@ def reduced_point_on_surface(K: float, iv: IntegralValues, angle: float = 0.0) -
     if fk < 0.0:
         raise EmptyReducedSpaceError(f"f(K) < 0 at K={K}")
     r = 0.5 * np.sqrt(fk)
-    n_ = r * np.cos(angle)
-    s_ = r * np.sin(angle)
-    m = 0.5 * (iv.n ** 2 + iv.xi ** 2 - K * K - iv.l ** 2)
-    z = iv.n * iv.xi - K * iv.l
-    return ThriceReducedPoint(M=m, N=n_, Z=z, S=s_, K=K, integrals=iv)
+    return reduced_point(K, r * np.cos(angle), r * np.sin(angle), iv)

@@ -25,7 +25,7 @@ Partials of the averaged kernel P are taken by complex step through these
 same closed forms: the normalized flow differentiates ``_kernel`` in
 (g, L, G, U1, U3), and the branch equations of the equilibria
 (``equilibria.branch_equation``) are its G-partial at g = 0 and g = pi,
-read straight from the first-order terms ``_kernel1_terms`` that ``_kernel``
+read straight from the first-order terms of ``_kernel_terms`` that ``_kernel``
 sums, so a partial cannot drift from the value it differentiates.  Both the
 equilibria and the periodic families are then found by the one Sturm-chain
 root isolator in ``equilibria``.
@@ -135,40 +135,11 @@ def _sqrt(x):
     return math.sqrt(max(0.0, x))
 
 
-def _kernel1_terms(L, G, U1, U3, beta: float, gamma: float):
-    """(C01, C11, C21) for float or complex-step inputs."""
-    alpha = beta * beta - 1.0
-    a = L * L * (1.0 / gamma)
-    eta = G / L
-    esq = 1.0 - eta * eta
-    c1 = U1 / G
-    c2 = U3 / G
-    s1sq = 1.0 - c1 * c1
-    s2sq = 1.0 - c2 * c2
-    e = _sqrt(esq)
-    s1 = _sqrt(s1sq)
-    s2 = _sqrt(s2sq)
-    a2 = a * a
-    c01 = (1.0 / 16.0) * a2 * (2.0 + 3.0 * esq) * (2.0 + alpha * (2.0 * c1 * c1 * c2 * c2 + s1sq * s2sq))
-    c11 = (-1.0 / 4.0) * a2 * alpha * (4.0 + esq) * e * c1 * c2 * s1 * s2
-    c21 = (5.0 / 16.0) * a2 * alpha * esq * s1sq * s2sq
-    return c01, c11, c21
+def _kernel_terms(L, G, U1, U3, beta: float, gamma: float, order: int = 1):
+    """(C01, C11, C21), and at order 2 also (C02..C42), for float or complex-step inputs.
 
-
-def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> NFCoefficientsOrder1:
-    """Closed-form first-order averaged coefficients."""
-    if not 0.0 < G <= L:
-        raise ValueError(f"need 0 < G <= L, got G={G}, L={L}")
-    c01, c11, c21 = _kernel1_terms(L, G, U1, U3, beta, gamma)
-    return NFCoefficientsOrder1(C01=c01, C11=c11, C21=c21)
-
-
-def _kernel2_terms(L, G, U1, U3, beta: float, gamma: float):
-    """(C02, C12, C22, C32, C42) for float or complex-step inputs.
-
-    Exact second-order averages of the bracket kernel; uniform prefactor
-    a^5/gamma.  The alpha-linear blocks reuse the same angular combinations
-    as the first order (2 c1^2 c2^2 + s1^2 s2^2 and s1^2 s2^2).
+    Order 2 holds the exact averages of the bracket kernel, prefactor a^5/gamma; its alpha-linear
+    blocks reuse the first order's angular combinations 2 c1^2 c2^2 + s1^2 s2^2 and s1^2 s2^2.
     """
     alpha = beta * beta - 1.0
     a = L * L * (1.0 / gamma)
@@ -181,6 +152,12 @@ def _kernel2_terms(L, G, U1, U3, beta: float, gamma: float):
     e = _sqrt(e2)
     s1 = _sqrt(s1sq)
     s2 = _sqrt(s2sq)
+    a2 = a * a
+    c01 = (1.0 / 16.0) * a2 * (2.0 + 3.0 * e2) * (2.0 + alpha * (2.0 * c1 * c1 * c2 * c2 + s1sq * s2sq))
+    c11 = (-1.0 / 4.0) * a2 * alpha * (4.0 + e2) * e * c1 * c2 * s1 * s2
+    c21 = (5.0 / 16.0) * a2 * alpha * e2 * s1sq * s2sq
+    if order != 2:
+        return c01, c11, c21
     e4 = e2 * e2
     e6 = e4 * e2
     c1sq = c1 * c1
@@ -228,7 +205,14 @@ def _kernel2_terms(L, G, U1, U3, beta: float, gamma: float):
     c32 = (5.0 / 384.0) * alpha * alpha * c1 * c2 * (e * e2) * s1 * s2 * s1sq * s2sq * (11.0 * e2 - 52.0)
     c42 = (205.0 / 3072.0) * alpha * alpha * e4 * s1sq * s1sq * s2sq * s2sq
 
-    return (scale * c02, scale * c12, scale * c22, scale * c32, scale * c42)
+    return c01, c11, c21, scale * c02, scale * c12, scale * c22, scale * c32, scale * c42
+
+
+def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> NFCoefficientsOrder1:
+    """Closed-form first-order averaged coefficients."""
+    if not 0.0 < G <= L:
+        raise ValueError(f"need 0 < G <= L, got G={G}, L={L}")
+    return NFCoefficientsOrder1(*_kernel_terms(L, G, U1, U3, beta, gamma))
 
 
 def order2_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> NFCoefficientsOrder2:
@@ -239,8 +223,7 @@ def order2_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: 
     """
     if not 0.0 < G <= L:
         raise ValueError(f"need 0 < G <= L, got G={G}, L={L}")
-    c02, c12, c22, c32, c42 = _kernel2_terms(L, G, U1, U3, beta, gamma)
-    return NFCoefficientsOrder2(C02=c02, C12=c12, C22=c22, C32=c32, C42=c42)
+    return NFCoefficientsOrder2(*_kernel_terms(L, G, U1, U3, beta, gamma, order=2)[3:])
 
 
 # -- generating function -------------------------------------------------------
@@ -288,6 +271,15 @@ def w1(dp: DelaunayPoint, p: ModelParams) -> float:
     return _value(pref * (A * IA + B * (cg * IBc - sg * IBs) + C * (c2g * ICc - s2g * ICs)))
 
 
+def _sum_kernel(terms, g, epsilon):
+    """K1 + (eps/2) K2, each order the sum of C_k cos(k g), from C01..C21 or C01..C42; complex g allowed."""
+    cos = cmath.cos if isinstance(g, complex) else math.cos
+    val = sum(c * cos(k * g) for k, c in enumerate(terms[:3]))
+    if len(terms) > 3:
+        val += 0.5 * epsilon * sum(c * cos(k * g) for k, c in enumerate(terms[3:]))
+    return val
+
+
 def kernel(g: float, L: float, G: float, U1: float, U3: float, beta: float, gamma: float,
            order: int = 1, epsilon: float = 0.0) -> float:
     """Averaged perturbation P(g; momenta) with K = H0 + eps P.
@@ -295,24 +287,18 @@ def kernel(g: float, L: float, G: float, U1: float, U3: float, beta: float, gamm
     order 1: P = K1; order 2: P = K1 + (eps/2) K2.
     """
     c = order1_coeffs(L, G, U1, U3, beta, gamma)
-    val = c.C01 + c.C11 * math.cos(g) + c.C21 * math.cos(2 * g)
+    terms = (c.C01, c.C11, c.C21)
     if order == 2:
         c2 = order2_coeffs(L, G, U1, U3, beta, gamma)
-        val += 0.5 * epsilon * (c2.C02 + c2.C12 * math.cos(g) + c2.C22 * math.cos(2 * g)
-                                + c2.C32 * math.cos(3 * g) + c2.C42 * math.cos(4 * g))
+        terms += (c2.C02, c2.C12, c2.C22, c2.C32, c2.C42)
     elif order != 1:
         raise ValueError("order must be 1 or 2")
-    return val
+    return _sum_kernel(terms, g, epsilon)
 
 
 def _kernel(g, L, G, U1, U3, beta: float, gamma: float, order: int = 1, epsilon: float = 0.0):
     """P of ``kernel`` for float or complex-step input, without a domain check."""
-    cos = cmath.cos if isinstance(g, complex) else math.cos
-    val = sum(c * cos(k * g) for k, c in enumerate(_kernel1_terms(L, G, U1, U3, beta, gamma)))
-    if order == 2:
-        t2 = _kernel2_terms(L, G, U1, U3, beta, gamma)
-        val += 0.5 * epsilon * sum(c * cos(k * g) for k, c in enumerate(t2))
-    return val
+    return _sum_kernel(_kernel_terms(L, G, U1, U3, beta, gamma, order), g, epsilon)
 
 
 def homological_residual(dp: DelaunayPoint, p: ModelParams) -> float:

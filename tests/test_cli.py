@@ -369,6 +369,55 @@ class TestConfigBlocks:
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]  # nothing written
 
 
+_SWEEP_AXIS = {"start": 0.0, "stop": 0.5, "num": 1000}
+
+
+class TestWorkBounds:
+    # (command, config, the library function that does the command's work)
+    @pytest.mark.parametrize("command, cfg, work", [
+        ("integrate", {"kind": "cartesian", "state": _STATE, "t_end": 1.0, "n_out": 1e13},
+         (model, "integrate")),
+        ("integrate", {"kind": "reduced", "integrals": _INTEGRALS, "t_end": 1.0,
+                       "n_out": cli.MAX_SAMPLES + 1}, (invariants, "reduced_flow")),
+        ("integrate", {"kind": "normalized", "delaunay": _DELAUNAY,
+                       "params": {"epsilon": 1e-3, "h": 4.0}, "t_end": 1.0, "n_out": 1e13},
+         (model, "_solve_ivp")),
+        ("reduce", {"integrals": _INTEGRALS, "count": 1e13}, (invariants, "surface_samples")),
+        ("reduce", {"integrals": _INTEGRALS, "count": cli.MAX_SAMPLES + 1},
+         (invariants, "surface_samples")),
+        ("equilibria", {**_GRIDS, "alpha_grid": {"start": 0.0, "stop": 1.0, "num": 1e13}},
+         (equilibria, "sweep")),
+        ("equilibria", {**_GRIDS, "w_grid": {"start": 0.0, "stop": 0.5, "num": cli.MAX_CELLS + 1}},
+         (equilibria, "sweep")),
+        ("nf-table", {"eta_grid": {"start": 0.1, "stop": 0.9, "num": 1e13}},
+         (normalform, "order1_coeffs")),
+        # every grid within the num bound, their product above the cell bound
+        ("equilibria", {"alpha_grid": [1.0], "w_grid": _SWEEP_AXIS, "z_grid": _SWEEP_AXIS},
+         (equilibria, "sweep")),
+        ("nf-table", {"c1_grid": _SWEEP_AXIS, "c2_grid": _SWEEP_AXIS},
+         (normalform, "order1_coeffs")),
+    ], ids=["cartesian_n_out", "reduced_n_out", "normalized_n_out", "count", "count_past_bound",
+            "grid_num", "grid_num_past_bound", "nf_table_grid_num", "sweep_cells",
+            "nf_table_cells"])
+    def test_work_above_the_bound_fails_before_any_work(self, command, cfg, work, tmp_path,
+                                                        monkeypatch, capsys):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        monkeypatch.setattr(*work, not_reached)
+        path = write_config(tmp_path / "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]  # nothing written
+
+    def test_grid_bounds_are_inclusive(self):
+        axis = {"start": 0.0, "stop": 1.0, "num": cli.MAX_CELLS // 10}
+        grids = cli._grids({"a": {**axis, "num": cli.MAX_CELLS}}, a=[], b=[0.0])
+        assert [g.size for g in grids] == [cli.MAX_CELLS, 1]
+        grids = cli._grids({"a": axis}, a=[], b=list(range(10)))
+        assert [g.size for g in grids] == [cli.MAX_CELLS // 10, 10]
+
+
 class TestOutputPaths:
     # (command, config, the library function that does the command's work)
     @pytest.mark.parametrize("command, cfg, work", [
@@ -424,6 +473,13 @@ def _reduced_rows():
     return np.column_stack([traj.t, traj.K, traj.N, traj.S, traj.h3, traj.casimir])
 
 
+def _reduced_state_rows():
+    iv = model.IntegralValues(n=1.0, xi=0.3, l=0.1)
+    pt0 = invariants.reduced_point(0.0, math.sqrt(0.2016), 0.0, iv)
+    traj = invariants.reduced_flow(pt0, 1.0, 1.0, 1e-10, n_out=4)
+    return np.column_stack([traj.t, traj.K, traj.N, traj.S, traj.h3, traj.casimir])
+
+
 def _normalized_rows():
     # the fast and slow angles come from a solver run inside the CLI; the
     # sample times and the conserved momenta are known in advance
@@ -456,6 +512,12 @@ CSV_CASES = {
         "kind": "reduced", "integrals": {"n": 1.0, "xi": 0.3, "l": 0.1}, "params": {"beta": 1.0},
         "angle": 0.3, "t_end": 1.0, "tol": 1e-10, "n_out": 4, "out": "r.csv"},
         "r.csv", "t,K,N,S,H3,casimir_residual", _reduced_rows),
+    # f(0) = 1.68 * 0.48 = 4 (N^2 + S^2) at these integrals
+    "reduced_state": ("integrate", {
+        "kind": "reduced", "integrals": {"n": 1.0, "xi": 0.3, "l": 0.1}, "params": {"beta": 1.0},
+        "reduced_state": {"K": 0.0, "N": math.sqrt(0.2016), "S": 0.0}, "t_end": 1.0,
+        "tol": 1e-10, "n_out": 4, "out": "r.csv"},
+        "r.csv", "t,K,N,S,H3,casimir_residual", _reduced_state_rows),
     "normalized": ("integrate", {
         "kind": "normalized", "delaunay": {"ell": 0.1, "g": 1.0, "u1": 0.0, "u3": 0.0,
                                            "L": 1.0, "G": 0.7, "U1": 0.2, "U3": -0.1},

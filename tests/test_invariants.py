@@ -291,3 +291,73 @@ class TestReducedFlow:
         pt = inv.ThriceReducedPoint(M=0.0, N=5.0, Z=0.0, S=5.0, K=0.0, integrals=iv)
         with pytest.raises(ValueError):
             inv.reduced_flow(pt, beta=1.0, t_end=1.0, tol=1e-10)
+
+
+# -- one coefficient source for the reduced Hamiltonian and its flow -------------
+# ``reduced_h3`` and ``reduced_rhs`` as written before they read ``_h3_coeffs``
+# and ``_surface_mz``, kept verbatim as references: every value must keep its bits.
+
+def _reduced_h3_reference(pt, beta):
+    n, xi, l = pt.integrals.n, pt.integrals.xi, pt.integrals.l
+    b2 = beta * beta
+    return (
+        0.75 * n * (3.0 * b2 - 2.0) * pt.K * pt.K
+        + xi * l * (1.0 - b2) * pt.K
+        + 0.5 * n * (4.0 - b2) * pt.N
+        + n ** 3 * (1.5 + 0.25 * b2)
+        - (l * l + xi * xi) * (0.5 * b2 + 1.0) * 0.5 * n
+    )
+
+
+def _reduced_rhs_reference(K, N, S, iv, beta):
+    n, xi, l = iv.n, iv.xi, iv.l
+    b2 = beta * beta
+    m = 0.5 * (n * n + xi * xi - K * K - l * l)
+    z = n * xi - K * l
+    dh_dk = 1.5 * n * (3.0 * b2 - 2.0) * K + xi * l * (1.0 - b2)
+    dh_dn = 0.5 * n * (4.0 - b2)
+    dK = -4.0 * S * dh_dn
+    dN = 4.0 * S * dh_dk
+    dS = -4.0 * N * dh_dk + 4.0 * (K * m - l * z) * dh_dn
+    return dK, dN, dS
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_KNS = st.floats(-1e3, 1e3)
+
+
+class TestOneCoefficientSource:
+    @settings(max_examples=250, deadline=None)
+    @given(st.floats(1e-3, 1e3), _UNIT, _UNIT, st.floats(0.0, 4.0),
+           st.lists(st.tuples(_KNS, _KNS, _KNS), min_size=1, max_size=8))
+    def test_scalar_and_array_values_keep_their_bits(self, n, xi, l, beta, kns):
+        iv = IntegralValues(n=n, xi=xi * n, l=l * n)
+        K, N, S = (np.array(v) for v in zip(*kns))
+        for k, n_, s_ in [*kns, (K, N, S)]:
+            pt = inv.ThriceReducedPoint(M=0.0, N=n_, Z=0.0, S=s_, K=k, integrals=iv)
+            assert _hex(inv.reduced_h3(pt, beta)) == _hex(_reduced_h3_reference(pt, beta))
+            assert _hex(inv.reduced_h3(inv.reduced_point(k, n_, s_, iv), beta)) == _hex(
+                _reduced_h3_reference(pt, beta))
+            got = inv.reduced_rhs(k, n_, s_, iv, beta)
+            want = _reduced_rhs_reference(k, n_, s_, iv, beta)
+            assert [_hex(v) for v in got] == [_hex(v) for v in want]
+
+    def test_reduced_point_satisfies_the_defining_relations(self):
+        iv = IntegralValues(n=1.3, xi=0.4, l=-0.2)
+        for K in (-0.5, 0.0, 0.25):
+            pt = inv.reduced_point(K, 0.1, -0.3, iv)
+            assert (pt.K, pt.N, pt.S, pt.integrals) == (K, 0.1, -0.3, iv)
+            r1, r2, _ = inv.eo3_residuals(pt)
+            assert abs(r1) < 1e-15 and abs(r2) < 1e-15
+
+    def test_f_of_K_scalar_equals_array(self):
+        # a scalar ** 2 would go through libm's pow, which misses the correctly
+        # rounded square x * x (numpy's array ** 2) on about 1 in 1200 doubles
+        # with glibc; 20000 cells hold some of those for K + l and K - l
+        iv = IntegralValues(n=1.0, xi=0.3, l=0.1)
+        ks = np.random.default_rng(7).uniform(-0.8, 0.8, 20000)
+        assert _hex([inv.f_of_K(k, iv) for k in ks.tolist()]) == _hex(inv.f_of_K(ks, iv))

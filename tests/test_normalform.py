@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -304,3 +305,207 @@ class TestNormalizedField:
         kp = nf.kernel(dp.g + h, dp.L, dp.G, dp.U1, dp.U3, p.beta, p.gamma)
         km = nf.kernel(dp.g - h, dp.L, dp.G, dp.U1, dp.U3, p.beta, p.gamma)
         assert tan.G == pytest.approx(-p.epsilon * (kp - km) / (2 * h), rel=1e-6, abs=1e-12)
+
+
+# -- one term function for both orders -------------------------------------------
+# The per-order term functions that ``nf._kernel_terms`` merged, and the sums
+# that read them, kept verbatim as references: every value must keep its bits.
+
+def _kernel1_terms_reference(L, G, U1, U3, beta: float, gamma: float):
+    """(C01, C11, C21): the first-order term function as written before the merge."""
+    alpha = beta * beta - 1.0
+    a = L * L * (1.0 / gamma)
+    eta = G / L
+    esq = 1.0 - eta * eta
+    c1 = U1 / G
+    c2 = U3 / G
+    s1sq = 1.0 - c1 * c1
+    s2sq = 1.0 - c2 * c2
+    e = nf._sqrt(esq)
+    s1 = nf._sqrt(s1sq)
+    s2 = nf._sqrt(s2sq)
+    a2 = a * a
+    c01 = (1.0 / 16.0) * a2 * (2.0 + 3.0 * esq) * (2.0 + alpha * (2.0 * c1 * c1 * c2 * c2 + s1sq * s2sq))
+    c11 = (-1.0 / 4.0) * a2 * alpha * (4.0 + esq) * e * c1 * c2 * s1 * s2
+    c21 = (5.0 / 16.0) * a2 * alpha * esq * s1sq * s2sq
+    return c01, c11, c21
+
+
+def _kernel2_terms_reference(L, G, U1, U3, beta: float, gamma: float):
+    """(C02, C12, C22, C32, C42): the second-order term function as written before the merge.
+
+    Exact second-order averages of the bracket kernel; uniform prefactor
+    a^5/gamma.  The alpha-linear blocks reuse the same angular combinations
+    as the first order (2 c1^2 c2^2 + s1^2 s2^2 and s1^2 s2^2).
+    """
+    alpha = beta * beta - 1.0
+    a = L * L * (1.0 / gamma)
+    eta = G / L
+    e2 = 1.0 - eta * eta
+    c1 = U1 / G
+    c2 = U3 / G
+    s1sq = 1.0 - c1 * c1
+    s2sq = 1.0 - c2 * c2
+    e = nf._sqrt(e2)
+    s1 = nf._sqrt(s1sq)
+    s2 = nf._sqrt(s2sq)
+    e4 = e2 * e2
+    e6 = e4 * e2
+    c1sq = c1 * c1
+    c2sq = c2 * c2
+    c14 = c1sq * c1sq
+    c24 = c2sq * c2sq
+    # orientation {R1 + K1, W1}; uniform scale a^5/gamma
+    scale = -a * a * a * a * a * (1.0 / gamma)
+
+    base0 = 0.25 + (33.0 / 32.0) * e2 - (21.0 / 128.0) * e4
+    c02 = (
+        alpha * alpha * (
+            c14 * c24 * ((317.0 / 384.0) + (887.0 / 384.0) * e2 - (675.0 / 1024.0) * e4 - (9.0 / 64.0) * e6)
+            + (c14 * c2sq + c1sq * c24) * (-(155.0 / 192.0) - (211.0 / 96.0) * e2 + (1277.0 / 1536.0) * e4 + (11.0 / 64.0) * e6)
+            + (c14 + c24) * (-(7.0 / 384.0) + (209.0 / 384.0) * e2 - (1001.0 / 3072.0) * e4)
+            + c1sq * c2sq * ((101.0 / 96.0) + (197.0 / 48.0) * e2 - (429.0 / 256.0) * e4 - (13.0 / 64.0) * e6)
+            + (c1sq + c2sq) * ((1.0 / 192.0) - (49.0 / 32.0) * e2 + (427.0 / 512.0) * e4)
+            + ((5.0 / 384.0) + (379.0 / 384.0) * e2 - (1561.0 / 3072.0) * e4)
+        )
+        + alpha * (2.0 * c1sq * c2sq + s1sq * s2sq) * base0
+        + base0
+    )
+
+    c12 = alpha * c1 * c2 * e * s1 * s2 * (
+        alpha * (
+            c1sq * c2sq * (-(79.0 / 24.0) - (23.0 / 16.0) * e2 + (127.0 / 128.0) * e4)
+            + (c1sq + c2sq) * ((43.0 / 24.0) + (23.0 / 48.0) * e2 - (257.0 / 384.0) * e4)
+            + (-(67.0 / 24.0) - (5.0 / 6.0) * e2 + (329.0 / 384.0) * e4)
+        )
+        + (-3.5 - (25.0 / 16.0) * e2 + (19.0 / 32.0) * e4)
+    )
+
+    c22 = (
+        alpha * alpha * (
+            c14 * c24 * ((297.0 / 128.0) * e2 - (239.0 / 768.0) * e4 - (9.0 / 64.0) * e6)
+            + (c14 * c2sq + c1sq * c24) * (-(181.0 / 64.0) * e2 + (53.0 / 96.0) * e4 + (9.0 / 64.0) * e6)
+            + (c14 + c24) * ((65.0 / 128.0) * e2 - (185.0 / 768.0) * e4)
+            + c1sq * c2sq * ((269.0 / 64.0) * e2 - (141.0 / 128.0) * e4 - (9.0 / 64.0) * e6)
+            + (c1sq + c2sq) * (-(11.0 / 8.0) * e2 + (211.0 / 384.0) * e4)
+            + ((111.0 / 128.0) * e2 - (79.0 / 256.0) * e4)
+        )
+        + alpha * s1sq * s2sq * ((111.0 / 64.0) * e2 - (79.0 / 128.0) * e4)
+    )
+
+    c32 = (5.0 / 384.0) * alpha * alpha * c1 * c2 * (e * e2) * s1 * s2 * s1sq * s2sq * (11.0 * e2 - 52.0)
+    c42 = (205.0 / 3072.0) * alpha * alpha * e4 * s1sq * s1sq * s2sq * s2sq
+
+    return (scale * c02, scale * c12, scale * c22, scale * c32, scale * c42)
+
+
+def _kernel_reference(g, L, G, U1, U3, beta, gamma, order=1, epsilon=0.0):
+    cos = cmath.cos if isinstance(g, complex) else math.cos
+    val = sum(c * cos(k * g) for k, c in enumerate(_kernel1_terms_reference(L, G, U1, U3, beta, gamma)))
+    if order == 2:
+        t2 = _kernel2_terms_reference(L, G, U1, U3, beta, gamma)
+        val += 0.5 * epsilon * sum(c * cos(k * g) for k, c in enumerate(t2))
+    return val
+
+
+def _public_kernel_reference(g, L, G, U1, U3, beta, gamma, order=1, epsilon=0.0):
+    c01, c11, c21 = _kernel1_terms_reference(L, G, U1, U3, beta, gamma)
+    val = c01 + c11 * math.cos(g) + c21 * math.cos(2 * g)
+    if order == 2:
+        c02, c12, c22, c32, c42 = _kernel2_terms_reference(L, G, U1, U3, beta, gamma)
+        val += 0.5 * epsilon * (c02 + c12 * math.cos(g) + c22 * math.cos(2 * g)
+                                + c32 * math.cos(3 * g) + c42 * math.cos(4 * g))
+    return val
+
+
+def _normalized_rhs_reference(dp, p, order):
+    eps = p.epsilon
+    dP_dg, dP_dL, dP_dG, dP_dU1, dP_dU3 = model._complex_step_jacobian(
+        lambda *x: (_kernel_reference(*x, p.beta, p.gamma, order, eps),),
+        (dp.g, dp.L, dp.G, dp.U1, dp.U3))[0]
+    return (p.gamma ** 2 / dp.L ** 3 + eps * dP_dL, eps * dP_dG, eps * dP_dU1,
+            eps * dP_dU3, 0.0, -eps * dP_dg, 0.0, 0.0)
+
+
+def _branch_equation_reference(eta, w, z, alpha, cosg):
+    beta = eq._branch_beta(alpha, cosg)
+    c01, c11, c21 = _kernel1_terms_reference(1.0, complex(eta, model._COMPLEX_STEP), w, z, beta, 1.0)
+    return (c01 + cosg * c11 + c21).imag / model._COMPLEX_STEP
+
+
+def _bits(fn, *args, **kwargs):
+    """float.hex of every real and imaginary part fn returns, or the error it raises."""
+    try:
+        out = fn(*args, **kwargs)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    values = out if isinstance(out, tuple) else (out,)
+    return [float(x).hex() for v in values
+            for x in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
+
+
+_MOMENTA = st.tuples(st.floats(0.05, 20.0), st.floats(1e-3, 1.0), st.floats(-0.999, 0.999),
+                     st.floats(-0.999, 0.999))
+_BETA = st.floats(0.0, 4.0)
+_GAMMA = st.floats(0.05, 5.0)
+_ANGLE = st.floats(-10.0, 10.0)
+_EPSILON = st.floats(0.0, 0.5)
+
+
+def _point(momenta):
+    L, eta, c1, c2 = momenta
+    G = eta * L
+    return L, G, c1 * G, c2 * G
+
+
+class TestOneTermFunction:
+    @settings(max_examples=250, deadline=None)
+    @given(_MOMENTA, _BETA, _GAMMA, _ANGLE, _EPSILON)
+    def test_terms_and_kernel_keep_their_bits(self, momenta, beta, gamma, g, eps):
+        # the float input, then each complex-step column of (g, L, G, U1, U3)
+        x = (g, *_point(momenta))
+        for k in range(-1, 5):
+            z = [complex(v, model._COMPLEX_STEP) if i == k else v for i, v in enumerate(x)]
+            assert _bits(nf._kernel_terms, *z[1:], beta, gamma) == _bits(
+                _kernel1_terms_reference, *z[1:], beta, gamma)
+            assert _bits(nf._kernel_terms, *z[1:], beta, gamma, order=2) == _bits(
+                lambda *a: _kernel1_terms_reference(*a) + _kernel2_terms_reference(*a),
+                *z[1:], beta, gamma)
+            for order in (1, 2):
+                assert _bits(nf._kernel, *z, beta, gamma, order, eps) == _bits(
+                    _kernel_reference, *z, beta, gamma, order, eps)
+
+    @settings(max_examples=250, deadline=None)
+    @given(_MOMENTA, _BETA, _GAMMA, _ANGLE, _EPSILON)
+    def test_public_tables_keep_their_bits(self, momenta, beta, gamma, g, eps):
+        L, G, U1, U3 = _point(momenta)
+        c1 = nf.order1_coeffs(L, G, U1, U3, beta, gamma)
+        c2 = nf.order2_coeffs(L, G, U1, U3, beta, gamma)
+        assert _bits(lambda: tuple(vars(c1).values())) == _bits(
+            _kernel1_terms_reference, L, G, U1, U3, beta, gamma)
+        assert _bits(lambda: tuple(vars(c2).values())) == _bits(
+            _kernel2_terms_reference, L, G, U1, U3, beta, gamma)
+        for order in (1, 2):
+            assert _bits(nf.kernel, g, L, G, U1, U3, beta, gamma, order, eps) == _bits(
+                _public_kernel_reference, g, L, G, U1, U3, beta, gamma, order, eps)
+
+    @settings(max_examples=250, deadline=None)
+    @given(_MOMENTA, _BETA, _GAMMA, _ANGLE, _ANGLE, _EPSILON)
+    def test_normalized_rhs_keeps_its_bits(self, momenta, beta, gamma, ell, g, eps):
+        L, G, U1, U3 = _point(momenta)
+        dp = DelaunayPoint(ell=ell, g=g, u1=0.3, u3=-0.2, L=L, G=G, U1=U1, U3=U3)
+        p = params(beta=beta, gamma=gamma, eps=eps)
+        for order in (1, 2):
+            assert _bits(lambda: tuple(nf.normalized_rhs(dp, p, order))) == _bits(
+                _normalized_rhs_reference, dp, p, order)
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.floats(-0.999, 0.999), st.floats(-0.999, 0.999), st.floats(0.0, 1.0),
+           st.floats(-0.99, 5.0), st.sampled_from([1.0, -1.0]))
+    def test_branch_equation_keeps_its_bits(self, w, z, t, alpha, cosg):
+        lo = max(abs(w), abs(z))
+        eta = min(1.0, lo + (1.0 - lo) * t)
+        if not lo < eta:
+            eta = 1.0
+        assert _bits(eq.branch_equation, eta, w, z, alpha, cosg) == _bits(
+            _branch_equation_reference, eta, w, z, alpha, cosg)

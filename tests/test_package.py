@@ -87,3 +87,50 @@ def test_every_private_helper_is_referenced():
                 used.add(node.name)
     assert helpers
     assert [h for h in helpers if h.split(".")[1] not in used] == []
+
+
+_DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*"
+_MISSING = object()
+
+
+def _quoted_names(text: str, quote: str) -> set[str]:
+    """Dotted names between two ``quote`` marks that start with ``_`` or with a module name."""
+    names = re.findall(rf"(?<!`){quote}({_DOTTED}){quote}(?!`)", text)
+    return {n for n in names if n.startswith("_") or n.split(".")[0] in MODULES}
+
+
+def _resolves(name: str) -> bool:
+    """``module.attr...`` of a package module, or ``_attr...`` of a module or of a module-level class."""
+    head, *rest = name.split(".")
+    modules = [importlib.import_module(f"resonance_lab.{m}") for m in MODULES]
+    if head in MODULES:
+        scopes, path = [modules[MODULES.index(head)]], rest
+    else:
+        scopes = modules + [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+        path = [head, *rest]
+    for obj in scopes:
+        for part in path:
+            obj = getattr(obj, part, _MISSING)
+            if obj is _MISSING:
+                break
+        else:
+            return True
+    return False
+
+
+def test_quoted_names_resolve():
+    """Private and module-qualified names quoted in the docs name code that exists.
+
+    In a docstring of the package a name is quoted in double backquotes, in
+    the README in single ones.
+    """
+    quoted = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                for name in _quoted_names(ast.get_docstring(node) or "", "``"):
+                    quoted.setdefault(name, path.name)
+    for name in _quoted_names(README.read_text(), "`"):
+        quoted.setdefault(name, README.name)
+    assert quoted
+    assert {n: where for n, where in quoted.items() if not _resolves(n)} == {}
