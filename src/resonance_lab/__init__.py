@@ -63,11 +63,9 @@ from .charts import (
 )
 from .normalform import (
     NFCoefficientsOrder1,
-    NFCoefficientsOrder2,
     average_over_ell,
     normalized_rhs,
     order1_coeffs,
-    order2_coeffs,
     perturbation_delaunay,
     second_order_oracle,
     w1,

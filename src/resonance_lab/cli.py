@@ -94,7 +94,7 @@ def _out_dir(args) -> Path:
 
 
 def _grid(spec, name: str) -> np.ndarray:
-    """A grid is either an explicit list or {start, stop, num} of at least one finite value.
+    """A grid is either a flat list or {start, stop, num} of at least one finite value.
 
     ``num`` follows the integer rule of ``_scalar`` (a boolean or a fractional
     number is an error, never truncated) and is at most ``MAX_CELLS``.
@@ -114,6 +114,8 @@ def _grid(spec, name: str) -> np.ndarray:
         raise ConfigError(f"grid {name!r} needs start/stop/num") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid {name!r}: {exc}") from exc
+    if grid.ndim != 1:
+        raise ConfigError(f"grid {name!r} must be a flat list of numbers, got {spec!r}")
     if not grid.size:
         raise ConfigError(f"grid {name!r} must hold at least one value")
     if not np.isfinite(grid).all():
@@ -168,22 +170,25 @@ def _out_path(out: Path, cfg: dict, key: str, default: str) -> Path:
     return path
 
 
-def _params_block(cfg: dict) -> dict:
-    p = cfg.get("params", {})
-    if not isinstance(p, dict):
-        raise ConfigError("'params' must be a JSON object")
-    return p
+def _gamma(block: dict, default):
+    """gamma of the energy level, given as 'h' (gamma = h/4) or 'gamma' but not both; else ``default``."""
+    if "h" in block and "gamma" in block:
+        raise ConfigError("give the energy level as 'h' or as 'gamma', not both")
+    h = _scalar(block, "h", None)
+    return h / 4.0 if h is not None else _scalar(block, "gamma", default)
 
 
 def _params_from_config(cfg: dict) -> model.ModelParams:
-    p = _params_block(cfg)
-    h = _scalar(p, "h", None)
+    """The 'params' block as ModelParams; a malformed block or value is a configuration error."""
+    p = cfg.get("params", {})
+    if not isinstance(p, dict):
+        raise ConfigError("'params' must be a JSON object")
     try:
         return model.ModelParams(
             omega=_scalar(p, "omega", 1.0),
             epsilon=_scalar(p, "epsilon", 0.0),
             beta=_scalar(p, "beta", 0.0),
-            gamma=_scalar(p, "gamma", h / 4.0 if h is not None else None),
+            gamma=_gamma(p, None),
         )
     except ValueError as exc:
         raise ConfigError(f"bad params block: {exc}") from exc
@@ -276,7 +281,7 @@ def cmd_integrate(args) -> int:
     if kind == "reduced":
         path = _out_path(out, cfg, "out", "reduced_trajectory.csv")
         iv = _block(cfg, "integrals")
-        beta = _scalar(_params_block(cfg), "beta", 0.0)
+        beta = _params_from_config(cfg).beta
         if "reduced_state" in cfg:
             pt0 = invariants.reduced_point(*_block(cfg, "reduced_state"), iv)
         else:
@@ -354,8 +359,7 @@ def cmd_reduce(args) -> int:
 def cmd_nf_table(args) -> int:
     cfg = _load_config(args.config)
     path = _out_path(_out_dir(args), cfg, "out", "nf_table.csv")
-    h = _scalar(cfg, "h", None)
-    gamma = _scalar(cfg, "gamma", h / 4.0 if h is not None else 1.0)
+    gamma = _gamma(cfg, 1.0)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ConfigError(f"nf-table needs a finite gamma > 0, got {gamma!r}")
     betas, Ls, etas, c1s, c2s = _grids(cfg, beta_grid=[0.0, 1.0, math.sqrt(2.0)], L_grid=[1.0],
@@ -366,9 +370,8 @@ def cmd_nf_table(args) -> int:
         U1 = c1 * G
         U3 = c2 * G
         c = normalform.order1_coeffs(L, G, U1, U3, beta, gamma)
-        c2v = normalform.order2_coeffs(L, G, U1, U3, beta, gamma)
         rows.append([beta, L, G, U1, U3, c.C01, c.C11, c.C21,
-                     c2v.C02, c2v.C12, c2v.C22, c2v.C32, c2v.C42])
+                     *normalform._kernel_terms(L, G, U1, U3, beta, gamma, order=2)[3:]])
     _write_csv(path, "beta,L,G,U1,U3,C01,C11,C21,C02,C12,C22,C32,C42", rows)
     print(f"wrote {path}")
     return 0

@@ -10,9 +10,10 @@ whose sin g = 0 branches reduce to the two scalar equations
     F+-(eta) = d(C01 +- C11 + C21)/dG = 0        (cos g = +-1),
 
 with eta = G/L and the state ratios w = U1/L, z = U3/L as parameters.
-``branch_equation`` takes F+- as the complex-step G-partial of the
-normalized flow's own first-order terms (``normalform._kernel_terms``),
-summed as ``normalform._kernel`` sums them at g = 0 and g = pi.  The exact
+The sin g = 0 slice C01 +- C11 + C21 of the normalized flow's own
+first-order terms (``normalform._kernel_terms``) is written once, in
+``_sin_g_zero_slice``: ``branch_equation`` takes F+- as its complex-step
+G-partial and ``_periodic_residual`` its (G, U1, U3) partials.  The exact
 product F+ F- clears the square roots; its numerator, a polynomial in
 eta^2 (``branch_product_coeffs``), has its real roots isolated by a Sturm
 chain, and each root is Newton-polished against both branch equations.  A
@@ -178,27 +179,27 @@ def _branch_beta(alpha: float, cosg: float) -> float:
     return math.sqrt(alpha + 1.0)
 
 
-def _sin_g_zero_kernel(alpha: float, cosg: float):
-    """(G, U1, U3) -> (P,): the first-order kernel at L = gamma = 1 and g = 0 (cosg = 1) or pi (cosg = -1)."""
-    beta = _branch_beta(alpha, cosg)
-    g = 0.0 if cosg > 0.0 else math.pi
-    return lambda G, U1, U3: (normalform._kernel(g, 1.0, G, U1, U3, beta, 1.0),)
+def _sin_g_zero_slice(G, U1, U3, beta: float, cosg: float):
+    """C01 + cosg*C11 + C21 at L = gamma = 1, for float or complex-step momenta.
+
+    The first-order kernel at g = 0 (cosg = 1) or g = pi (cosg = -1): cos 0,
+    cos pi and cos 2pi are exactly 1, -1 and 1, so this is the sum
+    ``normalform._kernel`` makes there.
+    """
+    c01, c11, c21 = normalform._kernel_terms(1.0, G, U1, U3, beta, 1.0)
+    return c01 + cosg * c11 + c21
 
 
 def branch_equation(eta: float, w: float, z: float, alpha: float, cosg: float) -> float:
     """F(eta) = d(C01 + cosg*C11 + C21)/dG at L = 1, gamma = 1.
 
-    The G-partial, by complex step, of the first-order terms
-    (``normalform._kernel_terms``) summed as the kernel sums them at g = 0
-    (cosg = +1) or g = pi (cosg = -1), the two sin g = 0 branches.  cos 0,
-    cos pi and cos 2pi are exactly 1, -1 and 1, so the value is bit for bit
-    the complex-step G-partial of ``normalform._kernel`` there.
+    The complex-step G-partial of ``_sin_g_zero_slice`` on the branch
+    g = 0 (cosg = +1) or g = pi (cosg = -1) of sin g = 0.
     """
     beta = _branch_beta(alpha, cosg)
     if not max(abs(w), abs(z)) < eta <= 1.0:
         raise ValueError(f"need max(|w|,|z|) < eta <= 1, got eta={eta}, w={w}, z={z}")
-    c01, c11, c21 = normalform._kernel_terms(1.0, complex(eta, _COMPLEX_STEP), w, z, beta, 1.0)
-    return (c01 + cosg * c11 + c21).imag / _COMPLEX_STEP
+    return _sin_g_zero_slice(complex(eta, _COMPLEX_STEP), w, z, beta, cosg).imag / _COMPLEX_STEP
 
 
 # -- Sturm-chain root isolation ------------------------------------------------
@@ -565,9 +566,14 @@ def _printed_u_ratio(e: float, cosg: float) -> float | None:
 
 
 def _periodic_residual(e: float, c: float, alpha: float, cosg: float) -> float:
-    """Max residual of the full periodic system at (e, c1 = c2 = c, sin g = 0)."""
+    """Max residual of the full periodic system at (e, c1 = c2 = c, sin g = 0).
+
+    The largest complex-step partial of ``_sin_g_zero_slice`` in (G, U1, U3).
+    """
+    beta = _branch_beta(alpha, cosg)
     eta = math.sqrt(max(0.0, 1.0 - e * e))
-    jac = _complex_step_jacobian(_sin_g_zero_kernel(alpha, cosg), (eta, c * eta, c * eta))
+    jac = _complex_step_jacobian(lambda *x: (_sin_g_zero_slice(*x, beta, cosg),),
+                                 (eta, c * eta, c * eta))
     return float(np.max(np.abs(jac)))
 
 

@@ -365,9 +365,7 @@ def reduced_flow(
     tol: float,
     n_out: int = 256,
 ) -> ReducedTrajectory:
-    """Integrate the reduced dynamics from a point on the reduced surface."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    """Integrate the reduced dynamics from a point on the reduced surface (tol > 0)."""
     iv = pt0.integrals
     c0 = casimir_residual(pt0.K, pt0.N, pt0.S, iv)
     scale = max(1.0, abs(f_of_K(pt0.K, iv)))

@@ -25,7 +25,9 @@ floats: on eight components numpy's per-call overhead would exceed the
 arithmetic.  The closed forms ``hamiltonian`` and ``first_integrals`` broadcast,
 so ``integrate`` evaluates its monitors in one array pass over the solver
 output, on a state whose fields are the rows of the sampled solution.  Every
-run is bounded by a work budget of ``_MAX_NFEV`` vector-field evaluations.
+run goes through ``_solve_ivp``, the one DOP853 call, which requires positive
+tolerances and bounds the run by a work budget of ``_MAX_NFEV`` vector-field
+evaluations.
 """
 
 from __future__ import annotations
@@ -253,10 +255,14 @@ _MAX_NFEV = 5_000_000
 def _solve_ivp(fun, t_end: float, y0, t_eval, rtol: float, atol: float):
     """DOP853 run of dy/dt = fun(t, y) from t = 0 to t_end, sampled at t_eval.
 
+    Raises ValueError before the run unless both tolerances are positive
+    (scipy would raise a zero rtol to 2.2e-14, keep a zero atol and crawl).
     Raises IntegrationError carrying the last sampled time and state when
     the solver stops early, and the time and state of the last evaluation
     when ``fun`` has been evaluated _MAX_NFEV times.
     """
+    if not (rtol > 0.0 and atol > 0.0):
+        raise ValueError(f"tolerances must be positive, got rtol={rtol}, atol={atol}")
     nfev = 0
 
     def counted(t, y):
@@ -293,12 +299,10 @@ def integrate(
     a positive function s(x) multiplying the vector field, used to run the
     flow in a reparametrized time.
 
-    Raises IntegrationError on step-size failure, carrying the last accepted
-    state, or past the work budget, carrying the last evaluated state.
+    Raises ValueError unless tol > 0, and IntegrationError on step-size
+    failure, carrying the last accepted state, or past the work budget,
+    carrying the last evaluated state.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
     if time_scale is None:
         def fun(t, x):
             return _rhs(x, p)

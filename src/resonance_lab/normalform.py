@@ -55,12 +55,10 @@ from .charts import DelaunayPoint, _value, kepler_solve
 
 __all__ = [
     "NFCoefficientsOrder1",
-    "NFCoefficientsOrder2",
     "DelaunayTangent",
     "perturbation_delaunay",
     "average_over_ell",
     "order1_coeffs",
-    "order2_coeffs",
     "w1",
     "homological_residual",
     "kernel",
@@ -80,17 +78,6 @@ class NFCoefficientsOrder1:
     C01: float
     C11: float
     C21: float
-
-
-@dataclass(frozen=True)
-class NFCoefficientsOrder2:
-    """Second-order averaged coefficients (cos 0g .. cos 4g)."""
-
-    C02: float
-    C12: float
-    C22: float
-    C32: float
-    C42: float
 
 
 def _require_chart_params(p: ModelParams) -> float:
@@ -209,21 +196,15 @@ def _kernel_terms(L, G, U1, U3, beta: float, gamma: float, order: int = 1):
 
 
 def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> NFCoefficientsOrder1:
-    """Closed-form first-order averaged coefficients."""
-    if not 0.0 < G <= L:
-        raise ValueError(f"need 0 < G <= L, got G={G}, L={L}")
-    return NFCoefficientsOrder1(*_kernel_terms(L, G, U1, U3, beta, gamma))
+    """Closed-form first-order averaged coefficients on the tables' domain.
 
-
-def order2_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> NFCoefficientsOrder2:
-    """Closed-form second-order averaged coefficients.
-
-    Validated against ``second_order_oracle``; the oracle is the source of
-    truth for these tables.
+    The domain is 0 < G <= L and |U1|, |U3| <= G; |U| = G is allowed, since
+    the closed forms are finite there and only the chart is singular.  The
+    second-order table is ``_kernel_terms(..., order=2)[3:]`` behind this check.
     """
-    if not 0.0 < G <= L:
-        raise ValueError(f"need 0 < G <= L, got G={G}, L={L}")
-    return NFCoefficientsOrder2(*_kernel_terms(L, G, U1, U3, beta, gamma, order=2)[3:])
+    if not (0.0 < G <= L and abs(U1) <= G and abs(U3) <= G):
+        raise ValueError(f"need 0 < G <= L and |U1|, |U3| <= G, got L={L}, G={G}, U1={U1}, U3={U3}")
+    return NFCoefficientsOrder1(*_kernel_terms(L, G, U1, U3, beta, gamma))
 
 
 # -- generating function -------------------------------------------------------
@@ -289,8 +270,7 @@ def kernel(g: float, L: float, G: float, U1: float, U3: float, beta: float, gamm
     c = order1_coeffs(L, G, U1, U3, beta, gamma)
     terms = (c.C01, c.C11, c.C21)
     if order == 2:
-        c2 = order2_coeffs(L, G, U1, U3, beta, gamma)
-        terms += (c2.C02, c2.C12, c2.C22, c2.C32, c2.C42)
+        terms += _kernel_terms(L, G, U1, U3, beta, gamma, order=2)[3:]
     elif order != 1:
         raise ValueError("order must be 1 or 2")
     return _sum_kernel(terms, g, epsilon)

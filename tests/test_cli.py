@@ -163,6 +163,38 @@ class TestIntegrateCommand:
         assert "domain error" in capsys.readouterr().err
         assert not (tmp_path / "normalized.csv").exists()
 
+    @pytest.mark.parametrize("kind, cfg", [
+        ("cartesian", {"state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},
+                       "params": {"epsilon": 1e-3, "beta": math.sqrt(2.0)}}),
+        ("reduced", {"integrals": {"n": 1.0, "xi": 0.3, "l": 0.1}, "params": {"beta": 2.0}}),
+        ("normalized", {"delaunay": {"ell": 0.1, "g": 1.0, "u1": 0.0, "u3": 0.0,
+                                     "L": 1.0, "G": 0.7, "U1": 0.2, "U3": -0.1},
+                        "params": {"epsilon": 1e-3, "beta": math.sqrt(2.0), "h": 4.0}}),
+    ])
+    def test_zero_tol_is_a_domain_error(self, kind, cfg, tmp_path, monkeypatch, capsys):
+        # the README configs at "tol": 0; scipy would raise a zero rtol to
+        # 2.2e-14, keep the zero atol and crawl, so the budget keeps a run
+        # that starts anyway short
+        monkeypatch.setattr(model, "_MAX_NFEV", 20_000)
+        path = write_config(tmp_path / "i.json", {"kind": kind, **cfg, "t_end": 1000.0,
+                                                  "tol": 0, "out": "out.csv"})
+        assert run(["integrate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "domain error: tolerances must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_reduced_non_finite_beta_is_config_error(self, beta, tmp_path, monkeypatch, capsys):
+        # the reduced kind reads params as every kind does; a NaN beta used to
+        # run to the work budget and exit 1
+        monkeypatch.setattr(model, "_MAX_NFEV", 20_000)
+        path = write_config(tmp_path / "r.json", {
+            "kind": "reduced", "integrals": {"n": 1.0, "xi": 0.3, "l": 0.1},
+            "params": {"beta": beta}, "t_end": 100.0, "tol": 1e-12, "out": "r.csv"})
+        assert run(["integrate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "configuration error: bad params block: beta must be finite" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_non_finite_param_is_config_error(self, tmp_path):
         cfg = tmp_path / "nan.json"
         cfg.write_text('{"kind": "cartesian", "state": {"q": [1, 0, 0, 0], "Q": [0, 1, 0, 0]},'
@@ -208,6 +240,15 @@ class TestNfTableCommand:
             "C01", "C11", "C21", "C02", "C12", "C22", "C32", "C42"]
         assert float(rows[0]["C11"]) == 0.0  # central case
         assert float(rows[0]["C32"]) == 0.0
+
+    @pytest.mark.parametrize("grids", [{"c1_grid": [1.5]}, {"c2_grid": [0.0, -1.25]},
+                                       {"eta_grid": [1.5]}])
+    def test_momenta_outside_the_domain_are_a_domain_error(self, grids, tmp_path, capsys):
+        # |U1| = 1.5 G used to give a row with s1^2 = -1.25 inside C01 and C21
+        cfg = write_config(tmp_path / "nf.json", {**grids, "out": "nf.csv"})
+        assert run(["nf-table", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "domain error: need 0 < G <= L and |U1|, |U3| <= G" in capsys.readouterr().err
+        assert not (tmp_path / "nf.csv").exists()
 
 
 class TestEquilibriaCommand:
@@ -352,6 +393,12 @@ class TestConfigBlocks:
         ("equilibria", {**_GRIDS, "alpha_grid": {"start": 0.0, "stop": 1.0, "num": True}}),
         ("equilibria", {**_GRIDS, "alpha_grid": {"start": 0.0, "stop": 1.0, "num": 0}}),
         ("equilibria", {**_GRIDS, "alpha_grid": []}),
+        # grids that are not flat lists, and an energy level given twice
+        ("equilibria", {**_GRIDS, "alpha_grid": [[0.0, 1.0]]}),
+        ("nf-table", {"beta_grid": [[1.0, 0.0]]}),
+        ("nf-table", {"h": 4.0, "gamma": 3.0}),
+        ("integrate", {"kind": "normalized", "delaunay": _DELAUNAY,
+                       "params": {"epsilon": 1e-3, "h": 4.0, "gamma": 1.0}, "t_end": 1.0}),
     ], ids=["state_without_Q", "null_n", "delaunay_without_momenta", "reduced_state_without_K",
             "state_with_three_q", "grid_num_not_a_number",
             "null_tol", "null_reduced_beta", "params_not_an_object", "list_count", "text_h",
@@ -361,7 +408,9 @@ class TestConfigBlocks:
             "infinite_t_end", "zero_t_end", "nan_alpha", "infinite_alpha", "nan_grid_stop",
             "nan_gamma", "negative_h", "zero_count", "negative_count", "fractional_count",
             "boolean_count", "fractional_order", "fractional_n_out", "boolean_n_out",
-            "fractional_grid_num", "boolean_grid_num", "zero_grid_num", "empty_grid"])
+            "fractional_grid_num", "boolean_grid_num", "zero_grid_num", "empty_grid",
+            "nested_alpha_grid", "nested_nf_table_grid", "nf_table_h_and_gamma",
+            "params_h_and_gamma"])
     def test_malformed_block_is_config_error(self, command, cfg, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
@@ -494,8 +543,8 @@ def _nf_table_rows():
     G = 0.8 * 1.0
     U1, U3 = 0.3 * G, 0.2 * G
     c = normalform.order1_coeffs(1.0, G, U1, U3, 1.0, 1.0)
-    c2 = normalform.order2_coeffs(1.0, G, U1, U3, 1.0, 1.0)
-    return [[1.0, 1.0, G, U1, U3, c.C01, c.C11, c.C21, c2.C02, c2.C12, c2.C22, c2.C32, c2.C42]]
+    C02, C12, C22, C32, C42 = normalform._kernel_terms(1.0, G, U1, U3, 1.0, 1.0, order=2)[3:]
+    return [[1.0, 1.0, G, U1, U3, c.C01, c.C11, c.C21, C02, C12, C22, C32, C42]]
 
 
 def _sweep_rows():

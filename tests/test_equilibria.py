@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from resonance_lab import equilibria as eq, model
+from resonance_lab import equilibria as eq, model, normalform
 
 
 class TestEtaPolynomial:
@@ -378,9 +378,36 @@ def test_scalar_complex_step_matches_the_jacobian_entry(w, z, alpha, cosg, frac)
     lo = max(abs(w), abs(z))
     eta = lo + frac * (1.0 - lo)
     assume(lo < eta <= 1.0)
-    P = eq._sin_g_zero_kernel(alpha, cosg)
-    want = float(model._complex_step_jacobian(lambda G: P(G, w, z), (eta,))[0, 0])
+    beta = eq._branch_beta(alpha, cosg)
+    g = 0.0 if cosg > 0.0 else math.pi
+    want = float(model._complex_step_jacobian(
+        lambda G: (normalform._kernel(g, 1.0, G, w, z, beta, 1.0),), (eta,))[0, 0])
     assert eq.branch_equation(eta, w, z, alpha, cosg) == want
+
+
+def _periodic_residual_reference(e, c, alpha, cosg):
+    """_periodic_residual as it was: the partials of a closure over normalform._kernel at g = 0 or pi."""
+    beta = eq._branch_beta(alpha, cosg)
+    g = 0.0 if cosg > 0.0 else math.pi
+    eta = math.sqrt(max(0.0, 1.0 - e * e))
+    jac = model._complex_step_jacobian(
+        lambda G, U1, U3: (normalform._kernel(g, 1.0, G, U1, U3, beta, 1.0),),
+        (eta, c * eta, c * eta))
+    return float(np.max(np.abs(jac)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(-1.0, 5.0), st.sampled_from([1.0, -1.0]))
+def test_periodic_residual_keeps_its_bits(e, c, alpha, cosg):
+    # an arbitrary point, then every family periodic_branches finds at this alpha
+    want = _periodic_residual_reference(e, c, alpha, cosg)
+    assert eq._periodic_residual(e, c, alpha, cosg).hex() == want.hex()
+    for b in eq.periodic_branches(alpha):
+        if b.case != "axial":
+            cosg = 1.0 if b.case == "i" else -1.0
+            want = _periodic_residual_reference(b.e, math.sqrt(b.c2sq), alpha, cosg)
+            assert b.residual.hex() == want.hex()
 
 
 def _polish_branch_reference(eta0, w, z, alpha, cosg):
@@ -706,6 +733,8 @@ class TestSweep:
         with pytest.raises(ValueError, match="must be >= -1 and finite"):
             eq.solve_tori3(0.0, 0.0, alpha)
         with pytest.raises(ValueError, match="must be >= -1 and finite"):
-            eq._sin_g_zero_kernel(alpha, 1.0)
+            eq._branch_beta(alpha, 1.0)
+        with pytest.raises(ValueError, match="must be >= -1 and finite"):
+            eq._periodic_residual(0.5, 0.3, alpha, 1.0)
         (row,) = eq.sweep([alpha], [0.0], [0.0])
         assert row["kind"] == "error"

@@ -176,6 +176,16 @@ class TestIntegrate:
         assert np.array_equal(err.value.state_last, calls[-1][1])
 
 
+    @pytest.mark.parametrize("rtol, atol", [(0.0, 1e-12), (1e-12, 0.0), (-1e-12, 1e-12),
+                                            (math.nan, 1e-12)])
+    def test_tolerances_must_be_positive(self, rtol, atol):
+        def fun(t, y):
+            raise AssertionError("the run started")
+
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            model._solve_ivp(fun, 1.0, [1.0], None, rtol, atol)
+
+
 class TestFromArray:
     def test_python_floats_and_a_copy(self):
         x = np.arange(8.0)

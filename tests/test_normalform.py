@@ -125,6 +125,21 @@ class TestOrder1Coefficients:
             c = nf.order1_coeffs(1.3, 1.3, 0.4, -0.2, beta=beta, gamma=0.9)
             assert c.C11 == 0.0 and c.C21 == 0.0
 
+    @pytest.mark.parametrize("U1, U3", [(0.81, 0.0), (0.0, -0.81), (math.nan, 0.0)])
+    def test_momenta_outside_the_domain(self, U1, U3):
+        # |U1|, |U3| <= G: past it s1^2 or s2^2 is negative and enters C01 and C21
+        with pytest.raises(ValueError, match=r"\|U1\|, \|U3\| <= G"):
+            nf.order1_coeffs(1.0, 0.8, U1, U3, beta=1.3, gamma=1.0)
+        with pytest.raises(ValueError, match=r"\|U1\|, \|U3\| <= G"):
+            nf.kernel(0.4, 1.0, 0.8, U1, U3, 1.3, 1.0, order=2, epsilon=0.1)
+
+    def test_momenta_on_the_domain_edge(self):
+        # |U| = G is allowed: the closed forms are finite there, only the chart is singular
+        c = nf.order1_coeffs(1.0, 0.8, 0.8, -0.8, beta=1.3, gamma=1.0)
+        assert all(math.isfinite(v) for v in vars(c).values())
+        assert c.C11 == 0.0 and c.C21 == 0.0
+        assert math.isfinite(nf.kernel(0.4, 1.0, 0.8, 0.8, -0.8, 1.3, 1.0, order=2, epsilon=0.1))
+
     def test_quadrature_oracle(self, rng):
         p = params(beta=math.sqrt(2.0), gamma=0.8)
         for _ in range(3):
@@ -174,7 +189,8 @@ class TestOrder1Coefficients:
                 assert eq._periodic_residual(e, c, alpha, cosg) == pytest.approx(
                     float(np.max(np.abs(fd))), rel=1e-6, abs=1e-8)
                 jac = model._complex_step_jacobian(
-                    eq._sin_g_zero_kernel(alpha, cosg), (eta_c, c * eta_c, c * eta_c))[0]
+                    lambda G, U1, U3: (nf._kernel(g, 1.0, G, U1, U3, beta, 1.0),),
+                    (eta_c, c * eta_c, c * eta_c))[0]
                 np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -209,21 +225,25 @@ class TestW1:
         assert vals[0] == pytest.approx(vals[2], abs=1e-12)
 
 
+def _order2(L, G, U1, U3, beta, gamma):
+    """(C02, C12, C22, C32, C42): the second-order table as nf-table and kernel read it."""
+    return nf._kernel_terms(L, G, U1, U3, beta, gamma, order=2)[3:]
+
+
 class TestOrder2:
     def test_central_case_zeroes(self):
-        c2 = nf.order2_coeffs(1.0, 0.8, 0.2, -0.3, beta=1.0, gamma=1.0)
-        assert c2.C32 == 0.0 and c2.C42 == 0.0
+        C02, C12, C22, C32, C42 = _order2(1.0, 0.8, 0.2, -0.3, beta=1.0, gamma=1.0)
+        assert C32 == 0.0 and C42 == 0.0
 
     def test_circular_zeroes(self):
-        c2 = nf.order2_coeffs(1.0, 1.0, 0.2, -0.3, beta=math.sqrt(2.0), gamma=1.0)
-        assert c2.C12 == 0.0 and c2.C32 == 0.0 and c2.C42 == 0.0
+        C02, C12, C22, C32, C42 = _order2(1.0, 1.0, 0.2, -0.3, beta=math.sqrt(2.0), gamma=1.0)
+        assert C12 == 0.0 and C32 == 0.0 and C42 == 0.0
 
     def test_oracle_agreement(self, rng):
         L, G, U1, U3 = random_momenta(rng)
         beta, gamma = math.sqrt(2.0), 0.9
         res = nf.second_order_oracle(L, G, U1, U3, beta, gamma)
-        c2 = nf.order2_coeffs(L, G, U1, U3, beta, gamma)
-        mine = np.array([c2.C02, c2.C12, c2.C22, c2.C32, c2.C42])
+        mine = np.array(_order2(L, G, U1, U3, beta, gamma))
         orac = np.array(res.cos_coeffs)
         assert np.max(np.abs(mine - orac) / np.maximum(1e-10, np.abs(orac))) < 1e-4
         assert res.sin_max < 1e-6
@@ -480,10 +500,9 @@ class TestOneTermFunction:
     def test_public_tables_keep_their_bits(self, momenta, beta, gamma, g, eps):
         L, G, U1, U3 = _point(momenta)
         c1 = nf.order1_coeffs(L, G, U1, U3, beta, gamma)
-        c2 = nf.order2_coeffs(L, G, U1, U3, beta, gamma)
         assert _bits(lambda: tuple(vars(c1).values())) == _bits(
             _kernel1_terms_reference, L, G, U1, U3, beta, gamma)
-        assert _bits(lambda: tuple(vars(c2).values())) == _bits(
+        assert _bits(_order2, L, G, U1, U3, beta, gamma) == _bits(
             _kernel2_terms_reference, L, G, U1, U3, beta, gamma)
         for order in (1, 2):
             assert _bits(nf.kernel, g, L, G, U1, U3, beta, gamma, order, eps) == _bits(
