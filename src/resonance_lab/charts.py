@@ -26,8 +26,12 @@ picks from its own input (``_ns``): numpy when any field is an ndarray, so
 the fields broadcast against each other, and ``math`` with the builtin
 arithmetic when every field is a real scalar.  The two give the same values
 up to the last bit, where numpy's array ufuncs and libm may round
-differently.  A domain check raises when any element violates it and names
-the first such element; scalar input gives Python floats back.  The inverse
+differently, or where ``**`` goes through libm's ``pow`` on a scalar.  A
+domain check raises when any element violates it and names the first such
+element; scalar input gives Python floats back.  The Kepler solve starts from
+Markley's closed-form starter with one fifth-order correction (Markley 1995),
+which is within rounding of the root, so its safeguarded Newton loop only
+checks the start and stays as the fallback.  The inverse
 maps take scalars only and call ``math`` directly: their callers map a
 trajectory one sample at a time, where even the dispatch check would show.
 
@@ -94,6 +98,9 @@ _TWO_PI = 2.0 * math.pi
 _KEPLER_TOL = 1e-14
 _KEPLER_MAX_ITER = 60
 _KEPLER_CACHE_SIZE = 8
+#: Markley's alpha(m, e) = _MARKLEY_A + _MARKLEY_B (pi - m) / (1 + e).
+_MARKLEY_A = 3.0 * math.pi * math.pi / (math.pi * math.pi - 6.0)
+_MARKLEY_B = 1.6 * math.pi / (math.pi * math.pi - 6.0)
 
 
 class ChartDomainError(ValueError):
@@ -365,10 +372,14 @@ def kepler_solve(ell, e):
 
     An eccentricity outside [0, 1) raises ChartDomainError (a ValueError).
 
-    Newton iteration with a bisection safeguard, run on every element of the
-    broadcast (ell, e) at once; an element stops moving once its residual is
-    below ``_KEPLER_TOL``.  The returned branch is the continuous one with
-    E(ell + 2 pi k) = E(ell) + 2 pi k.
+    Every element of the broadcast (ell, e) starts from Markley's starter
+    with one fifth-order correction (Markley, Celest. Mech. Dyn. Astron. 63,
+    101, 1995), which is within rounding of the root for every e in [0, 1).
+    A Newton iteration with a bisection safeguard then checks the start: an
+    element stops moving once its residual is below ``_KEPLER_TOL``, so in
+    practice its first residual evaluation finds every element converged, and
+    it stays as the fallback.  NaN or infinite ell gives NaN for e > 0.  The
+    returned branch is the continuous one with E(ell + 2 pi k) = E(ell) + 2 pi k.
 
     Array solves are cached: the last ``_KEPLER_CACHE_SIZE`` (8) are kept,
     keyed by the shapes and exact bytes of the float64 ``ell`` and ``e``, so
@@ -391,16 +402,52 @@ def _kepler_cached(ell_shape, ell_bytes, e_shape, e_bytes):
                           np.frombuffer(e_bytes).reshape(e_shape))
 
 
+def _kepler_start(m, e, xp):
+    """Markley's starter and one Danby-Burkardt fifth-order correction, m in [0, pi].
+
+    Markley (Celest. Mech. Dyn. Astron. 63, 101, 1995) replaces sin E by a
+    Pade approximant, which turns Kepler's equation into a cubic in E solved
+    in closed form; one fifth-order step (Danby & Burkardt, Celest. Mech. 31,
+    95, 1983) then lands within rounding of the root for every e in [0, 1).
+    """
+    ome = 1.0 - e
+    m2 = m * m
+    alpha = _MARKLEY_A + _MARKLEY_B / (1.0 + e) * (math.pi - m)
+    d = 3.0 * ome + alpha * e
+    ad = alpha * d
+    q = ad * (2.0 * ome) - m2
+    r = (3.0 * ad * (d - ome) + m2) * m
+    q2 = q * q
+    # a nonnegative base, so ** needs no real cube root; a discriminant that
+    # rounds below zero is clamped, and NaN passes through maximum
+    w = (xp.abs(r) + xp.sqrt(xp.maximum(0.0, q2 * q + r * r))) ** (2.0 / 3.0)
+    E = (2.0 * r * w / (w * w + w * q + q2) + m) / d
+    # the correction E + d5 with f0 = E - e sin E - m, f1 = 1 - e cos E,
+    # f2 = e sin E, f3 = e cos E:
+    #   d3 = -f0 / (f1 - f0 f2 / (2 f1)),
+    #   d4 = -f0 / (f1 + d3 f2 / 2 + d3^2 f3 / 6),
+    #   d5 = -f0 / (f1 + d4 f2 / 2 + d4^2 f3 / 6 - d4^3 f2 / 24)
+    es = e * xp.sin(E)
+    ec = e * xp.cos(E)
+    nf0 = m + es - E
+    f1 = 1.0 - ec
+    h = 0.5 * es
+    g = ec / 6.0
+    d3 = nf0 / (f1 + nf0 * h / f1)
+    d4 = nf0 / (f1 + d3 * (h + d3 * g))
+    return E + nf0 / (f1 + d4 * (h + d4 * (g - d4 * es / 24.0)))
+
+
 def _kepler_newton(ell, e):
-    """The uncached Newton solve of ``kepler_solve`` on floats or float64 arrays."""
+    """The uncached solve of ``kepler_solve`` on floats or float64 arrays."""
     xp = _ns(ell, e)
     _require((0.0 <= e) & (e < 1.0), "eccentricity must lie in [0, 1), got {}", e)
     k = xp.floor((ell + math.pi) / _TWO_PI)
     m = ell - _TWO_PI * k  # in (-pi, pi]
     sign = xp.where(m < 0.0, -1.0, 1.0)
     m = xp.abs(m)
-    # cubic seed is robust up to e ~ 1
-    E = xp.where((m < 0.25) & (e > 0.8), (6.0 * m) ** (1.0 / 3.0), m + e * xp.sin(m))
+    E = _kepler_start(m, e, xp)
+    # the safeguarded Newton loop checks the start and is its fallback
     lo, hi = 0.0, math.pi
     for _ in range(_KEPLER_MAX_ITER):
         f = E - e * xp.sin(E) - m

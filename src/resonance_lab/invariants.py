@@ -326,6 +326,11 @@ def reduced_rhs(K: float, N: float, S: float, iv: IntegralValues, beta: float) -
     surface Casimir 4 N^2 + 4 S^2 - f(K) identically.
     """
     a, b, dh_dn, _, _ = _h3_coeffs(iv, beta)
+    return _reduced_field(K, N, S, iv, a, b, dh_dn)
+
+
+def _reduced_field(K, N, S, iv: IntegralValues, a, b, dh_dn) -> tuple:
+    """``reduced_rhs`` with the coefficients A, B and C of ``_h3_coeffs`` bound by the caller."""
     m, z = _surface_mz(K, iv)
     dh_dk = 2.0 * a * K + b
     return (-4.0 * S * dh_dn, 4.0 * S * dh_dk,
@@ -374,8 +379,11 @@ def reduced_flow(
             f"initial point is off the reduced surface: casimir residual {c0:.3e}"
         )
 
+    # A, B and C are constant along the flow: bind them once
+    a, b, dh_dn, _, _ = _h3_coeffs(iv, beta)
+
     def fun(t, y):
-        return reduced_rhs(*y.tolist(), iv, beta)
+        return _reduced_field(*y.tolist(), iv, a, b, dh_dn)
 
     sol = _solve_ivp(fun, t_end, [pt0.K, pt0.N, pt0.S], np.linspace(0.0, t_end, n_out), tol, tol)
     K, N, S = sol.y

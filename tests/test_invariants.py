@@ -286,6 +286,21 @@ class TestReducedFlow:
             scale = ((n + xi) ** 2 + (k + l) ** 2) * ((n - xi) ** 2 + (k - l) ** 2)
             assert abs(cas - inv.casimir_residual(k, n_, s_, iv)) <= 4 * np.spacing(scale)
 
+    def test_flow_binds_its_coefficients_once_and_keeps_the_bits(self, monkeypatch):
+        iv = IntegralValues(n=1.0, xi=0.3, l=0.1)
+        lo, hi = inv.feasible_interval(iv)
+        pt0 = inv.reduced_point_on_surface(0.5 * (lo + hi), iv, angle=0.7)
+        t_eval = np.linspace(0.0, 20.0, 64)
+        want = model._solve_ivp(lambda t, y: inv.reduced_rhs(*y.tolist(), iv, 1.3), 20.0,
+                                [pt0.K, pt0.N, pt0.S], t_eval, 1e-12, 1e-12)
+        calls = []
+        h3_coeffs = inv._h3_coeffs
+        monkeypatch.setattr(inv, "_h3_coeffs", lambda *a: calls.append(a) or h3_coeffs(*a))
+        traj = inv.reduced_flow(pt0, beta=1.3, t_end=20.0, tol=1e-12, n_out=64)
+        # one binding before the run and one monitor pass after it
+        assert len(calls) == 2
+        assert np.stack([traj.K, traj.N, traj.S]).tobytes() == want.y.tobytes()
+
     def test_off_surface_rejected(self):
         iv = IntegralValues(n=1.0, xi=0.3, l=0.1)
         pt = inv.ThriceReducedPoint(M=0.0, N=5.0, Z=0.0, S=5.0, K=0.0, integrals=iv)
