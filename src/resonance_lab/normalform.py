@@ -32,7 +32,12 @@ root isolator in ``equilibria``.
 
 ``perturbation_delaunay`` and ``w1`` broadcast over array ell and g (through
 the array-first forward charts), so an ell-average is one call on the node
-array.
+array.  W1 is a trigonometric polynomial of degree 3 in the eccentric
+anomaly E whose coefficients depend only on the momenta and g: ``w1``
+collects them once per call, in the scalar namespace of ``charts._ns`` when
+the momenta and g are scalars, and evaluates one cubic in cos E (plus sin E
+times a quadratic) over the single sine/cosine pair of the cached Kepler
+solve.  R1 stays the independent route through the chart chain.
 
 ``DelaunayTangent``, the rate vector of ``normalized_rhs``, is a
 ``NamedTuple`` like the chart points: immutable, with positional order equal
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,14 +109,22 @@ def average_over_ell(fn, quadrature_n: int = 512) -> float:
     """Average of a 2pi-periodic function over one period.
 
     Uniform trapezoidal quadrature, spectrally accurate for smooth periodic
-    integrands; ``quadrature_n`` of 512 resolves every band-limited quantity
-    used here to roundoff.  ``fn`` is vectorized: it is called once, on the
-    array of nodes, and returns their values (or one constant).
+    integrands; ``quadrature_n``, an integer of at least 64, and by default
+    512, resolves every band-limited quantity used here to roundoff.  ``fn``
+    is vectorized: it is called once, on the array of nodes, and returns
+    their values (or one constant).  The values are summed pairwise, as
+    ``np.mean`` does, and broadcast only when they are not an array of the
+    nodes' shape.
     """
+    if not isinstance(quadrature_n, numbers.Integral):
+        raise ValueError(f"quadrature_n must be an integer, got {quadrature_n!r}")
     if quadrature_n < 64:
         raise ValueError("quadrature_n must be at least 64")
     nodes = np.arange(quadrature_n) * (2.0 * math.pi / quadrature_n)
-    return float(np.mean(np.broadcast_to(fn(nodes), nodes.shape)))
+    vals = fn(nodes)
+    if not (isinstance(vals, np.ndarray) and vals.shape == nodes.shape):
+        vals = np.broadcast_to(vals, nodes.shape)
+    return float(np.add.reduce(vals) / quadrature_n)
 
 
 def _sqrt(x):
@@ -195,15 +209,23 @@ def _kernel_terms(L, G, U1, U3, beta: float, gamma: float, order: int = 1):
     return c01, c11, c21, scale * c02, scale * c12, scale * c22, scale * c32, scale * c42
 
 
-def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> NFCoefficientsOrder1:
-    """Closed-form first-order averaged coefficients on the tables' domain.
+def _require_table_domain(L: float, G: float, U1: float, U3: float) -> None:
+    """Raise ValueError unless the momenta lie on the tables' domain.
 
     The domain is 0 < G <= L and |U1|, |U3| <= G; |U| = G is allowed, since
-    the closed forms are finite there and only the chart is singular.  The
-    second-order table is ``_kernel_terms(..., order=2)[3:]`` behind this check.
+    the closed forms are finite there and only the chart is singular.
     """
     if not (0.0 < G <= L and abs(U1) <= G and abs(U3) <= G):
         raise ValueError(f"need 0 < G <= L and |U1|, |U3| <= G, got L={L}, G={G}, U1={U1}, U3={U3}")
+
+
+def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> NFCoefficientsOrder1:
+    """Closed-form first-order averaged coefficients on the tables' domain.
+
+    The second-order table is ``_kernel_terms(..., order=2)[3:]`` behind the
+    same check, ``_require_table_domain``.
+    """
+    _require_table_domain(L, G, U1, U3)
     return NFCoefficientsOrder1(*_kernel_terms(L, G, U1, U3, beta, gamma))
 
 
@@ -212,44 +234,55 @@ def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: 
 def w1(dp: DelaunayPoint, p: ModelParams) -> float:
     """First-order generating function: zero-mean primitive of R1 - K1 in ell.
 
-    Closed form assembled from the eccentric-anomaly harmonics of the three
-    Fourier blocks of R1 (constant, cos(g+f), cos 2(g+f)); each block is
-    integrated against d ell = (1 - e cos E) dE and shifted to zero mean.
-    Array fields of ``dp`` give an array of values.
+    Each of the three Fourier blocks of R1 (constant, cos(g+f), cos 2(g+f))
+    is integrated against d ell = (1 - e cos E) dE and shifted to zero mean,
+    which makes W1 a trigonometric polynomial of degree 3 in the eccentric
+    anomaly.  Its seven harmonic coefficients (b0; a_k of sin kE and b_k of
+    cos kE, k = 1..3) depend only on the momenta and g, so they are collected
+    once, in the scalar namespace of ``charts._ns`` when those are scalars.
+    With sin 2E = 2 sE cE, sin 3E = sE (4 cE^2 - 1), cos 2E = 2 cE^2 - 1 and
+    cos 3E = 4 cE^3 - 3 cE, W1 is then one cubic in cE = cos E (plus sE = sin E
+    times a quadratic), over the one sine/cosine pair of the Kepler solve.
+
+    The momenta must lie in the forward chart's domain (ChartDomainError
+    otherwise, as in ``perturbation_delaunay``).  Array fields of ``dp`` give
+    an array of values.
     """
     gamma = _require_chart_params(p)
-    L, G, U1, U3 = dp.L, dp.G, dp.U1, dp.U3
+    L, G, g = dp.L, dp.G, dp.g
+    xp = charts._ns(gamma, L, G, dp.U1, dp.U3, g)
+    a, eta, e = charts._delaunay_orbit(dp, gamma, xp)
     alpha = p.beta * p.beta - 1.0
-    a = L * L / gamma
-    eta = G / L
-    e = np.sqrt(np.maximum(0.0, 1.0 - eta * eta))
-    c1 = U1 / G
-    c2 = U3 / G
-    s1 = np.sqrt(np.maximum(0.0, 1.0 - c1 * c1))
-    s2 = np.sqrt(np.maximum(0.0, 1.0 - c2 * c2))
+    c1 = dp.U1 / G
+    c2 = dp.U3 / G
+    s12sq = (1.0 - c1 * c1) * (1.0 - c2 * c2)
 
-    E = kepler_solve(dp.ell, e)
-    se, ce = np.sin(E), np.cos(E)
-    s2e, c2e = np.sin(2 * E), np.cos(2 * E)
-    s3e, c3e = np.sin(3 * E), np.cos(3 * E)
-
-    A = (2.0 + alpha * (2.0 * c1 * c1 * c2 * c2 + s1 * s1 * s2 * s2)) / 8.0
-    B = 0.5 * alpha * c1 * c2 * s1 * s2
-    C = alpha * s1 * s1 * s2 * s2 / 8.0
+    # R1's blocks, cos(g+f) and cos 2(g+f) split into their cos g and sin g parts
+    A = (2.0 + alpha * (2.0 * c1 * c1 * c2 * c2 + s12sq)) / 8.0
+    B = 0.5 * alpha * c1 * c2 * xp.sqrt(s12sq)
+    C = alpha * s12sq / 8.0
+    cg, sg = xp.cos(g), xp.sin(g)
+    Bc = B * cg
+    Bs = B * sg * eta
+    Cc = C * (cg * cg - sg * sg)
+    Cs = C * (2.0 * sg * cg) * eta
 
     e2 = e * e
     e3 = e2 * e
-    e4 = e2 * e2
-    IA = -(2.0 * e - 0.75 * e3) * se + 0.75 * e2 * s2e - (e3 / 12.0) * s3e
-    IBc = (1.0 + 0.75 * e2 - 0.5 * e4) * se - (0.5 * e + 0.25 * e3) * s2e + (e2 / 12.0) * s3e
-    IBs = eta * (-(1.0 + 0.25 * e2) * ce + 0.5 * e * c2e - (e2 / 12.0) * c3e) - eta * e * (4.0 + e2) / 8.0
-    ICc = -1.25 * e * (2.0 - e2) * se + 0.25 * (2.0 + e2) * s2e - (e * (2.0 - e2) / 12.0) * s3e
-    ICs = eta * (2.5 * e * ce - 0.5 * (1.0 + e2) * c2e + (e / 6.0) * c3e) + 1.25 * eta * e2
-
+    a1 = -(2.0 * e - 0.75 * e3) * A + (1.0 + 0.75 * e2 - 0.5 * e2 * e2) * Bc - 1.25 * e * (2.0 - e2) * Cc
+    a2 = 0.75 * e2 * A - (0.5 * e + 0.25 * e3) * Bc + 0.25 * (2.0 + e2) * Cc
+    a3 = (-e3 * A + e2 * Bc - e * (2.0 - e2) * Cc) / 12.0
+    b0 = e * (4.0 + e2) / 8.0 * Bs - 1.25 * e2 * Cs
+    b1 = (1.0 + 0.25 * e2) * Bs - 2.5 * e * Cs
+    b2 = 0.5 * ((1.0 + e2) * Cs - e * Bs)
+    b3 = (e2 * Bs - 2.0 * e * Cs) / 12.0
     pref = a * a * L ** 3 / gamma ** 2
-    cg, sg = np.cos(dp.g), np.sin(dp.g)
-    c2g, s2g = np.cos(2 * dp.g), np.sin(2 * dp.g)
-    return _value(pref * (A * IA + B * (cg * IBc - sg * IBs) + C * (c2g * ICc - s2g * ICs)))
+
+    E = kepler_solve(dp.ell, e)
+    xe = charts._ns(E)
+    sE, cE = xe.sin(E), xe.cos(E)
+    return _value(pref * ((b0 - b2) + cE * ((b1 - 3.0 * b3) + cE * (2.0 * b2 + 4.0 * b3 * cE))
+                          + sE * ((a1 - a3) + cE * (2.0 * a2 + 4.0 * a3 * cE))))
 
 
 def _sum_kernel(terms, g, epsilon):

@@ -1,6 +1,7 @@
 import ast
 import csv
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -251,6 +252,29 @@ class TestNfTableCommand:
         assert not (tmp_path / "nf.csv").exists()
 
 
+    def test_one_domain_checked_term_call_per_row(self, tmp_path, monkeypatch):
+        # e = 0 (eta = 1) and |U1| = G are on the tables' domain
+        grids = {"beta_grid": [0.0, 1.0, 1.5], "L_grid": [1.0, 1.3], "eta_grid": [0.6, 1.0],
+                 "c1_grid": [0.0, 0.4, 1.0], "c2_grid": [-0.3, 0.4]}
+        cfg = write_config(tmp_path / "nf.json", {**grids, "gamma": 0.9, "out": "nf.csv"})
+        calls = []
+        terms = normalform._kernel_terms
+        monkeypatch.setattr(normalform, "_kernel_terms",
+                            lambda *args, **kwargs: calls.append(kwargs) or terms(*args, **kwargs))
+        assert run(["nf-table", "--config", cfg, "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        # each row as the first-order table and the order-2 slice gave it before
+        want = []
+        for beta, L, eta, c1, c2 in itertools.product(*grids.values()):
+            G = eta * L
+            c = normalform.order1_coeffs(L, G, c1 * G, c2 * G, beta, 0.9)
+            want.append([beta, L, G, c1 * G, c2 * G, c.C01, c.C11, c.C21,
+                         *terms(L, G, c1 * G, c2 * G, beta, 0.9, order=2)[3:]])
+        cli._write_csv(tmp_path / "want.csv", "beta,L,G,U1,U3,C01,C11,C21,C02,C12,C22,C32,C42", want)
+        assert (tmp_path / "nf.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert calls == [{"order": 2}] * len(want)
+
+
 class TestEquilibriaCommand:
     def test_sweep_content(self, tmp_path):
         cfg = write_config(tmp_path / "eq.json", {
@@ -439,12 +463,12 @@ class TestWorkBounds:
         ("equilibria", {**_GRIDS, "w_grid": {"start": 0.0, "stop": 0.5, "num": cli.MAX_CELLS + 1}},
          (equilibria, "sweep")),
         ("nf-table", {"eta_grid": {"start": 0.1, "stop": 0.9, "num": 1e13}},
-         (normalform, "order1_coeffs")),
+         (normalform, "_kernel_terms")),
         # every grid within the num bound, their product above the cell bound
         ("equilibria", {"alpha_grid": [1.0], "w_grid": _SWEEP_AXIS, "z_grid": _SWEEP_AXIS},
          (equilibria, "sweep")),
         ("nf-table", {"c1_grid": _SWEEP_AXIS, "c2_grid": _SWEEP_AXIS},
-         (normalform, "order1_coeffs")),
+         (normalform, "_kernel_terms")),
     ], ids=["cartesian_n_out", "reduced_n_out", "normalized_n_out", "count", "count_past_bound",
             "grid_num", "grid_num_past_bound", "nf_table_grid_num", "sweep_cells",
             "nf_table_cells"])
@@ -470,7 +494,7 @@ class TestWorkBounds:
 class TestOutputPaths:
     # (command, config, the library function that does the command's work)
     @pytest.mark.parametrize("command, cfg, work", [
-        ("nf-table", {"out": "nodir/x.csv"}, (normalform, "order1_coeffs")),
+        ("nf-table", {"out": "nodir/x.csv"}, (normalform, "_kernel_terms")),
         ("integrate", {"kind": "cartesian", "state": _STATE, "out": "nodir/x.csv"},
          (model, "integrate")),
         ("integrate", {"kind": "reduced", "integrals": _INTEGRALS, "out": "nodir/x.csv"},
@@ -482,7 +506,7 @@ class TestOutputPaths:
          (invariants, "surface_samples")),
         ("verify", {"suites": ["reduced_relations"], "report": "nodir/x.json"},
          (verify, "run_suites")),
-        ("nf-table", {"out": "."}, (normalform, "order1_coeffs")),
+        ("nf-table", {"out": "."}, (normalform, "_kernel_terms")),
     ], ids=["nf_table_out", "cartesian_out", "reduced_out", "equilibria_out", "json_out",
             "invariants_out", "surface_out", "report", "out_is_a_directory"])
     def test_unwritable_name_fails_before_any_work(self, command, cfg, work, tmp_path,

@@ -113,6 +113,23 @@ class TestAverage:
         with pytest.raises(ValueError):
             nf.average_over_ell(math.cos, 32)
 
+    def test_node_count_must_be_an_integer(self):
+        # 64.5 used to give np.arange(64.5), 65 nodes, spaced by 2 pi / 64.5
+        with pytest.raises(ValueError, match="integer"):
+            nf.average_over_ell(lambda x: np.cos(x) ** 2, 64.5)
+        assert nf.average_over_ell(lambda x: np.cos(x) ** 2, np.int64(64)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: np.sin(x + 0.3) ** 2 * np.exp(np.cos(3 * x)),
+        lambda x: 3.1, lambda x: 7, lambda x: np.float64(-0.3), lambda x: np.array(2.7),
+        lambda x: np.array([1.1]), lambda x: np.cos(np.repeat(x, 2))[::2],
+    ], ids=["array", "float", "int", "float64", "0-d", "one-element", "strided"])
+    def test_same_bits_as_the_mean_of_the_broadcast(self, fn):
+        for n in (64, 97, 512):
+            nodes = np.arange(n) * (2.0 * math.pi / n)
+            want = float(np.mean(np.broadcast_to(fn(nodes), nodes.shape)))
+            assert np.float64(nf.average_over_ell(fn, n)).tobytes() == np.float64(want).tobytes()
+
 
 class TestOrder1Coefficients:
     def test_central_circular_value(self):
@@ -214,6 +231,18 @@ class TestW1:
             lambda ell: nf.w1(DelaunayPoint(ell=ell, g=0.7, u1=0.0, u3=0.0,
                                             L=L, G=G, U1=U1, U3=U3), p), 512)
         assert abs(mean) < 1e-10
+
+    @pytest.mark.parametrize("L, G, U1, U3", [(1.0, 0.8, 1.2, 0.1), (1.0, 1.3, 0.2, 0.1),
+                                              (1.0, 0.8, 0.1, -0.8), (1.0, 0.0, 0.0, 0.0)])
+    def test_outside_the_chart_domain_is_a_domain_error(self, L, G, U1, U3):
+        # w1 used to return a value (-0.1028 at |U1| = 1.5 G, 0.0517 at G > L)
+        p = params(beta=1.3)
+        for ell in (0.4, np.linspace(0.0, 6.0, 7)):
+            dp = DelaunayPoint(ell=ell, g=0.5, u1=0.0, u3=0.0, L=L, G=G, U1=U1, U3=U3)
+            with pytest.raises(charts.ChartDomainError):
+                nf.perturbation_delaunay(dp, p)
+            with pytest.raises(charts.ChartDomainError):
+                nf.w1(dp, p)
 
     def test_circular_limit_finite_and_periodic(self):
         p = params(beta=1.5)
@@ -528,3 +557,80 @@ class TestOneTermFunction:
             eta = 1.0
         assert _bits(eq.branch_equation, eta, w, z, alpha, cosg) == _bits(
             _branch_equation_reference, eta, w, z, alpha, cosg)
+
+
+# -- W1 as one cubic in cos E ----------------------------------------------------
+
+def _w1_reference(dp, p):
+    """W1 as written before the cubic form: the five integrals over sin and cos of E, 2E, 3E."""
+    gamma = p.gamma
+    L, G, U1, U3 = dp.L, dp.G, dp.U1, dp.U3
+    alpha = p.beta * p.beta - 1.0
+    a = L * L / gamma
+    eta = G / L
+    e = np.sqrt(np.maximum(0.0, 1.0 - eta * eta))
+    c1 = U1 / G
+    c2 = U3 / G
+    s1 = np.sqrt(np.maximum(0.0, 1.0 - c1 * c1))
+    s2 = np.sqrt(np.maximum(0.0, 1.0 - c2 * c2))
+
+    E = charts.kepler_solve(dp.ell, e)
+    se, ce = np.sin(E), np.cos(E)
+    s2e, c2e = np.sin(2 * E), np.cos(2 * E)
+    s3e, c3e = np.sin(3 * E), np.cos(3 * E)
+
+    A = (2.0 + alpha * (2.0 * c1 * c1 * c2 * c2 + s1 * s1 * s2 * s2)) / 8.0
+    B = 0.5 * alpha * c1 * c2 * s1 * s2
+    C = alpha * s1 * s1 * s2 * s2 / 8.0
+
+    e2 = e * e
+    e3 = e2 * e
+    e4 = e2 * e2
+    IA = -(2.0 * e - 0.75 * e3) * se + 0.75 * e2 * s2e - (e3 / 12.0) * s3e
+    IBc = (1.0 + 0.75 * e2 - 0.5 * e4) * se - (0.5 * e + 0.25 * e3) * s2e + (e2 / 12.0) * s3e
+    IBs = eta * (-(1.0 + 0.25 * e2) * ce + 0.5 * e * c2e - (e2 / 12.0) * c3e) - eta * e * (4.0 + e2) / 8.0
+    ICc = -1.25 * e * (2.0 - e2) * se + 0.25 * (2.0 + e2) * s2e - (e * (2.0 - e2) / 12.0) * s3e
+    ICs = eta * (2.5 * e * ce - 0.5 * (1.0 + e2) * c2e + (e / 6.0) * c3e) + 1.25 * eta * e2
+
+    pref = a * a * L ** 3 / gamma ** 2
+    cg, sg = np.cos(dp.g), np.sin(dp.g)
+    c2g, s2g = np.cos(2 * dp.g), np.sin(2 * dp.g)
+    return charts._value(pref * (A * IA + B * (cg * IBc - sg * IBs) + C * (c2g * ICc - s2g * ICs)))
+
+
+_W1_BETA_SQ = st.sampled_from([0.0, 0.25, 1.0, 2.0, 4.0])
+_W1_ECC = st.one_of(st.just(0.0), st.floats(0.0, 0.92))
+_W1_COS = st.floats(-0.95, 0.95)
+_W1_ELL = st.one_of(st.floats(-20.0, 20.0), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=37))
+_W1_G = st.one_of(st.floats(-10.0, 10.0), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+
+
+class TestW1Cubic:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.5, 2.0), _W1_ECC, _W1_COS, _W1_COS, _W1_BETA_SQ, st.floats(0.5, 1.5),
+           _W1_ELL, _W1_G)
+    def test_matches_the_reference(self, L, e, c1, c2, beta_sq, gamma, ell, g):
+        G = L * math.sqrt(1.0 - e * e)  # e = 0 gives G = L
+        p = params(beta=math.sqrt(beta_sq), gamma=gamma)
+        ell = ell if isinstance(ell, float) else np.array(ell)
+        g = g if isinstance(g, float) else np.array(g)
+        if np.ndim(ell) and np.ndim(g):
+            ell = ell[:, None]  # every ell against every g
+        dp = DelaunayPoint(ell=ell, g=g, u1=0.0, u3=0.0, L=L, G=G, U1=c1 * G, U3=c2 * G)
+        got, want = nf.w1(dp, p), _w1_reference(dp, p)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        # the scale: max |W1| over a period of ell, at every g
+        nodes = np.arange(64) * (TWO_PI / 64)
+        scale = np.max(np.abs(_w1_reference(
+            dp._replace(ell=nodes.reshape((-1,) + (1,) * np.ndim(g))), p)))
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("beta_sq", [0.0, 0.25, 1.0, 2.0, 4.0])
+    def test_zero_mean_over_the_battery_ranges(self, beta_sq, rng):
+        for _ in range(40):
+            L, G, U1, U3 = random_momenta(rng)
+            p = params(beta=math.sqrt(beta_sq), gamma=float(rng.uniform(0.5, 1.5)))
+            dp = DelaunayPoint(ell=0.0, g=float(rng.uniform(0, TWO_PI)), u1=0.0, u3=0.0,
+                               L=L, G=G, U1=U1, U3=U3)
+            assert abs(nf.average_over_ell(lambda ell: nf.w1(dp._replace(ell=ell), p))) < 1e-10
