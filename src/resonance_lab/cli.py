@@ -369,8 +369,7 @@ def cmd_nf_table(args) -> int:
         G = eta * L
         U1 = c1 * G
         U3 = c2 * G
-        normalform._require_table_domain(L, G, U1, U3)
-        rows.append([beta, L, G, U1, U3, *normalform._kernel_terms(L, G, U1, U3, beta, gamma, order=2)])
+        rows.append([beta, L, G, U1, U3, *normalform._table_terms(L, G, U1, U3, beta, gamma, order=2)])
     _write_csv(path, "beta,L,G,U1,U3,C01,C11,C21,C02,C12,C22,C32,C42", rows)
     print(f"wrote {path}")
     return 0

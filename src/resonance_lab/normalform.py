@@ -112,19 +112,15 @@ def average_over_ell(fn, quadrature_n: int = 512) -> float:
     integrands; ``quadrature_n``, an integer of at least 64, and by default
     512, resolves every band-limited quantity used here to roundoff.  ``fn``
     is vectorized: it is called once, on the array of nodes, and returns
-    their values (or one constant).  The values are summed pairwise, as
-    ``np.mean`` does, and broadcast only when they are not an array of the
-    nodes' shape.
+    their values (or one constant), which are broadcast to the nodes' shape
+    and summed pairwise, as ``np.mean`` does.
     """
     if not isinstance(quadrature_n, numbers.Integral):
         raise ValueError(f"quadrature_n must be an integer, got {quadrature_n!r}")
     if quadrature_n < 64:
         raise ValueError("quadrature_n must be at least 64")
     nodes = np.arange(quadrature_n) * (2.0 * math.pi / quadrature_n)
-    vals = fn(nodes)
-    if not (isinstance(vals, np.ndarray) and vals.shape == nodes.shape):
-        vals = np.broadcast_to(vals, nodes.shape)
-    return float(np.add.reduce(vals) / quadrature_n)
+    return float(np.add.reduce(np.broadcast_to(fn(nodes), nodes.shape)) / quadrature_n)
 
 
 def _sqrt(x):
@@ -209,24 +205,24 @@ def _kernel_terms(L, G, U1, U3, beta: float, gamma: float, order: int = 1):
     return c01, c11, c21, scale * c02, scale * c12, scale * c22, scale * c32, scale * c42
 
 
-def _require_table_domain(L: float, G: float, U1: float, U3: float) -> None:
-    """Raise ValueError unless the momenta lie on the tables' domain.
+def _table_terms(L: float, G: float, U1: float, U3: float, beta: float, gamma: float,
+                 order: int = 1) -> tuple:
+    """``_kernel_terms`` on the tables' domain: one table row, or a ValueError.
 
     The domain is 0 < G <= L and |U1|, |U3| <= G; |U| = G is allowed, since
     the closed forms are finite there and only the chart is singular.
     """
     if not (0.0 < G <= L and abs(U1) <= G and abs(U3) <= G):
         raise ValueError(f"need 0 < G <= L and |U1|, |U3| <= G, got L={L}, G={G}, U1={U1}, U3={U3}")
+    return _kernel_terms(L, G, U1, U3, beta, gamma, order=order)
 
 
 def order1_coeffs(L: float, G: float, U1: float, U3: float, beta: float, gamma: float) -> NFCoefficientsOrder1:
     """Closed-form first-order averaged coefficients on the tables' domain.
 
-    The second-order table is ``_kernel_terms(..., order=2)[3:]`` behind the
-    same check, ``_require_table_domain``.
+    The second-order table is ``_table_terms(..., order=2)[3:]``.
     """
-    _require_table_domain(L, G, U1, U3)
-    return NFCoefficientsOrder1(*_kernel_terms(L, G, U1, U3, beta, gamma))
+    return NFCoefficientsOrder1(*_table_terms(L, G, U1, U3, beta, gamma))
 
 
 # -- generating function -------------------------------------------------------
