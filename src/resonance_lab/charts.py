@@ -34,6 +34,11 @@ which is within rounding of the root, so its safeguarded Newton loop only
 checks the start and stays as the fallback.  The inverse
 maps take scalars only and call ``math`` directly: their callers map a
 trajectory one sample at a time, where even the dispatch check would show.
+Each inverse map is written once, as a private function on floats that
+returns a plain tuple (``_cartesian_to_euler``, ``_euler_to_andoyer``,
+``_andoyer_to_delaunay``); the public map wraps that tuple in its record,
+and ``cartesian_to_delaunay`` chains the three functions and builds one
+``DelaunayPoint``, with no intermediate record.
 
 ``delaunay_to_positions`` is ``delaunay_to_cartesian`` without the cotangent
 lift: the positions q alone, with the same domain checks, for callers that
@@ -265,10 +270,10 @@ def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
                           Q=tuple(map(_value, (Q1, Q2, Q3, Q4))))
 
 
-def cartesian_to_euler(state: CartesianState) -> EulerPoint:
-    """Inverse chart map on the open set (q1^2+q2^2)(q3^2+q4^2) > 0."""
-    q1, q2, q3, q4 = state.q
-    Q1, Q2, Q3, Q4 = state.Q
+def _cartesian_to_euler(q, Q) -> tuple:
+    """The fields of ``cartesian_to_euler`` from the positions and momenta, as a plain tuple."""
+    q1, q2, q3, q4 = q
+    Q1, Q2, Q3, Q4 = Q
     r1 = q1 * q1 + q2 * q2
     r2 = q3 * q3 + q4 * q4
     rho = r1 + r2
@@ -284,7 +289,12 @@ def cartesian_to_euler(state: CartesianState) -> EulerPoint:
     Theta = ((q1 * Q1 + q2 * Q2) * r2 - (q3 * Q3 + q4 * Q4) * r1) / (2.0 * cross)
     Psi = 0.5 * (q2 * Q1 - q1 * Q2 + q4 * Q3 - q3 * Q4)
     Phi = 0.5 * (q1 * Q2 - q2 * Q1 + q4 * Q3 - q3 * Q4)
-    return EulerPoint(rho, phi, theta, psi, P, Phi, Theta, Psi)
+    return rho, phi, theta, psi, P, Phi, Theta, Psi
+
+
+def cartesian_to_euler(state: CartesianState) -> EulerPoint:
+    """Inverse chart map on the open set (q1^2+q2^2)(q3^2+q4^2) > 0."""
+    return EulerPoint._make(_cartesian_to_euler(state.q, state.Q))
 
 
 # -- projective Andoyer -------------------------------------------------------
@@ -304,22 +314,18 @@ def _andoyer_deltas(su2, cu2, c1, s1, c2, s2, atan2):
     return d1, d3
 
 
-def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
-    """Angular block (phi, theta, psi) -> (u1, u2, u3); (rho, P) pass through.
-
-    U1 = Phi and U3 = Psi are the projections of the angular-momentum block
-    on the two distinguished axes; U2 is its magnitude.
-    """
-    st = math.sin(ep.theta)
+def _euler_to_andoyer(rho, phi, theta, psi, P, Phi, Theta, Psi) -> tuple:
+    """The fields of ``euler_to_andoyer`` from those of an Euler point, as a plain tuple."""
+    st = math.sin(theta)
     if not st > SINGULARITY_GUARD:
         raise ChartDomainError("theta too close to the singular set")
-    ct = math.cos(ep.theta)
-    u2sq = ep.Theta ** 2 + (ep.Psi ** 2 + ep.Phi ** 2 - 2.0 * ep.Phi * ep.Psi * ct) / (st * st)
+    ct = math.cos(theta)
+    u2sq = Theta ** 2 + (Psi ** 2 + Phi ** 2 - 2.0 * Phi * Psi * ct) / (st * st)
     U2 = math.sqrt(u2sq)
     if not U2 > 0.0:
         raise ChartDomainError("total angular momentum U2 = 0 is outside the chart")
-    U1 = ep.Phi
-    U3 = ep.Psi
+    U1 = Phi
+    U3 = Psi
     c1 = U1 / U2
     c2 = U3 / U2
     s1sq = 1.0 - c1 * c1
@@ -329,12 +335,21 @@ def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
     s1 = math.sqrt(s1sq)
     s2 = math.sqrt(s2sq)
     cu2 = (ct - c1 * c2) / (s1 * s2)
-    su2 = ep.Theta * st / (U2 * s1 * s2)
+    su2 = Theta * st / (U2 * s1 * s2)
     u2 = math.atan2(su2, cu2) % _TWO_PI
     d1, d3 = _andoyer_deltas(math.sin(u2), math.cos(u2), c1, s1, c2, s2, math.atan2)
-    u1 = (ep.phi + d1) % _TWO_PI
-    u3 = (ep.psi + d3) % _TWO_PI
-    return AndoyerPoint(ep.rho, u1, u2, u3, ep.P, U1, U2, U3)
+    u1 = (phi + d1) % _TWO_PI
+    u3 = (psi + d3) % _TWO_PI
+    return rho, u1, u2, u3, P, U1, U2, U3
+
+
+def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
+    """Angular block (phi, theta, psi) -> (u1, u2, u3); (rho, P) pass through.
+
+    U1 = Phi and U3 = Psi are the projections of the angular-momentum block
+    on the two distinguished axes; U2 is its magnitude.
+    """
+    return AndoyerPoint._make(_euler_to_andoyer(*ep))
 
 
 def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
@@ -510,36 +525,42 @@ def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
                   P, dp.U1, dp.G, dp.U3)
 
 
-def _andoyer_energy(ap: AndoyerPoint, gamma: float):
-    return 0.5 * (ap.P ** 2 + (ap.U2 / ap.rho) ** 2) - gamma / ap.rho
+def _andoyer_energy(rho, P, U2, gamma):
+    """The Kepler energy (P^2 + U2^2/rho^2)/2 - gamma/rho of an Andoyer point's fields."""
+    return 0.5 * (P ** 2 + (U2 / rho) ** 2) - gamma / rho
 
 
-def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:
-    """Inverse radial block, defined for bound (negative-energy) points."""
+def _andoyer_to_delaunay(rho, u1, u2, u3, P, U1, U2, U3, gamma) -> tuple:
+    """The fields of ``andoyer_to_delaunay`` from those of an Andoyer point, as a plain tuple."""
     if not gamma > 0.0:
         raise ChartDomainError(f"gamma must be positive, got {gamma}")
-    if not ap.rho > 0.0:
+    if not rho > 0.0:
         raise ChartDomainError("rho must be positive")
-    if not ap.U2 > 0.0:
+    if not U2 > 0.0:
         raise ChartDomainError("U2 must be positive")
-    k0 = _andoyer_energy(ap, gamma)
+    k0 = _andoyer_energy(rho, P, U2, gamma)
     if not k0 < 0.0:
         raise ChartDomainError("point is not in the bound (negative-energy) regime")
     L = gamma / math.sqrt(-2.0 * k0)
-    G = ap.U2
+    G = U2
     a = L * L / gamma
     eta = min(1.0, G / L)
     esq = max(0.0, 1.0 - eta * eta)
     e = math.sqrt(esq)
     if e < SINGULARITY_GUARD:
         raise DegenerateEccentricityError(_CIRCULAR)
-    e_ce = 1.0 - ap.rho / a
-    e_se = ap.rho * ap.P / L
+    e_ce = 1.0 - rho / a
+    e_se = rho * P / L
     E = math.atan2(e_se, e_ce)
     ell = E - e_se
     f = math.atan2(eta * math.sin(E), math.cos(E) - e)
-    g = (ap.u2 - f) % _TWO_PI
-    return DelaunayPoint(ell % _TWO_PI, g, ap.u1 % _TWO_PI, ap.u3 % _TWO_PI, L, G, ap.U1, ap.U3)
+    g = (u2 - f) % _TWO_PI
+    return ell % _TWO_PI, g, u1 % _TWO_PI, u3 % _TWO_PI, L, G, U1, U3
+
+
+def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:
+    """Inverse radial block, defined for bound (negative-energy) points."""
+    return DelaunayPoint._make(_andoyer_to_delaunay(*ap, gamma))
 
 
 def delaunay_to_cartesian(dp: DelaunayPoint, gamma: float) -> CartesianState:
@@ -556,7 +577,8 @@ def delaunay_to_positions(dp: DelaunayPoint, gamma: float) -> tuple:
 
 def cartesian_to_delaunay(state: CartesianState, gamma: float) -> DelaunayPoint:
     """Full chain Cartesian -> Euler -> Andoyer -> Delaunay."""
-    return andoyer_to_delaunay(euler_to_andoyer(cartesian_to_euler(state)), gamma)
+    return DelaunayPoint._make(_andoyer_to_delaunay(
+        *_euler_to_andoyer(*_cartesian_to_euler(state.q, state.Q)), gamma))
 
 
 def composed_h0(dp: DelaunayPoint, gamma: float) -> float:
@@ -565,7 +587,8 @@ def composed_h0(dp: DelaunayPoint, gamma: float) -> float:
     Computes (P^2 + U2^2/rho^2)/2 - gamma/rho on the Andoyer image; on the
     chart domain this equals -gamma^2 / (2 L^2) for every angle.
     """
-    return _andoyer_energy(delaunay_to_andoyer(dp, gamma), gamma)
+    ap = delaunay_to_andoyer(dp, gamma)
+    return _andoyer_energy(ap.rho, ap.P, ap.U2, gamma)
 
 
 def connection_G(K: float, N: float, iv: IntegralValues) -> float:

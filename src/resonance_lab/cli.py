@@ -54,7 +54,11 @@ def _write_csv(path, header: str, rows) -> None:
     A ``str`` cell is written as is, quoted only where it holds a comma, a
     quote or a line break; every other cell goes through format_float and
     is never quoted, so a numeric cell parses back to ``float(cell)`` exactly.
+    An ndarray table is taken as its ``tolist()`` rows, so format_float sees
+    Python floats, which it formats faster than numpy scalars.
     """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -314,7 +318,8 @@ def cmd_integrate(args) -> int:
         sol = model._solve_ivp(fun, t_end, [dp0.ell, dp0.g, dp0.u1, dp0.u3, dp0.G],
                                np.linspace(0.0, t_end, n_out), tol, tol)
         _write_csv(path, "t,ell,g,u1,u3,L,G,U1,U3",
-                   ([t, *y[:4], dp0.L, y[4], dp0.U1, dp0.U3] for t, y in zip(sol.t, sol.y.T)))
+                   ([t, *y[:4], dp0.L, y[4], dp0.U1, dp0.U3]
+                    for t, y in zip(sol.t.tolist(), sol.y.T.tolist())))
         print(f"wrote {path}")
         return 0
 

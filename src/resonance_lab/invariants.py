@@ -167,39 +167,42 @@ def second_space_residuals(kv: KLJVector) -> tuple[float, float]:
     Both vanish identically on images of ``klj_map(pi_map(.))``; a nonzero
     value flags a point off the variety.
     """
+    h2, xi, k1, k2, k3, l1, l2, l3 = kv[:8]
     r1 = (
-        kv.k1 * kv.k1 + kv.k2 * kv.k2 + kv.k3 * kv.k3
-        + kv.l1 * kv.l1 + kv.l2 * kv.l2 + kv.l3 * kv.l3
-        - kv.h2 * kv.h2 - kv.xi * kv.xi
+        k1 * k1 + k2 * k2 + k3 * k3
+        + l1 * l1 + l2 * l2 + l3 * l3
+        - h2 * h2 - xi * xi
     )
-    r2 = kv.k1 * kv.l1 + kv.k2 * kv.l2 + kv.k3 * kv.l3 - kv.h2 * kv.xi
+    r2 = k1 * l1 + k2 * l2 + k3 * l3 - h2 * xi
     return r1, r2
 
 
 def _mnzs(kv: KLJVector) -> tuple:
     """(M, N, Z, S) of a (K, L) vector; float or complex-step entries."""
-    m = 0.5 * (kv.k2 * kv.k2 + kv.k3 * kv.k3 + kv.l2 * kv.l2 + kv.l3 * kv.l3)
-    n = 0.5 * (kv.k2 * kv.k2 + kv.k3 * kv.k3 - kv.l2 * kv.l2 - kv.l3 * kv.l3)
-    z = kv.k2 * kv.l2 + kv.k3 * kv.l3
-    s = kv.k2 * kv.l3 - kv.k3 * kv.l2
+    _, _, _, k2, k3, _, l2, l3 = kv[:8]
+    m = 0.5 * (k2 * k2 + k3 * k3 + l2 * l2 + l3 * l3)
+    n = 0.5 * (k2 * k2 + k3 * k3 - l2 * l2 - l3 * l3)
+    z = k2 * l2 + k3 * l3
+    s = k2 * l3 - k3 * l2
     return m, n, z, s
 
 
 def thrice_map(kv: KLJVector) -> ThriceReducedPoint:
     """Invariants of the L1 action on the second reduced space."""
+    h2, xi, k1, _, _, l1, _, _ = kv[:8]
     # |xi|, |l1| <= h2 hold exactly, but rounding can leave them an ulp above h2
-    h2, xi, l1 = kv.h2, kv.xi, kv.l1
     xi = xi if -h2 <= xi <= h2 else min(max(xi, -h2), h2)
     l1 = l1 if -h2 <= l1 <= h2 else min(max(l1, -h2), h2)
-    return ThriceReducedPoint(*_mnzs(kv), kv.k1, IntegralValues(h2, xi, l1))
+    return ThriceReducedPoint(*_mnzs(kv), k1, IntegralValues(h2, xi, l1))
 
 
 def eo3_residuals(pt: ThriceReducedPoint) -> tuple[float, float, float]:
     """Residuals of the three relations defining the thrice reduced space."""
-    iv = pt.integrals
-    r1 = pt.K * pt.K + iv.l * iv.l + 2.0 * pt.M - iv.n * iv.n - iv.xi * iv.xi
-    r2 = pt.K * iv.l + pt.Z - iv.n * iv.xi
-    r3 = pt.M * pt.M - pt.N * pt.N - pt.Z * pt.Z - pt.S * pt.S
+    M, N, Z, S, K, iv = pt
+    n, xi, l = iv.n, iv.xi, iv.l
+    r1 = K * K + l * l + 2.0 * M - n * n - xi * xi
+    r2 = K * l + Z - n * xi
+    r3 = M * M - N * N - Z * Z - S * S
     return r1, r2, r3
 
 

@@ -74,8 +74,8 @@ class CartesianState:
         x = np.asarray(x, dtype=float)
         if x.shape != (8,):
             raise ValueError(f"expected 8 components, got shape {x.shape}")
-        v = x.tolist()
-        return cls(q=tuple(v[:4]), Q=tuple(v[4:]))
+        q1, q2, q3, q4, Q1, Q2, Q3, Q4 = x.tolist()
+        return cls(q=(q1, q2, q3, q4), Q=(Q1, Q2, Q3, Q4))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.q + self.Q, dtype=float)
@@ -115,7 +115,9 @@ class IntegralValues:
     """Fixed values (n, xi, l) of the integrals H2, Xi and L1.
 
     The constraints n > 0, |xi| <= n, |l| <= n are necessary for the reduced
-    spaces to be nonempty.
+    spaces to be nonempty.  One comparison chain accepts every finite triple
+    that meets them (NaN and inf fail it); only a triple it refuses goes
+    through the checks that name the first violation.
     """
 
     n: float
@@ -123,6 +125,9 @@ class IntegralValues:
     l: float
 
     def __post_init__(self):
+        n = self.n
+        if 0.0 < n < math.inf and abs(self.xi) <= n and abs(self.l) <= n:
+            return
         _require_finite(self, "n", "xi", "l")
         if not self.n > 0.0:
             raise ValueError(f"n must be positive, got {self.n}")
@@ -356,7 +361,8 @@ def canonical_bracket(f, g, state: CartesianState, step: float = 1e-5) -> float:
 # Complex step h: Im f(x + ih)/h = f'(x) + O(h^2) takes no difference, so h can
 # sit far below roundoff and the partial is exact to working precision.
 # _complex_step_jacobian takes every partial of a many-input function;
-# equilibria.branch_equation perturbs its one input, G, by the same step.
+# normalform.normalized_rhs perturbs its five inputs one call at a time, and
+# equilibria.branch_equation its one input, G, by the same step.
 _COMPLEX_STEP = 1e-30
 
 

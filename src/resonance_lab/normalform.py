@@ -22,9 +22,11 @@ algebra from W1 and R1 and are regression-tested against an independent
 finite-difference bracket oracle (``second_order_oracle``).
 
 Partials of the averaged kernel P are taken by complex step through these
-same closed forms: the normalized flow differentiates ``_kernel`` in
-(g, L, G, U1, U3), and the branch equations of the equilibria
-(``equilibria.branch_equation``) are its G-partial at g = 0 and g = pi,
+same closed forms.  The normalized flow takes its g partial from ``_kernel``
+at complex g, and each of its L, G, U1 and U3 partials from one complex
+``_kernel_terms`` call at real g, which ``_sum_kernel`` sums against the
+call's one set of cos(k g) (``_cos_kg``).  The branch equations of the
+equilibria (``equilibria.branch_equation``) are its G-partial at g = 0 and g = pi,
 read straight from the first-order terms of ``_kernel_terms`` that ``_kernel``
 sums, so a partial cannot drift from the value it differentiates.  Both the
 equilibria and the periodic families are then found by the one Sturm-chain
@@ -56,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import charts
-from .model import ModelParams, _complex_step_jacobian, _v6, numerical_jacobian
+from .model import _COMPLEX_STEP, ModelParams, _v6, numerical_jacobian
 from .charts import DelaunayPoint, _value, kepler_solve
 
 __all__ = [
@@ -281,12 +283,29 @@ def w1(dp: DelaunayPoint, p: ModelParams) -> float:
                           + sE * ((a1 - a3) + cE * (2.0 * a2 + 4.0 * a3 * cE))))
 
 
-def _sum_kernel(terms, g, epsilon):
-    """K1 + (eps/2) K2, each order the sum of C_k cos(k g), from C01..C21 or C01..C42; complex g allowed."""
+def _cos_kg(g, terms) -> tuple:
+    """cos(k g) for k = 0 up to the top harmonic of ``terms`` (2 for C01..C21, 4 for C01..C42).
+
+    g may be complex.
+    """
     cos = cmath.cos if isinstance(g, complex) else math.cos
-    val = sum(c * cos(k * g) for k, c in enumerate(terms[:3]))
+    return tuple(cos(k * g) for k in range(5 if len(terms) > 3 else 3))
+
+
+def _sum_kernel(terms, cos_kg, epsilon):
+    """K1 + (eps/2) K2, each order the sum of C_k cos(k g), from C01..C21 or C01..C42.
+
+    ``cos_kg`` holds cos(k g) for each harmonic k of the terms (``_cos_kg``);
+    terms and cosines may be complex.  Each order is added up from the
+    integer 0, in k order, as the builtin ``sum`` adds: the start turns a
+    -0.0 first product into 0.0, which sets the sign of a zero partial.
+    """
+    c0, c1, c2 = cos_kg[:3]
+    val = 0 + terms[0] * c0 + terms[1] * c1 + terms[2] * c2
     if len(terms) > 3:
-        val += 0.5 * epsilon * sum(c * cos(k * g) for k, c in enumerate(terms[3:]))
+        c3, c4 = cos_kg[3:]
+        val += 0.5 * epsilon * (0 + terms[3] * c0 + terms[4] * c1 + terms[5] * c2
+                                + terms[6] * c3 + terms[7] * c4)
     return val
 
 
@@ -302,12 +321,13 @@ def kernel(g: float, L: float, G: float, U1: float, U3: float, beta: float, gamm
         terms += _kernel_terms(L, G, U1, U3, beta, gamma, order=2)[3:]
     elif order != 1:
         raise ValueError("order must be 1 or 2")
-    return _sum_kernel(terms, g, epsilon)
+    return _sum_kernel(terms, _cos_kg(g, terms), epsilon)
 
 
 def _kernel(g, L, G, U1, U3, beta: float, gamma: float, order: int = 1, epsilon: float = 0.0):
     """P of ``kernel`` for float or complex-step input, without a domain check."""
-    return _sum_kernel(_kernel_terms(L, G, U1, U3, beta, gamma, order), g, epsilon)
+    terms = _kernel_terms(L, G, U1, U3, beta, gamma, order)
+    return _sum_kernel(terms, _cos_kg(g, terms), epsilon)
 
 
 def homological_residual(dp: DelaunayPoint, p: ModelParams) -> float:
@@ -418,15 +438,31 @@ def normalized_rhs(dp: DelaunayPoint, p: ModelParams, order: int = 1) -> Delauna
     L, U1 and U3 are exact integrals of the truncation (their conjugate
     angles are absent), so only (g, G) carry the slow dynamics while ell,
     u1, u3 rotate by quadrature.  The partials of P in (g, L, G, U1, U3) are
-    exact (complex-step differentiation of ``_kernel``).
+    exact: complex-step differentiation of ``_kernel`` in g, and of
+    ``_kernel_terms`` in each momentum, summed against cos(k g) evaluated
+    once per call.  The rates are Python floats.
     """
     gamma = _require_chart_params(p)
     eps = p.epsilon
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
 
-    dP_dg, dP_dL, dP_dG, dP_dU1, dP_dU3 = _complex_step_jacobian(
-        lambda *x: (_kernel(*x, p.beta, gamma, order, eps),), (dp.g, dp.L, dp.G, dp.U1, dp.U3))[0]
+    beta = p.beta
+    h = _COMPLEX_STEP
+    _, g, _, _, L, G, U1, U3 = dp
+    g, L, G, U1, U3 = float(g), float(L), float(G), float(U1), float(U3)
+    # column g: P at complex g; columns L, G, U1, U3: the complex terms at
+    # real g, each summed against the one set of cos(k g)
+    dP_dg = _kernel(complex(g, h), L, G, U1, U3, beta, gamma, order, eps).imag / h
+    terms = _kernel_terms(complex(L, h), G, U1, U3, beta, gamma, order)
+    cos_kg = _cos_kg(g, terms)
+    dP_dL = _sum_kernel(terms, cos_kg, eps).imag / h
+    dP_dG = _sum_kernel(_kernel_terms(L, complex(G, h), U1, U3, beta, gamma, order),
+                        cos_kg, eps).imag / h
+    dP_dU1 = _sum_kernel(_kernel_terms(L, G, complex(U1, h), U3, beta, gamma, order),
+                         cos_kg, eps).imag / h
+    dP_dU3 = _sum_kernel(_kernel_terms(L, G, U1, complex(U3, h), beta, gamma, order),
+                         cos_kg, eps).imag / h
     # rates in field order: ell, g, u1, u3, L, G, U1, U3
     return DelaunayTangent(gamma ** 2 / dp.L ** 3 + eps * dP_dL, eps * dP_dG, eps * dP_dU1,
                            eps * dP_dU3, 0.0, -eps * dP_dg, 0.0, 0.0)

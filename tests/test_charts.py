@@ -561,3 +561,68 @@ class TestValueRecords:
         with pytest.raises(AttributeError):
             setattr(rec, cls._fields[0], 1.0)
         assert rec == tuple(range(len(cls._fields)))
+
+
+# -- the inverse chain against its three single maps --------------------------------
+
+def _inverse_bits(fn, *args):
+    """float.hex of every field fn returns, or the type and message of the ChartDomainError it raises."""
+    try:
+        out = fn(*args)
+    except ChartDomainError as exc:
+        return type(exc).__name__, str(exc)
+    return [float(v).hex() for v in out]
+
+
+def _single_maps(state, gamma):
+    return charts.andoyer_to_delaunay(charts.euler_to_andoyer(charts.cartesian_to_euler(state)),
+                                      gamma)
+
+
+# q = (1, 0, 1, 0) gives r1 = r2 = 1, so theta = pi/2, and momenta (0, a, 0, b) give P = 0,
+# Theta = 0, U1 = (a - b)/2 and U3 = -(a + b)/2
+_Q_EVEN = (1.0, 0.0, 1.0, 0.0)
+_INVERSE_GUARDS = {
+    "rho=0": ((0.0,) * 4, (0.1, 0.2, 0.3, 0.4), 0.25, "rho = 0 is outside the chart"),
+    "theta": ((1.0, 0.0, 0.0, 0.0), (0.1, 0.2, 0.3, 0.4), 0.25,
+              "state is too close to the theta singular set"),
+    "U2=0": (_Q_EVEN, (0.0,) * 4, 0.25, "total angular momentum U2 = 0 is outside the chart"),
+    "U1=U2": (_Q_EVEN, (0.0, 0.5, 0.0, -0.5), 0.25, "|U1| or |U3| too close to U2"),
+    "U3=-U2": (_Q_EVEN, (0.0, 0.5, 0.0, 0.5), 0.25, "|U1| or |U3| too close to U2"),
+    "unbound": (_Q_EVEN, (0.0, 100.0, 0.0, 0.0), 0.25,
+                "point is not in the bound (negative-energy) regime"),
+    # gamma = U2^2 / rho makes the orbit circular: here U2 = sqrt(2) and rho = 2
+    "circular": (_Q_EVEN, (0.0, 2.0, 0.0, 0.0), 1.0,
+                 "circular point: perigee angle g is not defined"),
+    "gamma=0": (_Q_EVEN, (0.0, 0.5, 0.0, 0.2), 0.0, "gamma must be positive, got 0.0"),
+    "gamma<0": (_Q_EVEN, (0.0, 0.5, 0.0, 0.2), -1.0, "gamma must be positive, got -1.0"),
+}
+
+_INVERSE_STATE = st.builds(lambda q, Q: model.CartesianState(q=q, Q=Q),
+                           st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+                           st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+
+
+class TestInverseChain:
+    @settings(max_examples=500, deadline=None)
+    @given(_INVERSE_STATE, st.one_of(st.floats(0.05, 3.0), st.sampled_from([0.0, -0.5])))
+    def test_chain_equals_the_single_maps(self, state, gamma):
+        assert _inverse_bits(charts.cartesian_to_delaunay, state, gamma) == _inverse_bits(
+            _single_maps, state, gamma)
+
+    @pytest.mark.parametrize("guard", _INVERSE_GUARDS)
+    def test_each_guard_raises_as_the_single_maps_raise(self, guard):
+        q, Q, gamma, message = _INVERSE_GUARDS[guard]
+        state = model.CartesianState(q=q, Q=Q)
+        got = _inverse_bits(charts.cartesian_to_delaunay, state, gamma)
+        assert got == _inverse_bits(_single_maps, state, gamma)
+        kind = "DegenerateEccentricityError" if guard == "circular" else "ChartDomainError"
+        assert got == (kind, message)
+
+    def test_the_single_maps_build_their_records(self):
+        state = charts.delaunay_to_cartesian(_NON_FINITE_BASES[0], 1.0)
+        ep = charts.cartesian_to_euler(state)
+        ap = charts.euler_to_andoyer(ep)
+        assert (type(ep), type(ap), type(charts.andoyer_to_delaunay(ap, 1.0)),
+                type(charts.cartesian_to_delaunay(state, 1.0))) == (
+            EulerPoint, AndoyerPoint, DelaunayPoint, DelaunayPoint)

@@ -668,3 +668,22 @@ class TestLayering:
     def test_no_module_imports_csv(self):
         # cli._write_csv is the one table writer
         assert _importers("csv") == []
+
+
+class TestCsvWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1,
+                         max_size=6))
+    def test_an_ndarray_table_writes_the_bytes_of_its_rows_as_lists(self, rows, tmp_path_factory):
+        base = tmp_path_factory.getbasetemp()
+        cli._write_csv(base / "lists.csv", "a,b,c", rows)
+        cli._write_csv(base / "array.csv", "a,b,c", np.array(rows))
+        assert (base / "array.csv").read_bytes() == (base / "lists.csv").read_bytes()
+
+    def test_every_numeric_cell_goes_through_format_float(self, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(cli, "format_float", lambda x: cells.append(x) or "x")
+        cli._write_csv(tmp_path / "t.csv", "a,b", np.arange(6.0).reshape(3, 2))
+        assert cells == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert {type(c) for c in cells} == {float}
+        assert (tmp_path / "t.csv").read_text() == "a,b\nx,x\nx,x\nx,x\n"

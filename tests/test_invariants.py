@@ -376,3 +376,76 @@ class TestOneCoefficientSource:
         iv = IntegralValues(n=1.0, xi=0.3, l=0.1)
         ks = np.random.default_rng(7).uniform(-0.8, 0.8, 20000)
         assert _hex([inv.f_of_K(k, iv) for k in ks.tolist()]) == _hex(inv.f_of_K(ks, iv))
+
+
+# -- the per-sample records, unpacked once -------------------------------------------
+
+def _second_space_residuals_reference(kv):
+    """``second_space_residuals`` as written before it unpacked its record once."""
+    r1 = (
+        kv.k1 * kv.k1 + kv.k2 * kv.k2 + kv.k3 * kv.k3
+        + kv.l1 * kv.l1 + kv.l2 * kv.l2 + kv.l3 * kv.l3
+        - kv.h2 * kv.h2 - kv.xi * kv.xi
+    )
+    r2 = kv.k1 * kv.l1 + kv.k2 * kv.l2 + kv.k3 * kv.l3 - kv.h2 * kv.xi
+    return r1, r2
+
+
+def _mnzs_reference(kv):
+    m = 0.5 * (kv.k2 * kv.k2 + kv.k3 * kv.k3 + kv.l2 * kv.l2 + kv.l3 * kv.l3)
+    n = 0.5 * (kv.k2 * kv.k2 + kv.k3 * kv.k3 - kv.l2 * kv.l2 - kv.l3 * kv.l3)
+    z = kv.k2 * kv.l2 + kv.k3 * kv.l3
+    s = kv.k2 * kv.l3 - kv.k3 * kv.l2
+    return m, n, z, s
+
+
+def _thrice_map_reference(kv):
+    """``thrice_map`` as written before it unpacked its record once."""
+    h2, xi, l1 = kv.h2, kv.xi, kv.l1
+    xi = xi if -h2 <= xi <= h2 else min(max(xi, -h2), h2)
+    l1 = l1 if -h2 <= l1 <= h2 else min(max(l1, -h2), h2)
+    return inv.ThriceReducedPoint(*_mnzs_reference(kv), kv.k1, IntegralValues(h2, xi, l1))
+
+
+def _eo3_residuals_reference(pt):
+    iv = pt.integrals
+    r1 = pt.K * pt.K + iv.l * iv.l + 2.0 * pt.M - iv.n * iv.n - iv.xi * iv.xi
+    r2 = pt.K * iv.l + pt.Z - iv.n * iv.xi
+    r3 = pt.M * pt.M - pt.N * pt.N - pt.Z * pt.Z - pt.S * pt.S
+    return r1, r2, r3
+
+
+def _record_bits(fn, *args):
+    """float.hex of every number fn returns (a point's integrals included), or the error it raises."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, inv.ThriceReducedPoint):
+        out = (*out[:5], out.integrals.n, out.integrals.xi, out.integrals.l)
+    return _hex(out)
+
+
+_RECORD_STATE = st.builds(lambda x: CartesianState.from_array(np.array(x)),
+                          st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8))
+# any 16 values: most are no image of a state, and thrice_map refuses many of them
+_ANY_KLJ = st.builds(lambda x: inv.KLJVector(*x), st.lists(st.floats(-3.0, 3.0), min_size=16,
+                                                          max_size=16))
+
+
+class TestRecordsUnpackedOnce:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_RECORD_STATE.map(lambda s: inv.klj_map(inv.pi_map(s))), _ANY_KLJ))
+    def test_maps_and_residuals_keep_their_bits(self, kv):
+        assert _record_bits(inv.second_space_residuals, kv) == _record_bits(
+            _second_space_residuals_reference, kv)
+        want = _record_bits(_thrice_map_reference, kv)
+        assert _record_bits(inv.thrice_map, kv) == want
+        if isinstance(want, list):   # a point, not a refusal
+            pt = inv.thrice_map(kv)
+            assert _record_bits(inv.eo3_residuals, pt) == _record_bits(_eo3_residuals_reference, pt)
+
+    def test_thrice_map_of_the_zero_state_is_refused(self):
+        kv = inv.klj_map(inv.pi_map(state([0, 0, 0, 0], [0, 0, 0, 0])))
+        with pytest.raises(ValueError, match=r"^n must be positive, got 0\.0$"):
+            inv.thrice_map(kv)

@@ -237,6 +237,30 @@ class TestParams:
         with pytest.raises(ValueError):
             IntegralValues(n=-1.0, xi=0.0, l=0.0)
 
+    @pytest.mark.parametrize("n, xi, l, message", [
+        *[(bad if name == "n" else 1.0, bad if name == "xi" else 0.1, bad if name == "l" else 0.1,
+           f"{name} must be finite, got {bad}")
+          for name in ("n", "xi", "l") for bad in (math.nan, math.inf, -math.inf)],
+        # finiteness is checked first, then n, then xi, then l
+        (-1.0, math.nan, 2.0, "xi must be finite, got nan"),
+        (0.0, 0.0, 0.0, "n must be positive, got 0.0"),
+        (-1.0, 2.0, 2.0, "n must be positive, got -1.0"),
+        (1.0, 1.5, 2.0, "|xi| <= n required, got xi=1.5, n=1.0"),
+        (1.0, -1.5, 0.0, "|xi| <= n required, got xi=-1.5, n=1.0"),
+        (1.0, 0.0, -1.5, "|l| <= n required, got l=-1.5, n=1.0"),
+        (2.0, 2.0, 2.0000000000000004, "|l| <= n required, got l=2.0000000000000004, n=2.0"),
+    ])
+    def test_integral_values_refusals_keep_their_messages(self, n, xi, l, message):
+        with pytest.raises(ValueError) as err:
+            IntegralValues(n=n, xi=xi, l=l)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("n, xi, l", [(1.0, 1.0, -1.0), (5e-324, -5e-324, 0.0),
+                                          (1e308, -1e308, 1e308), (2.0, -0.0, 0.5)])
+    def test_integral_values_on_the_bounds_are_accepted(self, n, xi, l):
+        iv = IntegralValues(n=n, xi=xi, l=l)
+        assert (iv.n, iv.xi, iv.l) == (n, xi, l)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cls, base, name", [
         (ModelParams, {}, "omega"),
