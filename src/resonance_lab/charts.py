@@ -31,11 +31,26 @@ domain check raises when any element violates it and names the first such
 element; scalar input gives Python floats back.  The Kepler solve starts from
 Markley's closed-form starter with one fifth-order correction (Markley 1995),
 which is within rounding of the root, so its safeguarded Newton loop only
-checks the start and stays as the fallback.  The inverse
-maps take scalars only and call ``math`` directly: their callers map a
-trajectory one sample at a time, where even the dispatch check would show.
-Each inverse map is written once, as a private function on floats that
-returns a plain tuple (``_cartesian_to_euler``, ``_euler_to_andoyer``,
+checks the start and stays as the fallback.
+
+Each forward map is written once, as a private function on the fields of its
+input and the namespace that returns a plain tuple (``_delaunay_to_andoyer``,
+``_andoyer_to_euler``, and ``_euler_to_cartesian``, which returns the
+positions of ``_euler_positions`` and the momenta as two 4-tuples).  The
+public map picks the namespace from its record and wraps the tuple in its
+own record.  ``delaunay_to_cartesian`` and ``delaunay_to_positions`` chain
+the functions with one namespace decision per chain (``_delaunay_to_euler``)
+and build only the final ``CartesianState`` or positions tuple.  Between the
+first two maps the fields take the values the Andoyer record would hold:
+Python floats in ``math``; in numpy a 0-d result becomes a float and the
+namespace is picked again from the fields, so a chain with 0-d input runs its
+later maps in ``math``, as the single maps do, and gives their bits.  Every
+map that takes gamma refuses one that is not positive and finite.
+
+The inverse maps take scalars only and call ``math`` directly: their callers
+map a trajectory one sample at a time, where even the dispatch check would
+show.  Each inverse map is written once, as a private function on floats
+that returns a plain tuple (``_cartesian_to_euler``, ``_euler_to_andoyer``,
 ``_andoyer_to_delaunay``); the public map wraps that tuple in its record,
 and ``cartesian_to_delaunay`` chains the three functions and builds one
 ``DelaunayPoint``, with no intermediate record.
@@ -223,20 +238,20 @@ def integrals_from_momenta(U1: float, U3: float) -> tuple[float, float]:
 
 # -- projective Euler ---------------------------------------------------------
 
-def _euler_positions(ep: EulerPoint, xp):
-    """q1..q4 of an Euler point, with sin(theta) and the half-angle sine and cosine.
+def _euler_positions(rho, phi, theta, psi, xp):
+    """q1..q4 of an Euler point's angles and rho, with sin(theta) and the half-angle sine and cosine.
 
     Both domain checks of ``euler_to_cartesian`` are made here; the lift
     reuses the three trigonometric values.
     """
-    _require(ep.rho > 0.0, "rho must be positive, got {}", ep.rho)
-    st = xp.sin(ep.theta)
-    _require(st > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", ep.theta)
-    s = xp.sin(0.5 * ep.theta)
-    c = xp.cos(0.5 * ep.theta)
-    sr = xp.sqrt(ep.rho)
-    hm = 0.5 * (ep.phi - ep.psi)
-    hp = 0.5 * (ep.phi + ep.psi)
+    _require(rho > 0.0, "rho must be positive, got {}", rho)
+    st = xp.sin(theta)
+    _require(st > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", theta)
+    s = xp.sin(0.5 * theta)
+    c = xp.cos(0.5 * theta)
+    sr = xp.sqrt(rho)
+    hm = 0.5 * (phi - psi)
+    hp = 0.5 * (phi + psi)
     q1 = sr * s * xp.cos(hm)
     q2 = sr * s * xp.sin(hm)
     q3 = sr * c * xp.sin(hp)
@@ -244,30 +259,38 @@ def _euler_positions(ep: EulerPoint, xp):
     return (q1, q2, q3, q4), st, s, c
 
 
-def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
-    """Forward chart map; the momenta follow by the cotangent lift."""
-    xp = _ns(*ep)
-    (q1, q2, q3, q4), st, s, c = _euler_positions(ep, xp)
+def _euler_to_cartesian(rho, phi, theta, psi, P, Phi, Theta, Psi, xp) -> tuple:
+    """The positions and momenta of ``euler_to_cartesian`` from an Euler point's fields, as two 4-tuples."""
+    (q1, q2, q3, q4), st, s, c = _euler_positions(rho, phi, theta, psi, xp)
     # The columns of A are dq/d(rho, phi, theta, psi) and the momenta solve
     # A^T Q = (P, Phi, Theta, Psi), so Q = A x with x = (A^T A)^-1 (P, Phi,
     # Theta, Psi).  A^T A is block diagonal: diag(1/(4 rho), rho/4) on the
     # (rho, theta) columns and (rho/4) [[1, cos theta], [cos theta, 1]] on the
     # (phi, psi) columns.
-    ct = xp.cos(ep.theta)
-    w = 4.0 / (ep.rho * st * st)
-    x0 = 4.0 * ep.rho * ep.P
-    x1 = w * (ep.Phi - ct * ep.Psi)
-    x2 = 4.0 * ep.Theta / ep.rho
-    x3 = w * (ep.Psi - ct * ep.Phi)
-    inv2rho = 0.5 / ep.rho
+    ct = xp.cos(theta)
+    w = 4.0 / (rho * st * st)
+    x0 = 4.0 * rho * P
+    x1 = w * (Phi - ct * Psi)
+    x2 = 4.0 * Theta / rho
+    x3 = w * (Psi - ct * Phi)
+    inv2rho = 0.5 / rho
     cot = c / s
     tan = s / c
     Q1 = q1 * inv2rho * x0 - 0.5 * q2 * x1 + 0.5 * cot * q1 * x2 + 0.5 * q2 * x3
     Q2 = q2 * inv2rho * x0 + 0.5 * q1 * x1 + 0.5 * cot * q2 * x2 - 0.5 * q1 * x3
     Q3 = q3 * inv2rho * x0 + 0.5 * q4 * x1 - 0.5 * tan * q3 * x2 + 0.5 * q4 * x3
     Q4 = q4 * inv2rho * x0 - 0.5 * q3 * x1 - 0.5 * tan * q4 * x2 - 0.5 * q3 * x3
-    return CartesianState(q=tuple(map(_value, (q1, q2, q3, q4))),
-                          Q=tuple(map(_value, (Q1, Q2, Q3, Q4))))
+    return (q1, q2, q3, q4), (Q1, Q2, Q3, Q4)
+
+
+def _state(q, Q) -> CartesianState:
+    """The ``CartesianState`` of a position and a momentum 4-tuple, each field through ``_value``."""
+    return CartesianState(tuple(map(_value, q)), tuple(map(_value, Q)))
+
+
+def euler_to_cartesian(ep: EulerPoint) -> CartesianState:
+    """Forward chart map; the momenta follow by the cotangent lift."""
+    return _state(*_euler_to_cartesian(*ep, _ns(*ep)))
 
 
 def _cartesian_to_euler(q, Q) -> tuple:
@@ -352,32 +375,36 @@ def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
     return AndoyerPoint._make(_euler_to_andoyer(*ep))
 
 
-def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
-    """Inverse of ``euler_to_andoyer`` on the open domain |U1|, |U3| < U2."""
-    xp = _ns(*ap)
-    _require(ap.U2 > 0.0, "U2 must be positive")
-    c1 = ap.U1 / ap.U2
-    c2 = ap.U3 / ap.U2
+def _andoyer_to_euler(rho, u1, u2, u3, P, U1, U2, U3, xp) -> tuple:
+    """The fields of ``andoyer_to_euler`` from those of an Andoyer point, as a plain tuple."""
+    _require(U2 > 0.0, "U2 must be positive")
+    c1 = U1 / U2
+    c2 = U3 / U2
     s1sq = 1.0 - c1 * c1
     s2sq = 1.0 - c2 * c2
     _require((s1sq >= SINGULARITY_GUARD ** 2) & (s2sq >= SINGULARITY_GUARD ** 2),
              "|U1| or |U3| too close to U2")
     s1 = xp.sqrt(s1sq)
     s2 = xp.sqrt(s2sq)
-    su2 = xp.sin(ap.u2)
-    cu2 = xp.cos(ap.u2)
+    su2 = xp.sin(u2)
+    cu2 = xp.cos(u2)
     ct = c1 * c2 + s1 * s2 * cu2
     stsq = 1.0 - ct * ct
     _require(stsq >= SINGULARITY_GUARD ** 2, "image hits the theta singular set")
     st = xp.sqrt(stsq)
     theta = xp.arccos(ct)
-    Theta = ap.U2 * s1 * s2 * su2 / st
+    Theta = U2 * s1 * s2 * su2 / st
     d1, d3 = _andoyer_deltas(su2, cu2, c1, s1, c2, s2, xp.arctan2)
-    phi = (ap.u1 - d1) % _TWO_PI
-    psi = ap.u3 - d3
+    phi = (u1 - d1) % _TWO_PI
+    psi = u3 - d3
     # keep psi in the principal interval used by the Euler chart
     psi = (psi + math.pi) % _TWO_PI - math.pi
-    return _point(EulerPoint, ap.rho, phi, theta, psi, ap.P, ap.U1, Theta, ap.U3)
+    return rho, phi, theta, psi, P, U1, Theta, U3
+
+
+def andoyer_to_euler(ap: AndoyerPoint) -> EulerPoint:
+    """Inverse of ``euler_to_andoyer`` on the open domain |U1|, |U3| < U2."""
+    return _point(EulerPoint, *_andoyer_to_euler(*ap, _ns(*ap)))
 
 
 # -- Kepler equation ----------------------------------------------------------
@@ -480,14 +507,15 @@ def _kepler_newton(ell, e):
 
 # -- Delaunay -----------------------------------------------------------------
 
-def _delaunay_orbit(dp: DelaunayPoint, gamma, xp):
-    """Domain checks of the forward Delaunay map, then the orbit's (a, eta, e)."""
+def _delaunay_orbit(L, G, U1, U3, gamma, xp):
+    """Domain checks of the forward Delaunay map on its momenta, then the orbit's (a, eta, e)."""
     _require(gamma > 0.0, "gamma must be positive, got {}", gamma)
-    _require((0.0 < dp.G) & (dp.G <= dp.L), "need 0 < G <= L, got G={}, L={}", dp.G, dp.L)
-    _require((xp.abs(dp.U1) < dp.G) & (xp.abs(dp.U3) < dp.G),
-             "need |U1|, |U3| < G, got U1={}, U3={}, G={}", dp.U1, dp.U3, dp.G)
-    a = dp.L * dp.L / gamma
-    eta = dp.G / dp.L
+    _require(gamma < math.inf, "gamma must be finite, got {}", gamma)
+    _require((0.0 < G) & (G <= L), "need 0 < G <= L, got G={}, L={}", G, L)
+    _require((xp.abs(U1) < G) & (xp.abs(U3) < G),
+             "need |U1|, |U3| < G, got U1={}, U3={}, G={}", U1, U3, G)
+    a = L * L / gamma
+    eta = G / L
     e = xp.sqrt(xp.maximum(0.0, 1.0 - eta * eta))
     return a, eta, e
 
@@ -495,14 +523,29 @@ def _delaunay_orbit(dp: DelaunayPoint, gamma, xp):
 def require_angles_defined(dp: DelaunayPoint, gamma: float) -> None:
     """Raise unless every Delaunay angle is defined at ``dp``.
 
-    That is the forward map's domain (0 < G <= L, |U1|, |U3| < G), minus the
-    circular orbits e < ``SINGULARITY_GUARD``, where the perigee angle g is
-    not defined (DegenerateEccentricityError, as in ``andoyer_to_delaunay``).
+    That is the forward map's domain (0 < G <= L, |U1|, |U3| < G, and a
+    positive, finite gamma), minus the circular orbits e <
+    ``SINGULARITY_GUARD``, where the perigee angle g is not defined
+    (DegenerateEccentricityError, as in ``andoyer_to_delaunay``).
     """
     xp = _ns(gamma, *dp)
-    _, _, e = _delaunay_orbit(dp, gamma, xp)
+    _, _, e = _delaunay_orbit(dp.L, dp.G, dp.U1, dp.U3, gamma, xp)
     if xp.any(e < SINGULARITY_GUARD):
         raise DegenerateEccentricityError(_CIRCULAR)
+
+
+def _delaunay_to_andoyer(ell, g, u1, u3, L, G, U1, U3, gamma, xp) -> tuple:
+    """The fields of ``delaunay_to_andoyer`` from those of a Delaunay point, as a plain tuple."""
+    a, eta, e = _delaunay_orbit(L, G, U1, U3, gamma, xp)
+    E = kepler_solve(ell, e)
+    se, ce = xp.sin(E), xp.cos(E)
+    r = a * (1.0 - e * ce)
+    P = L * e * se / r
+    f = xp.arctan2(eta * se, ce - e)
+    # keep the true anomaly on the same winding branch as E
+    f = f + _TWO_PI * xp.rint((E - f) / _TWO_PI)
+    u2 = (g + f) % _TWO_PI
+    return r, u1 % _TWO_PI, u2, u3 % _TWO_PI, P, U1, G, U3
 
 
 def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
@@ -511,18 +554,7 @@ def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
     For e = 0 the perigee direction degenerates; the forward map uses the
     natural convention f = E = ell, so it stays defined on the closure.
     """
-    xp = _ns(gamma, *dp)
-    a, eta, e = _delaunay_orbit(dp, gamma, xp)
-    E = kepler_solve(dp.ell, e)
-    se, ce = xp.sin(E), xp.cos(E)
-    r = a * (1.0 - e * ce)
-    P = dp.L * e * se / r
-    f = xp.arctan2(eta * se, ce - e)
-    # keep the true anomaly on the same winding branch as E
-    f = f + _TWO_PI * xp.rint((E - f) / _TWO_PI)
-    u2 = (dp.g + f) % _TWO_PI
-    return _point(AndoyerPoint, r, dp.u1 % _TWO_PI, u2, dp.u3 % _TWO_PI,
-                  P, dp.U1, dp.G, dp.U3)
+    return _point(AndoyerPoint, *_delaunay_to_andoyer(*dp, gamma, _ns(gamma, *dp)))
 
 
 def _andoyer_energy(rho, P, U2, gamma):
@@ -534,6 +566,8 @@ def _andoyer_to_delaunay(rho, u1, u2, u3, P, U1, U2, U3, gamma) -> tuple:
     """The fields of ``andoyer_to_delaunay`` from those of an Andoyer point, as a plain tuple."""
     if not gamma > 0.0:
         raise ChartDomainError(f"gamma must be positive, got {gamma}")
+    if not gamma < math.inf:
+        raise ChartDomainError(f"gamma must be finite, got {gamma}")
     if not rho > 0.0:
         raise ChartDomainError("rho must be positive")
     if not U2 > 0.0:
@@ -563,16 +597,39 @@ def andoyer_to_delaunay(ap: AndoyerPoint, gamma: float) -> DelaunayPoint:
     return DelaunayPoint._make(_andoyer_to_delaunay(*ap, gamma))
 
 
+def _delaunay_to_euler(dp: DelaunayPoint, gamma) -> tuple:
+    """The Euler fields of ``dp``'s image, and the namespace the Euler map takes them in.
+
+    The two maps are chained without records, with the values the records
+    would carry: the Andoyer fields go through ``_value`` (``float`` in
+    ``_MATH``, where every field is a scalar) and the namespace is picked
+    again from them, so a 0-d field leaves the first map as a float and the
+    later maps run in ``_MATH``.  The Euler fields need neither: floats
+    stay floats in ``_MATH``, and in numpy an array field of the Andoyer
+    point makes one of the Euler point.
+    """
+    xp = _ns(gamma, *dp)
+    fields = _delaunay_to_andoyer(*dp, gamma, xp)
+    if xp is _MATH:
+        fields = map(float, fields)
+    else:
+        fields = tuple(map(_value, fields))
+        xp = _ns(*fields)
+    return _andoyer_to_euler(*fields, xp), xp
+
+
 def delaunay_to_cartesian(dp: DelaunayPoint, gamma: float) -> CartesianState:
     """Full chain Delaunay -> Andoyer -> Euler -> Cartesian."""
-    return euler_to_cartesian(andoyer_to_euler(delaunay_to_andoyer(dp, gamma)))
+    ep, xp = _delaunay_to_euler(dp, gamma)
+    q, Q = _euler_to_cartesian(*ep, xp)
+    return CartesianState(q, Q) if xp is _MATH else _state(q, Q)
 
 
 def delaunay_to_positions(dp: DelaunayPoint, gamma: float) -> tuple:
     """Positions (q1, q2, q3, q4) of ``delaunay_to_cartesian``, without the momenta."""
-    ep = andoyer_to_euler(delaunay_to_andoyer(dp, gamma))
-    q, _, _, _ = _euler_positions(ep, _ns(*ep))
-    return tuple(map(_value, q))
+    (rho, phi, theta, psi, _, _, _, _), xp = _delaunay_to_euler(dp, gamma)
+    q, _, _, _ = _euler_positions(rho, phi, theta, psi, xp)
+    return q if xp is _MATH else tuple(map(_value, q))
 
 
 def cartesian_to_delaunay(state: CartesianState, gamma: float) -> DelaunayPoint:

@@ -255,15 +255,16 @@ def _sturm_chain(c: list[float]) -> list[list[float]]:
 
 
 def _variations(chain: list[list[float]], x: float) -> int:
-    signs = []
+    """Sign changes along the chain at x, zero values skipped and NaN taken as negative, in one pass."""
+    count = 0
+    last = 0
     for p in chain:
         v = _polyval(p, x)
         if v != 0.0:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
+            sign = 1 if v > 0 else -1
+            if sign == -last:
+                count += 1
+            last = sign
     return count
 
 
@@ -275,11 +276,24 @@ def _bisect_sign(c: list[float], g: list[float] | None, a: float, b: float):
 
     g is the gcd of p and p' (``None`` when it is a constant), so s has the
     sign of the square-free part p / g, which changes sign exactly once
-    across an interval that isolates one root, double roots included.
+    across an interval that isolates one root, double roots included.  s(x)
+    is one call: Horner's rule over c and g, each reversed once here, which
+    makes the multiplies and adds of ``_polyval(c, x) * _polyval(g, x)`` in
+    their order.
     """
+    rc = c[::-1]
+    rg = None if g is None else g[::-1]
+
     def s(x):
-        v = _polyval(c, x)
-        return v if g is None else v * _polyval(g, x)
+        v = 0.0
+        for k in rc:
+            v = v * x + k
+        if rg is None:
+            return v
+        u = 0.0
+        for k in rg:
+            u = u * x + k
+        return v * u
 
     sa, sb = s(a), s(b)
     if not (sa < 0.0 < sb or sb < 0.0 < sa):
@@ -322,13 +336,15 @@ def _isolate_roots(c: np.ndarray, lo: float, hi: float) -> list[float]:
     both of its ends, so no point is counted twice.  An interval holding one
     root is bisected on the sign of the square-free part, p(x) g(x) with g
     the chain's last, non-constant member gcd(p, p') (``_bisect_sign``): one
-    or two polynomial values a step instead of a whole chain.  Where float
+    Python call a step, Horner's rule over the coefficients of p and g
+    reversed once per bisection, instead of a whole chain.  Where float
     noise gives that product the same sign at both ends, the root falls back
-    to bisection on the variation count (``_bisect_count``).  Three Newton
-    steps on p polish either result.  The input becomes a list of Python
-    floats on entry, and the chain is built and evaluated on lists: the same
-    operations in the same order as on numpy arrays, so the same roots, at a
-    fraction of the cost per operation.
+    to bisection on the variation count (``_bisect_count``); every count,
+    there and in the splits, is one pass over the chain (``_variations``).
+    Three Newton steps on p polish either result.  The input becomes a list
+    of Python floats on entry, and the chain is built and evaluated on
+    lists: the same operations in the same order as on numpy arrays, so the
+    same roots, at a fraction of the cost per operation.
     """
     c = [float(v) for v in c]
     c = _trim(c[::-1], 1e-14 * max(map(abs, c)))[::-1]

@@ -28,12 +28,19 @@ output, on a state whose fields are the rows of the sampled solution.  Every
 run goes through ``_solve_ivp``, the one DOP853 call, which requires positive
 tolerances and bounds the run by a work budget of ``_MAX_NFEV`` vector-field
 evaluations.
+
+``CartesianState`` is a ``NamedTuple``, like the chart points: the pair
+(q, Q), immutable, built positionally or by keyword.  Its equality is tuple
+equality and ignores the class: a state equals the plain tuple ``(q, Q)``.
+``ModelParams`` and ``IntegralValues`` stay frozen dataclasses that validate
+on construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -62,9 +69,13 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
-@dataclass(frozen=True)
-class CartesianState:
-    """The eight canonical coordinates (q1..q4, Q1..Q4)."""
+class CartesianState(NamedTuple):
+    """The eight canonical coordinates (q1..q4, Q1..Q4).
+
+    A ``NamedTuple`` like the chart points: an immutable pair (q, Q) of
+    4-tuples.  Equality is tuple equality and ignores the class, so a state
+    equals the plain tuple ``(q, Q)``.
+    """
 
     q: tuple[float, float, float, float]
     Q: tuple[float, float, float, float]
@@ -75,7 +86,7 @@ class CartesianState:
         if x.shape != (8,):
             raise ValueError(f"expected 8 components, got shape {x.shape}")
         q1, q2, q3, q4, Q1, Q2, Q3, Q4 = x.tolist()
-        return cls(q=(q1, q2, q3, q4), Q=(Q1, Q2, Q3, Q4))
+        return cls((q1, q2, q3, q4), (Q1, Q2, Q3, Q4))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.q + self.Q, dtype=float)

@@ -249,7 +249,7 @@ def w1(dp: DelaunayPoint, p: ModelParams) -> float:
     gamma = _require_chart_params(p)
     L, G, g = dp.L, dp.G, dp.g
     xp = charts._ns(gamma, L, G, dp.U1, dp.U3, g)
-    a, eta, e = charts._delaunay_orbit(dp, gamma, xp)
+    a, eta, e = charts._delaunay_orbit(L, G, dp.U1, dp.U3, gamma, xp)
     alpha = p.beta * p.beta - 1.0
     c1 = dp.U1 / G
     c2 = dp.U3 / G

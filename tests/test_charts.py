@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -548,6 +549,7 @@ class TestValueRecords:
         (invariants.KLJVector, "h2 xi k1 k2 k3 l1 l2 l3 j1 j2 j3 j4 j5 j6 j7 j8"),
         (invariants.ThriceReducedPoint, "M N Z S K integrals"),
         (normalform.DelaunayTangent, "ell g u1 u3 L G U1 U3"),
+        (model.CartesianState, "q Q"),
     ]
 
     @pytest.mark.parametrize("cls, names", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
@@ -626,3 +628,326 @@ class TestInverseChain:
         assert (type(ep), type(ap), type(charts.andoyer_to_delaunay(ap, 1.0)),
                 type(charts.cartesian_to_delaunay(state, 1.0))) == (
             EulerPoint, AndoyerPoint, DelaunayPoint, DelaunayPoint)
+
+
+# -- the forward chain against its former single maps -----------------------------
+
+# delaunay_to_andoyer, andoyer_to_euler, euler_to_cartesian (with the
+# _euler_positions it calls), delaunay_to_positions and _delaunay_orbit as
+# they were before each map became a function on fields and the chain stopped
+# building the Andoyer and Euler records
+_require = charts._require
+_ns = charts._ns
+_value = charts._value
+_point = charts._point
+_andoyer_deltas = charts._andoyer_deltas
+kepler_solve = charts.kepler_solve
+SINGULARITY_GUARD = charts.SINGULARITY_GUARD
+_TWO_PI = 2.0 * math.pi
+CartesianState = model.CartesianState
+
+
+def _euler_positions_reference(ep: EulerPoint, xp):
+    _require(ep.rho > 0.0, "rho must be positive, got {}", ep.rho)
+    st = xp.sin(ep.theta)
+    _require(st > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", ep.theta)
+    s = xp.sin(0.5 * ep.theta)
+    c = xp.cos(0.5 * ep.theta)
+    sr = xp.sqrt(ep.rho)
+    hm = 0.5 * (ep.phi - ep.psi)
+    hp = 0.5 * (ep.phi + ep.psi)
+    q1 = sr * s * xp.cos(hm)
+    q2 = sr * s * xp.sin(hm)
+    q3 = sr * c * xp.sin(hp)
+    q4 = sr * c * xp.cos(hp)
+    return (q1, q2, q3, q4), st, s, c
+
+
+def _euler_to_cartesian_reference(ep: EulerPoint) -> CartesianState:
+    xp = _ns(*ep)
+    (q1, q2, q3, q4), st, s, c = _euler_positions_reference(ep, xp)
+    ct = xp.cos(ep.theta)
+    w = 4.0 / (ep.rho * st * st)
+    x0 = 4.0 * ep.rho * ep.P
+    x1 = w * (ep.Phi - ct * ep.Psi)
+    x2 = 4.0 * ep.Theta / ep.rho
+    x3 = w * (ep.Psi - ct * ep.Phi)
+    inv2rho = 0.5 / ep.rho
+    cot = c / s
+    tan = s / c
+    Q1 = q1 * inv2rho * x0 - 0.5 * q2 * x1 + 0.5 * cot * q1 * x2 + 0.5 * q2 * x3
+    Q2 = q2 * inv2rho * x0 + 0.5 * q1 * x1 + 0.5 * cot * q2 * x2 - 0.5 * q1 * x3
+    Q3 = q3 * inv2rho * x0 + 0.5 * q4 * x1 - 0.5 * tan * q3 * x2 + 0.5 * q4 * x3
+    Q4 = q4 * inv2rho * x0 - 0.5 * q3 * x1 - 0.5 * tan * q4 * x2 - 0.5 * q3 * x3
+    return CartesianState(q=tuple(map(_value, (q1, q2, q3, q4))),
+                          Q=tuple(map(_value, (Q1, Q2, Q3, Q4))))
+
+
+def _andoyer_to_euler_reference(ap: AndoyerPoint) -> EulerPoint:
+    xp = _ns(*ap)
+    _require(ap.U2 > 0.0, "U2 must be positive")
+    c1 = ap.U1 / ap.U2
+    c2 = ap.U3 / ap.U2
+    s1sq = 1.0 - c1 * c1
+    s2sq = 1.0 - c2 * c2
+    _require((s1sq >= SINGULARITY_GUARD ** 2) & (s2sq >= SINGULARITY_GUARD ** 2),
+             "|U1| or |U3| too close to U2")
+    s1 = xp.sqrt(s1sq)
+    s2 = xp.sqrt(s2sq)
+    su2 = xp.sin(ap.u2)
+    cu2 = xp.cos(ap.u2)
+    ct = c1 * c2 + s1 * s2 * cu2
+    stsq = 1.0 - ct * ct
+    _require(stsq >= SINGULARITY_GUARD ** 2, "image hits the theta singular set")
+    st = xp.sqrt(stsq)
+    theta = xp.arccos(ct)
+    Theta = ap.U2 * s1 * s2 * su2 / st
+    d1, d3 = _andoyer_deltas(su2, cu2, c1, s1, c2, s2, xp.arctan2)
+    phi = (ap.u1 - d1) % _TWO_PI
+    psi = ap.u3 - d3
+    # keep psi in the principal interval used by the Euler chart
+    psi = (psi + math.pi) % _TWO_PI - math.pi
+    return _point(EulerPoint, ap.rho, phi, theta, psi, ap.P, ap.U1, Theta, ap.U3)
+
+
+def _delaunay_orbit_reference(dp: DelaunayPoint, gamma, xp):
+    _require(gamma > 0.0, "gamma must be positive, got {}", gamma)
+    _require((0.0 < dp.G) & (dp.G <= dp.L), "need 0 < G <= L, got G={}, L={}", dp.G, dp.L)
+    _require((xp.abs(dp.U1) < dp.G) & (xp.abs(dp.U3) < dp.G),
+             "need |U1|, |U3| < G, got U1={}, U3={}, G={}", dp.U1, dp.U3, dp.G)
+    a = dp.L * dp.L / gamma
+    eta = dp.G / dp.L
+    e = xp.sqrt(xp.maximum(0.0, 1.0 - eta * eta))
+    return a, eta, e
+
+
+def _delaunay_to_andoyer_reference(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:
+    xp = _ns(gamma, *dp)
+    a, eta, e = _delaunay_orbit_reference(dp, gamma, xp)
+    E = kepler_solve(dp.ell, e)
+    se, ce = xp.sin(E), xp.cos(E)
+    r = a * (1.0 - e * ce)
+    P = dp.L * e * se / r
+    f = xp.arctan2(eta * se, ce - e)
+    # keep the true anomaly on the same winding branch as E
+    f = f + _TWO_PI * xp.rint((E - f) / _TWO_PI)
+    u2 = (dp.g + f) % _TWO_PI
+    return _point(AndoyerPoint, r, dp.u1 % _TWO_PI, u2, dp.u3 % _TWO_PI,
+                  P, dp.U1, dp.G, dp.U3)
+
+
+def _delaunay_to_positions_reference(dp: DelaunayPoint, gamma: float) -> tuple:
+    ep = _andoyer_to_euler_reference(_delaunay_to_andoyer_reference(dp, gamma))
+    q, _, _, _ = _euler_positions_reference(ep, _ns(*ep))
+    return tuple(map(_value, q))
+
+
+def _delaunay_to_cartesian_reference(dp, gamma):
+    return _euler_to_cartesian_reference(
+        _andoyer_to_euler_reference(_delaunay_to_andoyer_reference(dp, gamma)))
+
+
+def _require_angles_defined_reference(dp, gamma):
+    xp = _ns(gamma, *dp)
+    _, _, e = _delaunay_orbit_reference(dp, gamma, xp)
+    if xp.any(e < SINGULARITY_GUARD):
+        raise DegenerateEccentricityError(charts._CIRCULAR)
+
+
+def _forward_bits(fn, *args):
+    """The type and every field of what fn returns, floats as float.hex and arrays
+    as their bytes, or the type and message of the ChartDomainError it raises."""
+    try:
+        out = fn(*args)
+    except ChartDomainError as exc:
+        return type(exc).__name__, str(exc)
+    return type(out).__name__, _field_bits(out)
+
+
+def _field_bits(v):
+    if isinstance(v, tuple):
+        return [_field_bits(x) for x in v]
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    return type(v).__name__, v.hex() if isinstance(v, float) else repr(v)
+
+
+def _forward_outcomes(dp, gamma, new):
+    """Every forward entry point at (dp, gamma): the chain and, on its images, the single maps."""
+    to_andoyer, to_euler, to_cartesian, chain, positions, angles = (
+        (charts.delaunay_to_andoyer, charts.andoyer_to_euler, charts.euler_to_cartesian,
+         charts.delaunay_to_cartesian, charts.delaunay_to_positions,
+         charts.require_angles_defined) if new else
+        (_delaunay_to_andoyer_reference, _andoyer_to_euler_reference,
+         _euler_to_cartesian_reference, _delaunay_to_cartesian_reference,
+         _delaunay_to_positions_reference, _require_angles_defined_reference))
+    out = [_forward_bits(fn, dp, gamma) for fn in (to_andoyer, chain, positions, angles)]
+    try:
+        ap = _delaunay_to_andoyer_reference(dp, gamma)
+        ep = _andoyer_to_euler_reference(ap)
+    except ChartDomainError:
+        return out
+    return out + [_forward_bits(to_euler, ap), _forward_bits(to_cartesian, ep)]
+
+
+def _assert_forward_bits(dp, gamma):
+    with np.errstate(all="ignore"):
+        assert _forward_outcomes(dp, gamma, True) == _forward_outcomes(dp, gamma, False)
+
+
+_ANGLE = st.floats(-20.0, 20.0)
+# gamma in (0.05, 3), or one time in three 0, -0.5 or NaN
+_GAMMA = st.tuples(st.floats(0.05, 3.0), st.sampled_from([None] * 6 + [0.0, -0.5, math.nan])).map(
+    lambda drawn: drawn[0] if drawn[1] is None else drawn[1])
+# ways to move a point in the chart across a guard of the forward maps
+_BREAKS = {
+    "G=L": lambda dp, v: dp._replace(G=dp.L),  # circular, still in the domain
+    "G>L": lambda dp, v: dp._replace(G=dp.L * (1.0 + v)),
+    "G<=0": lambda dp, v: dp._replace(G=-v),
+    "U1=G": lambda dp, v: dp._replace(U1=dp.G),
+    "U3=-G": lambda dp, v: dp._replace(U3=-dp.G * (1.0 + v)),
+    "NaN": lambda dp, v: dp._replace(**{dp._fields[int(8 * v) % 8]: math.nan}),
+}
+
+
+@st.composite
+def _delaunay_fields(draw):
+    """A Delaunay point in the chart, or, one time in two, moved across a guard or given a NaN field."""
+    L = draw(st.floats(0.05, 3.0))
+    G = L * draw(st.floats(0.0, 1.0, exclude_min=True))
+    unit = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+    dp = DelaunayPoint(draw(_ANGLE), draw(_ANGLE), draw(_ANGLE), draw(_ANGLE), L, G,
+                       G * draw(unit), G * draw(unit))
+    brk = draw(st.sampled_from([None] * len(_BREAKS) + list(_BREAKS)))
+    return dp if brk is None else _BREAKS[brk](dp, draw(st.floats(0.0, 0.99)))
+
+
+_NODES = np.arange(512) * (TWO_PI / 512)
+
+
+class TestForwardChain:
+    @settings(max_examples=600, deadline=None)
+    @given(_delaunay_fields(), _GAMMA)
+    def test_scalars_keep_their_bits(self, dp, gamma):
+        _assert_forward_bits(dp, gamma)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_delaunay_fields(), _GAMMA, st.integers(0, 2 ** 32 - 1), st.sampled_from(["ell", "g", "momenta"]))
+    def test_arrays_keep_their_bytes(self, dp, gamma, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "ell":  # the averaging pattern: 512 mean-anomaly nodes
+            dp = dp._replace(ell=_NODES)
+        elif kind == "g":
+            dp = dp._replace(g=rng.uniform(-10.0, 10.0, 64))
+        else:  # G, U1 and U3 vary over the array, each within the chart where dp is
+            scale = rng.uniform(0.5, 1.0, 64)
+            dp = dp._replace(G=dp.G * scale, U1=dp.U1 * scale * rng.uniform(0.0, 1.0, 64),
+                             U3=dp.U3 * scale)
+        _assert_forward_bits(dp, gamma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_delaunay_fields(), _GAMMA, st.lists(st.booleans(), min_size=9, max_size=9))
+    def test_zero_dimensional_fields_keep_their_bits(self, dp, gamma, wrap):
+        # a 0-d field puts the first map in numpy and leaves it as a float, so
+        # the later maps run in the scalar namespace
+        dp = DelaunayPoint(*(np.array(v) if w else v for v, w in zip(dp, wrap)))
+        _assert_forward_bits(dp, np.array(gamma) if wrap[8] else gamma)
+
+    def test_integer_and_numpy_scalar_fields_keep_their_bits(self):
+        base = DelaunayPoint(1, 2, 0, 3, 2, 1, 0, 0)
+        _assert_forward_bits(base, 1)
+        _assert_forward_bits(DelaunayPoint(*map(np.float64, base)), 1.0)
+        _assert_forward_bits(_NON_FINITE_BASES[0]._replace(G=np.float64(0.8)), np.float64(0.7))
+
+    # (Delaunay point, gamma, message) at each guard; the chain and its single maps raise alike
+    GUARDS = {
+        "gamma=0": (dict(), 0.0, "gamma must be positive, got 0.0"),
+        "gamma<0": (dict(), -0.5, "gamma must be positive, got -0.5"),
+        "gamma=nan": (dict(), math.nan, "gamma must be positive, got nan"),
+        "G=0": (dict(G=0.0), 1.0, "need 0 < G <= L, got G=0.0, L=1.0"),
+        "G>L": (dict(G=1.25), 1.0, "need 0 < G <= L, got G=1.25, L=1.0"),
+        "U1=G": (dict(U1=0.8), 1.0, "need |U1|, |U3| < G, got U1=0.8, U3=0.1, G=0.8"),
+        "U3=-G": (dict(U3=-0.8), 1.0, "need |U1|, |U3| < G, got U1=0.1, U3=-0.8, G=0.8"),
+        # circular, U1 = U3 = 0 and ell = g = 0: the Euler image has theta = 0
+        "theta": (dict(ell=0.0, g=0.0, G=1.0, U1=0.0, U3=0.0), 1.0,
+                  "image hits the theta singular set"),
+        "G=nan": (dict(G=math.nan), 1.0, "need 0 < G <= L, got G=nan, L=1.0"),
+        "U1=nan": (dict(U1=math.nan), 1.0, "need |U1|, |U3| < G, got U1=nan, U3=0.1, G=0.8"),
+        "L=G=inf": (dict(L=math.inf, G=math.inf), 1.0, "eccentricity must lie in [0, 1), got nan"),
+    }
+
+    @pytest.mark.parametrize("guard", GUARDS)
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_each_guard_raises_as_the_single_maps_raise(self, guard, as_array):
+        fields, gamma, message = self.GUARDS[guard]
+        dp = _NON_FINITE_BASES[0]._replace(**fields)
+        if as_array:  # a good node first, so the message names the second
+            good = _NON_FINITE_BASES[0]._asdict()
+            dp = dp._replace(**{k: np.array([good[k], v]) for k, v in dp._asdict().items()
+                                if k in fields or k == "ell"})
+        with np.errstate(all="ignore"):
+            for fn in (charts.delaunay_to_cartesian, charts.delaunay_to_positions):
+                assert _forward_bits(fn, dp, gamma) == ("ChartDomainError", message)
+        _assert_forward_bits(dp, gamma)
+
+    # (Andoyer or Euler point fields, message) at the guards the Delaunay chain cannot reach
+    SINGLE_MAP_GUARDS = {
+        "U2=0": (AndoyerPoint, dict(U2=0.0), "U2 must be positive"),
+        "U1=U2": (AndoyerPoint, dict(U1=1.0), "|U1| or |U3| too close to U2"),
+        "U3=-U2": (AndoyerPoint, dict(U3=-1.0), "|U1| or |U3| too close to U2"),
+        "theta=0 in andoyer": (AndoyerPoint, dict(U1=0.0, U3=0.0, u2=0.0),
+                               "image hits the theta singular set"),
+        "rho=0": (EulerPoint, dict(rho=0.0), "rho must be positive, got 0.0"),
+        "theta=0 in euler": (EulerPoint, dict(theta=0.0), "theta=0.0 is too close to the chart singularity"),
+        "rho=nan": (EulerPoint, dict(rho=math.nan), "rho must be positive, got nan"),
+    }
+
+    @pytest.mark.parametrize("guard", SINGLE_MAP_GUARDS)
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_each_single_map_guard_keeps_its_message(self, guard, as_array):
+        cls, fields, message = self.SINGLE_MAP_GUARDS[guard]
+        base = next(pt for pt in _NON_FINITE_BASES if type(pt) is cls)
+        if as_array:
+            fields = {k: np.array([base._asdict()[k], v]) for k, v in fields.items()}
+        pt = base._replace(**fields)
+        new, ref = ((charts.andoyer_to_euler, _andoyer_to_euler_reference) if cls is AndoyerPoint
+                    else (charts.euler_to_cartesian, _euler_to_cartesian_reference))
+        assert _forward_bits(new, pt) == _forward_bits(ref, pt) == ("ChartDomainError", message)
+
+
+# -- gamma must be finite ------------------------------------------------------------
+
+_INF_GAMMA_POINT = DelaunayPoint(0.3, 1.0, 0.2, 0.1, 1.0, 0.7, 0.2, -0.1)
+_GAMMA_ENTRY_POINTS = {
+    "delaunay_to_cartesian": charts.delaunay_to_cartesian,
+    "delaunay_to_positions": charts.delaunay_to_positions,
+    "delaunay_to_andoyer": charts.delaunay_to_andoyer,
+    "composed_h0": charts.composed_h0,
+    "require_angles_defined": charts.require_angles_defined,
+    "cartesian_to_delaunay": lambda dp, gamma: charts.cartesian_to_delaunay(
+        charts.delaunay_to_cartesian(dp, 1.0), gamma),
+    "andoyer_to_delaunay": lambda dp, gamma: charts.andoyer_to_delaunay(
+        charts.delaunay_to_andoyer(dp, 1.0), gamma),
+}
+# the inverse maps take scalars only
+_GAMMA_CASES = [(entry, ell) for entry in _GAMMA_ENTRY_POINTS
+                for ell in ("scalar", "array") if ell == "scalar" or "to_delaunay" not in entry]
+
+
+@pytest.mark.parametrize("gamma, message", [
+    (math.inf, "gamma must be finite, got inf"),
+    (-math.inf, "gamma must be positive, got -inf"),
+    (math.nan, "gamma must be positive, got nan"),
+], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry, ell", _GAMMA_CASES, ids=[f"{e}-{k}" for e, k in _GAMMA_CASES])
+def test_a_non_finite_gamma_is_refused(entry, ell, gamma, message):
+    # gamma = inf used to divide by a zero radius: ZeroDivisionError on
+    # scalars, RuntimeWarnings and a "rho must be positive" on arrays, a pass
+    # in require_angles_defined and "circular point" in the inverse maps
+    ell = 0.3 if ell == "scalar" else np.linspace(0.0, TWO_PI, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartDomainError) as err:
+            _GAMMA_ENTRY_POINTS[entry](_INF_GAMMA_POINT._replace(ell=ell), gamma)
+    assert type(err.value) is ChartDomainError
+    assert str(err.value) == message

@@ -738,3 +738,84 @@ class TestSweep:
             eq._periodic_residual(0.5, 0.3, alpha, 1.0)
         (row,) = eq.sweep([alpha], [0.0], [0.0])
         assert row["kind"] == "error"
+
+
+# -- the Sturm bisection against its former form --------------------------------------
+
+# _bisect_sign and _variations as they were before the bisection evaluated
+# p g in one call per point and the count stopped building a list of signs
+def _bisect_sign_before(c, g, a, b):
+    def s(x):
+        v = eq._polyval(c, x)
+        return v if g is None else v * eq._polyval(g, x)
+
+    sa, sb = s(a), s(b)
+    if not (sa < 0.0 < sb or sb < 0.0 < sa):
+        return None
+    neg = sa < 0.0
+    for _ in range(200):
+        if b - a < eq._ROOT_WIDTH:
+            break
+        m = 0.5 * (a + b)
+        sm = s(m)
+        if sm == 0.0:
+            return m, m
+        if (sm < 0.0) == neg:
+            a = m
+        else:
+            b = m
+    return a, b
+
+
+def _variations_before(chain, x):
+    signs = []
+    for p in chain:
+        v = eq._polyval(p, x)
+        if v != 0.0:
+            signs.append(1 if v > 0 else -1)
+    count = 0
+    for a, b in zip(signs, signs[1:]):
+        if a != b:
+            count += 1
+    return count
+
+
+def _sweep_cells():
+    """The README grid, the w z = 0 axes, alpha = 3, the alpha = -3/4 continuum and 480 seeded cells."""
+    cells = [(w, z, float(a)) for a in np.linspace(-0.9, 3.0, 14)
+             for w in (0.0, 0.2) for z in (0.0, 0.1)]
+    rng = np.random.default_rng(2201)
+    for k in range(480):
+        alpha = float(rng.uniform(-0.9, 3.0))
+        w, z = (float(v) for v in rng.uniform(-0.4, 0.4, 2))
+        # one cell in four on each axis, one at w = z = 0, and every tenth at alpha = 3
+        cells.append((0.0 if k % 4 in (0, 1) else w, 0.0 if k % 4 in (0, 2) else z,
+                      3.0 if k % 10 == 0 else alpha))
+    cells += [(w, z, -0.75) for w in (0.0, 0.2, -0.3) for z in (0.0, 0.1, 0.3)]
+    return cells
+
+
+def _cell_bits(w, z, alpha):
+    """Every record, flag, spurious entry and CrossValidation field of a cell, floats as float.hex."""
+    res = eq.solve_tori3(w, z, alpha)
+    beta = math.sqrt(alpha + 1.0)
+    hexed = lambda v: v.hex() if type(v) is float else repr(v)  # noqa: E731
+    return (res.continuum,
+            [[hexed(v) for v in dataclasses.astuple(rec)] for rec in res.records],
+            [{k: hexed(v) for k, v in sp.items()} for sp in res.spurious],
+            [[hexed(v) for v in dataclasses.astuple(eq.cross_validate(rec, beta))]
+             for rec in res.records])
+
+
+def test_sweep_cells_keep_their_bits():
+    cells = _sweep_cells()
+    got = [_cell_bits(*cell) for cell in cells]
+    with mock.patch.object(eq, "_bisect_sign", _bisect_sign_before), \
+            mock.patch.object(eq, "_variations", _variations_before):
+        want = [_cell_bits(*cell) for cell in cells]
+    assert got == want
+    # the mix reaches every kind of outcome
+    assert sum(continuum for continuum, _, _, _ in got) >= 1
+    assert sum(len(recs) for _, recs, _, _ in got) > 500
+    assert sum(len(sp) for _, _, sp, _ in got) > 100
+    assert any("'circular'" in rec[-1] for _, recs, _, _ in got for rec in recs)

@@ -199,6 +199,20 @@ class TestFromArray:
         with pytest.raises(ValueError, match="expected 8 components"):
             CartesianState.from_array(np.zeros(shape))
 
+    def test_a_named_tuple_whose_equality_ignores_the_class(self):
+        s = CartesianState.from_array(np.arange(8.0))
+        assert isinstance(s, tuple) and CartesianState._fields == ("q", "Q")
+        assert s == CartesianState(q=(0.0, 1.0, 2.0, 3.0), Q=(4.0, 5.0, 6.0, 7.0))
+        assert s == ((0.0, 1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0))
+        assert s.as_array().tolist() == list(range(8))
+        with pytest.raises(AttributeError):
+            s.q = (0.0, 0.0, 0.0, 0.0)
+
+    def test_the_shape_message_is_kept(self):
+        with pytest.raises(ValueError) as err:
+            CartesianState.from_array(np.zeros((2, 4)))
+        assert str(err.value) == "expected 8 components, got shape (2, 4)"
+
 
 class TestBracket:
     def test_integrals_commute(self, rng):
