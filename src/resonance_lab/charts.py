@@ -22,16 +22,20 @@ and frozen here as regression constants (``XI_PER_PSI``, ``L1_PER_PHI``).
 
 The forward maps (Delaunay -> Andoyer -> Euler -> Cartesian and the Kepler
 solve) are written once, against a small function namespace that each call
-picks from its own input (``_ns``): numpy when any field is an ndarray, so
+picks from its own input (``_ns``): numpy's when any field is an ndarray, so
 the fields broadcast against each other, and ``math`` with the builtin
 arithmetic when every field is a real scalar.  The two give the same values
 up to the last bit, where numpy's array ufuncs and libm may round
 differently, or where ``**`` goes through libm's ``pow`` on a scalar.  A
-domain check raises when any element violates it and names the first such
-element; scalar input gives Python floats back.  The Kepler solve starts from
-Markley's closed-form starter with one fifth-order correction (Markley 1995),
-which is within rounding of the root, so its safeguarded Newton loop only
-checks the start and stays as the fallback.
+complex field selects ``_CS``, the complex-step namespace: a field x + ih
+carries h times its derivative in its imaginary part, and so do the results
+(Squire & Trapp, SIAM Rev. 40, 110, 1998; Martins, Sturdza & Alonso, ACM
+TOMS 29, 245, 2003).  A domain check reads the real part, raises when any
+element violates it and names the first such element; scalar input gives
+Python floats back.  The Kepler solve starts from Markley's closed-form
+starter with one fifth-order correction (Markley 1995), which is within
+rounding of the root, so its safeguarded Newton loop only checks the start
+and stays as the fallback.
 
 Each forward map is written once, as a private function on the fields of its
 input and the namespace that returns a plain tuple (``_delaunay_to_andoyer``,
@@ -74,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -178,17 +183,21 @@ def _require(ok, message: str, *values) -> None:
 
     ``message`` is formatted with ``values`` at the first failing element.
     """
-    if ok.all() if isinstance(ok, np.ndarray) else ok:
+    if ok is True or (ok.all() if isinstance(ok, np.ndarray) else ok):
         return
     ok = np.asarray(ok)
     first = int(np.argmin(ok))
     raise ChartDomainError(
-        message.format(*(float(np.broadcast_to(v, ok.shape).flat[first]) for v in values)))
+        message.format(*(float(np.broadcast_to(v, ok.shape).flat[first].real) for v in values)))
 
 
 def _value(x):
-    """An ndarray result as is; a 0-d result as a Python float."""
-    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+    """An ndarray result as is; a 0-d result as a Python float, or a complex when it is complex."""
+    if isinstance(x, np.ndarray):
+        if x.ndim:
+            return x
+        x = x[()]
+    return complex(x) if isinstance(x, complex) else float(x)
 
 
 def _nan_passing(fn):
@@ -212,18 +221,48 @@ def _nan_at_inf(fn):
 _MATH = SimpleNamespace(
     sin=_nan_at_inf(math.sin), cos=_nan_at_inf(math.cos), sqrt=math.sqrt,
     arctan2=math.atan2, arccos=math.acos,
-    abs=abs, floor=_nan_passing(math.floor), rint=_nan_passing(round),
+    abs=abs, floor=_nan_passing(math.floor), rint=_nan_passing(round), mod=operator.mod,
     minimum=lambda a, b: a if a <= b or a != a else b,
     maximum=lambda a, b: a if a >= b or a != a else b,
     where=lambda cond, a, b: a if cond else b, any=bool,
 )
 
 
+#: The array namespace: numpy's functions, and the builtin ``%`` as ``mod``,
+#: which is numpy's on an array and spares a scalar field a ufunc call.
+_NP = SimpleNamespace(mod=operator.mod, **{name: getattr(np, name) for name in (
+    "sin", "cos", "sqrt", "arctan2", "arccos", "abs", "floor", "rint", "minimum", "maximum",
+    "where", "any")})
+
+
+def _cs_arctan2(y, x):
+    """arctan2 of the real parts plus i (x dy - y dx)/(x^2 + y^2), dx and dy the imaginary parts."""
+    yr, xr = np.real(y), np.real(x)
+    return np.arctan2(yr, xr) + 1j * ((xr * np.imag(y) - yr * np.imag(x)) / (xr * xr + yr * yr))
+
+
+#: The complex-step stand-in for the functions of the forward maps (the
+#: Kepler solve has its own rule).  sin, cos, sqrt and arccos are analytic
+#: and numpy's; arctan2 and mod take the real result plus i times the
+#: derivative times the imaginary part; rint and the test of maximum read
+#: the real part.
+_CS = SimpleNamespace(
+    sin=np.sin, cos=np.cos, sqrt=np.sqrt, arccos=np.arccos, arctan2=_cs_arctan2, abs=np.abs,
+    mod=lambda x, m: np.mod(np.real(x), m) + 1j * np.imag(x),
+    rint=lambda x: np.rint(np.real(x)),
+    maximum=lambda a, b: np.where(np.real(a) >= np.real(b), a, b),
+)
+
+
 def _ns(*values):
-    """``_MATH`` when every value is a real scalar, the numpy module otherwise."""
+    """``_MATH`` when every value is a real scalar; else ``_CS`` when any is complex, ``_NP`` otherwise."""
     for v in values:
         if not isinstance(v, (float, int)):
-            return np
+            for u in values:
+                if not isinstance(u, float) and (
+                        isinstance(u, complex) or isinstance(u, np.ndarray) and u.dtype.kind == "c"):
+                    return _CS
+            return _NP
     return _MATH
 
 
@@ -244,9 +283,9 @@ def _euler_positions(rho, phi, theta, psi, xp):
     Both domain checks of ``euler_to_cartesian`` are made here; the lift
     reuses the three trigonometric values.
     """
-    _require(rho > 0.0, "rho must be positive, got {}", rho)
+    _require(rho.real > 0.0, "rho must be positive, got {}", rho)
     st = xp.sin(theta)
-    _require(st > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", theta)
+    _require(st.real > SINGULARITY_GUARD, "theta={} is too close to the chart singularity", theta)
     s = xp.sin(0.5 * theta)
     c = xp.cos(0.5 * theta)
     sr = xp.sqrt(rho)
@@ -377,12 +416,12 @@ def euler_to_andoyer(ep: EulerPoint) -> AndoyerPoint:
 
 def _andoyer_to_euler(rho, u1, u2, u3, P, U1, U2, U3, xp) -> tuple:
     """The fields of ``andoyer_to_euler`` from those of an Andoyer point, as a plain tuple."""
-    _require(U2 > 0.0, "U2 must be positive")
+    _require(U2.real > 0.0, "U2 must be positive")
     c1 = U1 / U2
     c2 = U3 / U2
     s1sq = 1.0 - c1 * c1
     s2sq = 1.0 - c2 * c2
-    _require((s1sq >= SINGULARITY_GUARD ** 2) & (s2sq >= SINGULARITY_GUARD ** 2),
+    _require((s1sq.real >= SINGULARITY_GUARD ** 2) & (s2sq.real >= SINGULARITY_GUARD ** 2),
              "|U1| or |U3| too close to U2")
     s1 = xp.sqrt(s1sq)
     s2 = xp.sqrt(s2sq)
@@ -390,15 +429,15 @@ def _andoyer_to_euler(rho, u1, u2, u3, P, U1, U2, U3, xp) -> tuple:
     cu2 = xp.cos(u2)
     ct = c1 * c2 + s1 * s2 * cu2
     stsq = 1.0 - ct * ct
-    _require(stsq >= SINGULARITY_GUARD ** 2, "image hits the theta singular set")
+    _require(stsq.real >= SINGULARITY_GUARD ** 2, "image hits the theta singular set")
     st = xp.sqrt(stsq)
     theta = xp.arccos(ct)
     Theta = U2 * s1 * s2 * su2 / st
     d1, d3 = _andoyer_deltas(su2, cu2, c1, s1, c2, s2, xp.arctan2)
-    phi = (u1 - d1) % _TWO_PI
+    phi = xp.mod(u1 - d1, _TWO_PI)
     psi = u3 - d3
     # keep psi in the principal interval used by the Euler chart
-    psi = (psi + math.pi) % _TWO_PI - math.pi
+    psi = xp.mod(psi + math.pi, _TWO_PI) - math.pi
     return rho, phi, theta, psi, P, U1, Theta, U3
 
 
@@ -428,9 +467,18 @@ def kepler_solve(ell, e):
     a hit is a bitwise-equal input and returns the same bits as a fresh
     solve.  Every array return is a copy, so a caller may modify it.  Scalar
     calls bypass the cache, and a call that raises stores nothing.
+
+    Complex-step input solves the real part by this same path, cache
+    included, and adds i (Im ell + sin E Im e)/(1 - e cos E): the derivative
+    of the root times the imaginary parts, by the implicit-function theorem.
     """
-    if _ns(ell, e) is _MATH:
+    xp = _ns(ell, e)
+    if xp is _MATH:
         return _kepler_newton(ell, e)
+    if xp is _CS:
+        er = np.real(e)
+        E = kepler_solve(np.real(ell), er)
+        return _value(E + 1j * ((np.imag(ell) + np.sin(E) * np.imag(e)) / (1.0 - er * np.cos(E))))
     ell = np.asarray(ell, dtype=float)
     e = np.asarray(e, dtype=float)
     E = _kepler_cached(ell.shape, ell.tobytes(), e.shape, e.tobytes())
@@ -511,12 +559,13 @@ def _delaunay_orbit(L, G, U1, U3, gamma, xp):
     """Domain checks of the forward Delaunay map on its momenta, then the orbit's (a, eta, e)."""
     _require(gamma > 0.0, "gamma must be positive, got {}", gamma)
     _require(gamma < math.inf, "gamma must be finite, got {}", gamma)
-    _require((0.0 < G) & (G <= L), "need 0 < G <= L, got G={}, L={}", G, L)
-    _require((xp.abs(U1) < G) & (xp.abs(U3) < G),
+    _require((0.0 < G.real) & (G.real <= L.real), "need 0 < G <= L, got G={}, L={}", G, L)
+    _require((xp.abs(U1) < G.real) & (xp.abs(U3) < G.real),
              "need |U1|, |U3| < G, got U1={}, U3={}, G={}", U1, U3, G)
     a = L * L / gamma
     eta = G / L
     e = xp.sqrt(xp.maximum(0.0, 1.0 - eta * eta))
+    _require(e.real != 1.0, "G={} is too small against L={}: the eccentricity rounds to 1", G, L)
     return a, eta, e
 
 
@@ -544,8 +593,8 @@ def _delaunay_to_andoyer(ell, g, u1, u3, L, G, U1, U3, gamma, xp) -> tuple:
     f = xp.arctan2(eta * se, ce - e)
     # keep the true anomaly on the same winding branch as E
     f = f + _TWO_PI * xp.rint((E - f) / _TWO_PI)
-    u2 = (g + f) % _TWO_PI
-    return r, u1 % _TWO_PI, u2, u3 % _TWO_PI, P, U1, G, U3
+    u2 = xp.mod(g + f, _TWO_PI)
+    return r, xp.mod(u1, _TWO_PI), u2, xp.mod(u3, _TWO_PI), P, U1, G, U3
 
 
 def delaunay_to_andoyer(dp: DelaunayPoint, gamma: float) -> AndoyerPoint:

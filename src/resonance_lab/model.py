@@ -58,7 +58,6 @@ __all__ = [
     "first_integrals",
     "integrate",
     "canonical_bracket",
-    "numerical_jacobian",
 ]
 
 
@@ -337,41 +336,10 @@ def integrate(
     return Trajectory(t=sol.t, states=sol.y.T, energy=hamiltonian(rows, p), xi=xi, l1=l1)
 
 
-def numerical_jacobian(fn, x, h: float = 1e-6, order: int = 2) -> np.ndarray:
-    """Central-difference Jacobian of fn at x (the gradient if fn is scalar).
-
-    The one finite-difference routine of the oracles.  ``order=4`` applies
-    one Richardson step (five-point stencil), which keeps the truncation
-    error negligible even near chart-domain edges where third derivatives grow.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def central(i, step):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        return (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * step)
-
-    return np.stack([(4.0 * central(i, h) - central(i, 2.0 * h)) / 3.0 if order == 4
-                     else central(i, h) for i in range(len(x))], axis=-1)
-
-
-def canonical_bracket(f, g, state: CartesianState, step: float = 1e-5) -> float:
-    """Numerical canonical bracket {f, g} = df/dq . dg/dQ - df/dQ . dg/dq.
-
-    Gradients are central differences with the given step; for polynomial
-    observables of degree <= 2 the differencing is exact up to roundoff, so a
-    relatively large step minimizes cancellation error.
-    """
-    gf, gg = (numerical_jacobian(lambda x: fn(CartesianState.from_array(x)), state.as_array(), step)
-              for fn in (f, g))
-    return float(gf[:4] @ gg[4:] - gf[4:] @ gg[:4])
-
-
 # Complex step h: Im f(x + ih)/h = f'(x) + O(h^2) takes no difference, so h can
-# sit far below roundoff and the partial is exact to working precision.
-# _complex_step_jacobian takes every partial of a many-input function;
+# sit far below roundoff and the partial is exact to working precision.  It is
+# the package's one differentiation mechanism: _complex_step_jacobian takes
+# every partial of a many-input function, the black-box oracles' included;
 # normalform.normalized_rhs perturbs its five inputs one call at a time, and
 # equilibria.branch_equation its one input, G, by the same step.
 _COMPLEX_STEP = 1e-30
@@ -380,9 +348,12 @@ _COMPLEX_STEP = 1e-30
 def _complex_step_jacobian(fn, x) -> np.ndarray:
     """Jacobian d fn_i / d x_k of a real-analytic fn by complex step.
 
-    ``fn`` takes len(x) scalars and returns a sequence of scalars, using only
-    analytic operations on them (no abs, comparisons or clipping on a complex
-    value).  Column k is Im fn(x + ih e_k) / h; the other inputs stay real.
+    ``fn`` takes len(x) scalars and returns a sequence of scalars, or of
+    arrays of one shape, using only analytic operations on them (no abs,
+    comparisons or clipping on a complex value; the forward charts follow
+    the complex-step rules where they are not analytic).  Column k is
+    Im fn(x + ih e_k) / h; the other inputs stay real.  For array outputs
+    entry [i, k] is the array of partials.
     """
     x = [float(v) for v in x]
     cols = []
@@ -390,4 +361,18 @@ def _complex_step_jacobian(fn, x) -> np.ndarray:
         z = list(x)
         z[k] = complex(x[k], _COMPLEX_STEP)
         cols.append([v.imag / _COMPLEX_STEP for v in fn(*z)])
-    return np.array(cols).T
+    return np.array(cols).swapaxes(0, 1)
+
+
+def canonical_bracket(f, g, state: CartesianState) -> float:
+    """Canonical bracket {f, g} = df/dq . dg/dQ - df/dQ . dg/dq at a state.
+
+    The gradients are taken by complex step, so f and g must be real-analytic
+    functions of the state's eight coordinates.
+    """
+    def both(*x):
+        s = CartesianState(x[:4], x[4:])
+        return f(s), g(s)
+
+    gf, gg = _complex_step_jacobian(both, state.as_array())
+    return float(gf[:4] @ gg[4:] - gf[4:] @ gg[:4])

@@ -19,7 +19,8 @@ of (R1 - K1) with respect to ell, and the second-order kernel is
 
 The second-order coefficients frozen here were derived by exact harmonic
 algebra from W1 and R1 and are regression-tested against an independent
-finite-difference bracket oracle (``second_order_oracle``).
+bracket oracle (``second_order_oracle``), which differentiates R1 and W1 as
+black boxes by complex step through the forward chart chain.
 
 Partials of the averaged kernel P are taken by complex step through these
 same closed forms.  The normalized flow takes its g partial from ``_kernel``
@@ -58,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import charts
-from .model import _COMPLEX_STEP, ModelParams, _v6, numerical_jacobian
+from .model import _COMPLEX_STEP, ModelParams, _complex_step_jacobian, _v6
 from .charts import DelaunayPoint, _value, kepler_solve
 
 __all__ = [
@@ -74,9 +75,6 @@ __all__ = [
     "SecondOrderOracleResult",
     "normalized_rhs",
 ]
-
-_HOMOLOGICAL_STEP = 1e-6   # ell step of the central difference in homological_residual
-_ORACLE_FD_STEP = 1e-5     # finite-difference step of second_order_oracle
 
 
 @dataclass(frozen=True)
@@ -313,13 +311,14 @@ def kernel(g: float, L: float, G: float, U1: float, U3: float, beta: float, gamm
            order: int = 1, epsilon: float = 0.0) -> float:
     """Averaged perturbation P(g; momenta) with K = H0 + eps P.
 
-    order 1: P = K1; order 2: P = K1 + (eps/2) K2.
+    order 1: P = K1; order 2: P = K1 + (eps/2) K2, from one table row.
     """
-    c = order1_coeffs(L, G, U1, U3, beta, gamma)
-    terms = (c.C01, c.C11, c.C21)
-    if order == 2:
-        terms += _kernel_terms(L, G, U1, U3, beta, gamma, order=2)[3:]
-    elif order != 1:
+    if order == 1:
+        c = order1_coeffs(L, G, U1, U3, beta, gamma)
+        terms = (c.C01, c.C11, c.C21)
+    elif order == 2:
+        terms = _table_terms(L, G, U1, U3, beta, gamma, order=2)
+    else:
         raise ValueError("order must be 1 or 2")
     return _sum_kernel(terms, _cos_kg(g, terms), epsilon)
 
@@ -334,11 +333,10 @@ def homological_residual(dp: DelaunayPoint, p: ModelParams) -> float:
     """Residual of the first-order averaging identity at a point.
 
     Checks (dW1/d ell) * gamma^2/L^3 - (R1 - K1) with the ell-derivative by
-    central differences; vanishes identically for the correct W1.
+    complex step through ``w1``; vanishes identically for the correct W1.
     """
     gamma = _require_chart_params(p)
-    (dw,) = numerical_jacobian(lambda x: w1(dp._replace(ell=float(x[0])), p), [dp.ell],
-                               _HOMOLOGICAL_STEP)
+    (dw,), = _complex_step_jacobian(lambda ell: (w1(dp._replace(ell=ell), p),), (dp.ell,))
     k1 = kernel(dp.g, dp.L, dp.G, dp.U1, dp.U3, p.beta, gamma, order=1)
     return dw * gamma ** 2 / dp.L ** 3 - (perturbation_delaunay(dp, p) - k1)
 
@@ -354,67 +352,44 @@ class SecondOrderOracleResult:
     error_estimate: float
 
 
-def _bracket_ell_g(dp_builder, w_fn, h_fn, ell, g: float, step: float):
-    """Canonical bracket {h, w} over the (ell, L) and (g, G) pairs by central FD.
-
-    ``dp_builder(ell, g, dL, dG)`` builds the point with L and G shifted by
-    dL and dG; the differences are taken in offsets from (ell, g, 0, 0).
-    ``ell`` may be an array of nodes; the bracket is then an array too.
-    """
-    def partials(fn):
-        def at(d):
-            dl, dg, dL, dG = d.tolist()
-            return fn(dp_builder(ell + dl, g + dg, dL, dG))
-        return numerical_jacobian(at, np.zeros(4), step).T
-
-    h_ell, h_g, h_L, h_G = partials(h_fn)
-    w_ell, w_g, w_L, w_G = partials(w_fn)
-    return (h_ell * w_L - h_L * w_ell) + (h_g * w_G - h_G * w_g)
-
-
 def second_order_oracle(L: float, G: float, U1: float, U3: float, beta: float, gamma: float,
                         n_ell: int = 256, n_g: int = 32,
                         tol: float | None = None) -> SecondOrderOracleResult:
     """Numeric second-order kernel < {R1 + K1, W1} >, Fourier-analyzed in g.
 
-    Independent route: W1 and R1 are evaluated as black boxes, the bracket
-    uses central finite differences, the ell-average uses trapezoidal
-    quadrature and the g-components a discrete Fourier transform.  The error
-    estimate compares a doubled finite-difference step; if ``tol`` is given
+    Independent route: W1 and R1 are evaluated as black boxes through the
+    chart chain, the canonical bracket over the (ell, L) and (g, G) pairs
+    takes their partials by complex step, the ell-average uses trapezoidal
+    quadrature and the g-components a discrete Fourier transform.  Every
+    Delaunay angle must be defined at the momenta (a ChartDomainError from
+    ``charts.require_angles_defined`` otherwise; its domain lies in the
+    tables').  The error estimate compares the n_ell-node average with the
+    average over every second node of the same brackets; if ``tol`` is given
     and exceeded, a RuntimeError is raised.
     """
+    charts.require_angles_defined(DelaunayPoint(0.0, 0.0, 0.0, 0.0, L, G, U1, U3), gamma)
     p = ModelParams(omega=1.0, epsilon=0.0, beta=beta, gamma=gamma)
+    ells = np.arange(n_ell) * (2 * math.pi / n_ell)
 
-    def build(ell, g, dLs, dGs):
-        return DelaunayPoint(ell=ell, g=g, u1=0.0, u3=0.0,
-                             L=L + dLs, G=G + dGs, U1=U1, U3=U3)
+    def h_and_w(dl, g, L, G):
+        dp = DelaunayPoint(ells + dl, g, 0.0, 0.0, L, G, U1, U3)
+        return perturbation_delaunay(dp, p) + _kernel(g, L, G, U1, U3, beta, gamma), w1(dp, p)
 
-    def w_fn(dp):
-        return w1(dp, p)
+    vals = np.empty((n_g, n_ell))
+    for i, g in enumerate(np.arange(n_g) * (2 * math.pi / n_g)):
+        # partials in (ell, g, L, G), each an array over the ell nodes
+        (h_ell, h_g, h_L, h_G), (w_ell, w_g, w_L, w_G) = _complex_step_jacobian(
+            h_and_w, (0.0, g, L, G))
+        vals[i] = (h_ell * w_L - h_L * w_ell) + (h_g * w_G - h_G * w_g)
 
-    def h_fn(dp):
-        k1 = kernel(dp.g, dp.L, dp.G, dp.U1, dp.U3, beta, gamma, order=1)
-        return perturbation_delaunay(dp, p) + k1
-
-    def field(step):
-        ells = np.arange(n_ell) * (2 * math.pi / n_ell)
-        gs = np.arange(n_g) * (2 * math.pi / n_g)
-        vals = np.empty((n_g, n_ell))
-        for i, g in enumerate(gs):
-            vals[i] = _bracket_ell_g(build, w_fn, h_fn, ells, float(g), step)
-        avg = vals.mean(axis=1)
-        spec = np.fft.rfft(avg) / n_g
-        cos_c = [float(spec[0].real)] + [2.0 * float(spec[k].real) for k in range(1, 5)]
-        sin_c = [0.0] + [-2.0 * float(spec[k].imag) for k in range(1, 5)]
-        return np.array(cos_c), max(abs(s) for s in sin_c)
-
-    c_fine, sin_max = field(_ORACLE_FD_STEP)
-    c_coarse, _ = field(_ORACLE_FD_STEP * 4.0)
-    err = float(np.max(np.abs(c_fine - (16.0 * c_fine - c_coarse) / 15.0)))
-    # Richardson difference bounds the O(step^2) truncation of the fine grid
+    # the g harmonics of the n_ell-node average and of the average over every second node
+    spec = np.fft.rfft([vals.mean(axis=1), vals[:, ::2].mean(axis=1)])[:, :5] / n_g
+    cos_c = spec.real * [1.0, 2.0, 2.0, 2.0, 2.0]
+    sin_max = 2.0 * float(np.max(np.abs(spec[0, 1:].imag)))
+    err = float(np.max(np.abs(cos_c[0] - cos_c[1])))
     if tol is not None and err > tol:
         raise RuntimeError(f"oracle error estimate {err:.3e} exceeds tol {tol:.3e}")
-    return SecondOrderOracleResult(cos_coeffs=tuple(c_fine), sin_max=sin_max, error_estimate=err)
+    return SecondOrderOracleResult(cos_coeffs=tuple(cos_c[0]), sin_max=sin_max, error_estimate=err)
 
 
 # -- normalized vector field ---------------------------------------------------

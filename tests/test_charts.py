@@ -13,7 +13,6 @@ from resonance_lab.charts import (
     DelaunayPoint,
     EulerPoint,
 )
-from resonance_lab.model import numerical_jacobian
 from resonance_lab.verify import (
     OMEGA_MATRIX,
     random_andoyer,
@@ -360,40 +359,106 @@ class TestIdentification:
 
 class TestSymplecticity:
     def test_all_three_charts(self, rng):
-        def euler_fn(x):
-            ep = EulerPoint(*x)
-            return charts.euler_to_cartesian(ep).as_array()
+        def euler_fn(*x):
+            s = charts.euler_to_cartesian(EulerPoint(*x))
+            return s.q + s.Q
 
-        def andoyer_fn(x):
-            ap = AndoyerPoint(*x)
-            ep = charts.andoyer_to_euler(ap)
-            return np.array(ep)
+        def andoyer_fn(*x):
+            return charts.andoyer_to_euler(AndoyerPoint(*x))
 
-        def delaunay_fn(x):
-            dp = DelaunayPoint(*x)
-            ap = charts.delaunay_to_andoyer(dp, 1.0)
-            return np.array(ap)
+        def delaunay_fn(*x):
+            return charts.delaunay_to_andoyer(DelaunayPoint(*x), 1.0)
 
         worst = 0.0
         done = 0
         while done < 25:
             ep = random_euler(rng)
-            x = np.array(ep)
-            J = numerical_jacobian(euler_fn, x, h=3e-6)
+            J = model._complex_step_jacobian(euler_fn, ep)
             worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
             ap = random_andoyer(rng)
-            x = np.array(ap)
             try:
-                J = numerical_jacobian(andoyer_fn, x, h=3e-6)
+                J = model._complex_step_jacobian(andoyer_fn, ap)
             except ChartDomainError:
                 continue
             worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
             dp = random_delaunay(rng)
-            x = np.array(dp)
-            J = numerical_jacobian(delaunay_fn, x, h=3e-6)
+            J = model._complex_step_jacobian(delaunay_fn, dp)
             worst = max(worst, float(np.max(np.abs(J.T @ OMEGA_MATRIX @ J - OMEGA_MATRIX))))
             done += 1
         assert worst < 1e-8
+
+
+# -- the complex-step path of the forward chain ---------------------------------------
+
+H = model._COMPLEX_STEP
+
+
+def _central_difference(fn, x, h=1e-6):
+    """Jacobian of fn (len(x) scalars in, a sequence out) by central differences.
+
+    Independent of the complex-step path it checks: every evaluation is real.
+    """
+    x = np.array(x, dtype=float)
+    cols = []
+    for k in range(len(x)):
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h
+        xm[k] -= h
+        cols.append((np.array(fn(*xp)) - np.array(fn(*xm))) / (2.0 * h))
+    return np.array(cols).T
+
+
+class TestComplexStep:
+    def test_chain_jacobian_matches_a_central_difference(self, rng):
+        def chain(*x):
+            s = charts.delaunay_to_cartesian(DelaunayPoint(*x), 0.9)
+            return s.q + s.Q
+
+        for _ in range(20):
+            dp = random_delaunay(rng)
+            J = model._complex_step_jacobian(chain, dp)
+            np.testing.assert_allclose(J, _central_difference(chain, dp), rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [None, 512], ids=["scalar", "array"])
+    def test_kepler_derivatives(self, rng, n):
+        ell = rng.uniform(-20.0, 20.0, 512)
+        e = rng.uniform(0.0, 0.99, 512)
+        e[:3] = 0.0, 0.5, 0.99
+        pairs = [(ell, e)] if n else list(zip(ell[:64].tolist(), e[:64].tolist()))
+        for ell, e in pairs:
+            E = charts.kepler_solve(ell, e)
+            f1 = 1.0 - e * np.cos(E)
+            for Ez, want in ((charts.kepler_solve(ell + 1j * H, e), 1.0 / f1),
+                             (charts.kepler_solve(ell, e + 1j * H), np.sin(E) / f1)):
+                assert type(Ez) is (np.ndarray if n else complex)
+                assert np.asarray(Ez.real).tobytes() == np.asarray(E).tobytes()
+                np.testing.assert_allclose(np.imag(Ez) / H, want, rtol=1e-15, atol=1e-300)
+
+    def test_a_complex_solve_goes_through_the_real_cache(self, rng):
+        charts._kepler_cached.cache_clear()
+        ell = rng.uniform(-20.0, 20.0, 512)
+        e = 0.7
+        real = charts.kepler_solve(ell, e)
+        charts.kepler_solve(ell + 1j * H, e + 1j * H)
+        assert charts._kepler_cached.cache_info().hits == 1
+        assert charts.kepler_solve(ell, e).tobytes() == real.tobytes()
+        assert charts._kepler_cached.cache_info().hits == 2
+
+
+@pytest.mark.parametrize("L, G", [(1.0, 1e-9), (2.47, 1e-323)])
+@pytest.mark.parametrize("ell", [0.3, np.linspace(0.0, 6.0, 7)], ids=["scalar", "array"])
+def test_an_eccentricity_that_rounds_to_one_is_refused(L, G, ell):
+    # kepler_solve used to refuse these with "eccentricity must lie in [0, 1),
+    # got 1.0", and require_angles_defined accepted them
+    dp = DelaunayPoint(ell, 1.0, 0.2, 0.1, L, G, 0.0, 0.0)
+    p = model.ModelParams(omega=1.0, beta=1.3, gamma=0.5)
+    for fn in (charts.delaunay_to_cartesian, charts.delaunay_to_positions,
+               charts.delaunay_to_andoyer, charts.require_angles_defined,
+               lambda dp, gamma: normalform.w1(dp, p)):
+        with pytest.raises(ChartDomainError) as err:
+            fn(dp, 0.5)
+        assert type(err.value) is ChartDomainError
+        assert str(err.value) == f"G={G} is too small against L={L}: the eccentricity rounds to 1"
 
 
 def _cotangent_lift_by_solve(ep):
@@ -718,6 +783,9 @@ def _delaunay_orbit_reference(dp: DelaunayPoint, gamma, xp):
     a = dp.L * dp.L / gamma
     eta = dp.G / dp.L
     e = xp.sqrt(xp.maximum(0.0, 1.0 - eta * eta))
+    # added since: the refusal of G below 2^-27 L, where e rounds to 1 and
+    # kepler_solve refused it with a message that named neither G nor L
+    _require(e != 1.0, "G={} is too small against L={}: the eccentricity rounds to 1", dp.G, dp.L)
     return a, eta, e
 
 

@@ -216,8 +216,6 @@ class TestFromArray:
 
 class TestBracket:
     def test_integrals_commute(self, rng):
-        # Xi and L1 are quadratic, so a large step is exact and minimizes
-        # cancellation noise
         worst = 0.0
         for _ in range(25):
             s = CartesianState.from_array(0.7 * rng.normal(size=8))
@@ -225,7 +223,7 @@ class TestBracket:
                 return model.first_integrals(st)[0]
             def l1(st):
                 return model.first_integrals(st)[1]
-            worst = max(worst, abs(model.canonical_bracket(xi, l1, s, step=1e-3)))
+            worst = max(worst, abs(model.canonical_bracket(xi, l1, s)))
         assert worst < 1e-12
 
     def test_bracket_of_h2_with_integrals(self, rng):
@@ -233,7 +231,7 @@ class TestBracket:
         s = CartesianState.from_array(0.5 * rng.normal(size=8))
         h2 = lambda st: model.hamiltonian(st, p)
         xi = lambda st: model.first_integrals(st)[0]
-        assert abs(model.canonical_bracket(h2, xi, s, step=1e-3)) < 1e-12
+        assert abs(model.canonical_bracket(h2, xi, s)) < 1e-12
 
 
 class TestParams:

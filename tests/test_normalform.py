@@ -286,11 +286,51 @@ class TestOrder2:
         assert abs(res.cos_coeffs[4]) < 1e-6
         assert res.sin_max < 1e-6
 
+    @pytest.mark.parametrize("beta_sq", [0.25, 2.0, 3.5])
+    @pytest.mark.parametrize("e", [1e-2, 1e-3, 1e-4])
+    def test_oracle_agreement_near_circular_orbits(self, e, beta_sq):
+        # Below e ~ 0.009 the oracle used to shift G past L and raise
+        # ValueError.  c06's metric is rtol 1e-4 over an absolute floor of
+        # 1e-14 (1e-4 of its 1e-10).  Near a circular orbit the L and G
+        # partials of R1 and W1 grow as 1/e (7e3 at e = 1e-4) and cancel to
+        # O(1) in the bracket, so the oracle's roundoff grows as 1/e (1.3e-13
+        # at e = 1e-4, beta^2 = 3.5), past C32 ~ e^3 and C42 ~ e^4: the
+        # floor here is eps |C02| / e.
+        L, G, U1, U3 = 1.0, math.sqrt(1.0 - e * e), 0.2, 0.1
+        beta = math.sqrt(beta_sq)
+        res = nf.second_order_oracle(L, G, U1, U3, beta, 1.0)
+        mine = np.array(_order2(L, G, U1, U3, beta, 1.0))
+        floor = max(1e-14, np.finfo(float).eps * abs(mine[0]) / e)
+        np.testing.assert_allclose(res.cos_coeffs, mine, rtol=1e-4, atol=floor)
+        assert res.sin_max < floor
+
+    def test_oracle_refuses_a_circular_orbit(self):
+        # at G = L the Delaunay bracket is singular (e = 0)
+        with pytest.raises(charts.DegenerateEccentricityError):
+            nf.second_order_oracle(1.0, 1.0, 0.2, 0.1, 1.3, 1.0)
+
     def test_oracle_error_gate(self, rng):
         L, G, U1, U3 = random_momenta(rng)
         with pytest.raises(RuntimeError):
             nf.second_order_oracle(L, G, U1, U3, beta=1.4, gamma=1.0,
                                    n_ell=64, n_g=16, tol=1e-30)
+
+
+def test_order2_kernel_sums_one_table_row(rng):
+    # kernel(order=2) used to add C01..C21 of order1_coeffs to C02..C42 of a
+    # second _kernel_terms call; one table row gives the same bits
+    for k in range(2000):
+        L, G, U1, U3 = random_momenta(rng)
+        if k % 4 == 1:
+            G = L
+        elif k % 4 == 2:
+            U1 = math.copysign(G, U1)
+        beta, gamma = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.5, 1.5))
+        g, eps = float(rng.uniform(-TWO_PI, TWO_PI)), float(rng.uniform(0.0, 0.1))
+        c = nf.order1_coeffs(L, G, U1, U3, beta, gamma)
+        terms = (c.C01, c.C11, c.C21) + nf._kernel_terms(L, G, U1, U3, beta, gamma, order=2)[3:]
+        want = nf._sum_kernel(terms, nf._cos_kg(g, terms), eps)
+        assert nf.kernel(g, L, G, U1, U3, beta, gamma, order=2, epsilon=eps).hex() == want.hex()
 
 
 class TestNormalizedField:
