@@ -19,10 +19,10 @@ eta^2 (``branch_product_coeffs``), has its real roots isolated by a Sturm
 chain, and each root is Newton-polished against both branch equations.  A
 polished root becomes a record when |F| < 1e-9 there and it lies within 0.05
 of its start; nothing else is checked here, and the sweep then maps each
-record through ``cross_validate`` to the reduced Poisson flow.  The published
-degree-six polynomial P(eta), assembled verbatim by ``assemble_eta_poly``,
-is isolated alongside, and its roots are matched to records or logged as
-spurious, so the squaring artifacts stay visible in the result.
+record through ``cross_validate`` to the reduced Poisson flow.  The paper's
+printed forms, the degree-six P(eta) of ``assemble_eta_poly`` (verbatim) and
+R x +- Q of ``rq_x``, meet the records only in ``published_audit``, outside
+the solve, which keeps the squaring artifacts visible in the sweep.
 
 Sturm counts only split intervals that hold two or more roots; an isolated
 root is bisected on the sign of the square-free part p * gcd(p, p'), which
@@ -56,6 +56,7 @@ __all__ = [
     "rq_x",
     "branch_equation",
     "solve_tori3",
+    "published_audit",
     "periodic_branches",
     "cross_validate",
     "sweep",
@@ -170,10 +171,15 @@ def rq_x(eta: float, w: float, z: float, alpha: float) -> tuple[float, float, fl
     return R, Q, x
 
 
-def _branch_beta(alpha: float, cosg: float) -> float:
-    """beta = sqrt(alpha + 1) of the g = 0 (cosg = 1) or g = pi (cosg = -1) branch, inputs checked."""
+def _require_alpha(alpha: float) -> None:
+    """Raise ValueError unless beta = sqrt(alpha + 1) is real and finite."""
     if not -1.0 <= alpha < math.inf:
         raise ValueError(f"alpha = beta^2 - 1 must be >= -1 and finite, got {alpha}")
+
+
+def _branch_beta(alpha: float, cosg: float) -> float:
+    """beta = sqrt(alpha + 1) of the g = 0 (cosg = 1) or g = pi (cosg = -1) branch, inputs checked."""
+    _require_alpha(alpha)
     if cosg not in (1.0, -1.0):
         raise ValueError(f"cosg must be +1 or -1, got {cosg}")
     return math.sqrt(alpha + 1.0)
@@ -466,25 +472,20 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
     branch-product polynomial (``branch_product_coeffs``) and Newton-polished
     against the branch equation of each of the cos g = +1 and -1 branches.
     A polish that ends with |F| < 1e-9 within 0.05 of its candidate gives a
-    record with residual |F| there, flagged ``rq_mismatch`` when the published
-    R x +- Q of its branch does not vanish; that is all the check a record
-    gets here (``cross_validate`` maps it to the reduced flow).  A candidate
-    that no branch accepts is logged as spurious.  The circular point
-    eta = 1 is accepted (with the perigee angle undefined) whenever the
-    cos g forcing vanishes, which requires w z = 0.  A vanishing polynomial
-    signals a continuum of equilibria and is flagged instead of enumerated.
-
-    The published degree-six polynomial is assembled alongside; each of its
-    roots in (0, 1] is either matched to an accepted record or logged as
-    spurious, so the squaring artifacts stay visible.
+    record with residual |F| there; that is all the check a record gets here
+    (``cross_validate`` maps it to the reduced flow).  A candidate that no
+    branch accepts is logged as spurious.  The circular point eta = 1 is
+    accepted (flagged ``circular`` and ``g_undefined``) whenever the cos g
+    forcing vanishes, which requires w z = 0.  A continuum is flagged, not
+    enumerated, when both the branch product and the published P(eta) vanish
+    (near alpha = -3/4 with tiny w and z the branch product alone does).  The
+    paper's printed forms are compared in ``published_audit``.
 
     Raises ValueError for alpha < -1, where beta = sqrt(alpha + 1) is not
     real, for a NaN or infinite alpha, and for |w| >= 1 or |z| >= 1.
     """
-    if not -1.0 <= alpha < math.inf:
-        raise ValueError(f"alpha = beta^2 - 1 must be >= -1 and finite, got {alpha}")
-    pcoeffs = assemble_eta_poly(w, z, alpha)
-    pscale = float(np.max(np.abs(pcoeffs)))
+    _require_alpha(alpha)
+    pscale = float(np.max(np.abs(assemble_eta_poly(w, z, alpha))))
     bcoeffs = branch_product_coeffs(w, z, alpha)
     bscale = float(np.max(np.abs(bcoeffs)))
     if pscale < 1e-12 and bscale < 1e-12:
@@ -511,34 +512,43 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
             if out is None:
                 continue
             eta_star, resid = out
-            if any(rec.g == gval and abs(rec.eta - eta_star) < 1e-8 for rec in records):
-                hit = True
-                continue
-            rq_p_val, rq_m_val = _rq_values(eta_star, w, z, alpha)
-            rq_val = rq_p_val if cosg > 0 else rq_m_val
-            flags = []
-            if abs(rq_val) > 1e-6 * (1.0 + abs(rq_p_val) + abs(rq_m_val)):
-                flags.append("rq_mismatch")
-            records.append(EquilibriumRecord(
-                eta=eta_star, g=gval, residual=resid, w=w, z=z, alpha=alpha,
-                flags=tuple(flags)))
+            if not any(rec.g == gval and abs(rec.eta - eta_star) < 1e-8 for rec in records):
+                records.append(EquilibriumRecord(
+                    eta=eta_star, g=gval, residual=resid, w=w, z=z, alpha=alpha))
             hit = True
         if not hit:
             spurious.append({"eta": eta0, "reason": "branch-product root; no branch satisfied"})
+    return Tori3Result(records=tuple(records), spurious=tuple(spurious), continuum=False)
 
-    # 3. a published root on (0, 1] is spurious unless a record lies within 1e-6
-    if pscale >= 1e-12:
+
+def published_audit(w: float, z: float, alpha: float, records: tuple[EquilibriumRecord, ...]
+                    ) -> tuple[tuple[dict, ...], tuple[bool, ...]]:
+    """Compare the records of one cell with the paper's printed forms.
+
+    Returns (spurious, rq_mismatch).  ``spurious`` holds each root of the
+    published P(eta) (``assemble_eta_poly``) on (0, 1] that no record lies
+    within 1e-6 of, in ascending order, as ``solve_tori3`` logs its own.
+    ``rq_mismatch`` holds, per record, whether the published R x +- Q of its
+    branch (``rq_x``; + at g = 0, - at g = pi) fails to vanish relative to
+    1 + |R x + Q| + |R x - Q|, by more than 1e-6; circular records are never
+    flagged.  Nothing here feeds back into the solve.
+    """
+    pcoeffs = assemble_eta_poly(w, z, alpha)
+    spurious = []
+    if float(np.max(np.abs(pcoeffs))) >= 1e-12:
         for r in _isolate_roots(pcoeffs, 1e-12, 1.0 + 1e-9):
             r = min(r, 1.0)
             if not any(abs(rec.eta - r) < 1e-6 for rec in records):
                 spurious.append({"eta": r,
                                  "reason": "published-polynomial root; no branch satisfied"})
-    return Tori3Result(records=tuple(records), spurious=tuple(spurious), continuum=False)
-
-
-def _rq_values(eta: float, w: float, z: float, alpha: float) -> tuple[float, float]:
-    R, Q, x = rq_x(eta, w, z, alpha)
-    return R * x + Q, R * x - Q
+    mismatch = []
+    for rec in records:
+        R, Q, x = rq_x(rec.eta, w, z, alpha)
+        rq_p, rq_m = R * x + Q, R * x - Q
+        rq = rq_p if rec.g == 0.0 else rq_m
+        mismatch.append("circular" not in rec.flags
+                        and abs(rq) > 1e-6 * (1.0 + abs(rq_p) + abs(rq_m)))
+    return tuple(spurious), tuple(mismatch)
 
 
 # -- periodic orbits -------------------------------------------------------------
@@ -600,8 +610,10 @@ def periodic_branches(alpha: float) -> list[PeriodicBranch]:
     |U1| = |U3| = G sqrt(c2^2) with the closed-form c2^2(e), and exist for
     the e-roots of the corresponding alpha(e) relation.  The axial family
     U1 = U3 = 0 solves the system identically exactly at alpha = -3/4 (for
-    every eccentricity), and is reported as a family flag.
+    every eccentricity), and is reported as a family flag.  An alpha that
+    ``solve_tori3`` rejects raises ValueError here too.
     """
+    _require_alpha(alpha)
     out: list[PeriodicBranch] = []
     if abs(alpha + 0.75) < 1e-12:
         out.append(PeriodicBranch(
@@ -682,6 +694,7 @@ def _sweep_cell(args) -> list[dict]:
     base = {"alpha": alpha, "w": w, "z": z, "ia": ia, "iw": iw, "iz": iz}
     try:
         res = solve_tori3(w, z, alpha)
+        published, rq_mismatch = published_audit(w, z, alpha, res.records)
         beta = math.sqrt(alpha + 1.0)
         rhs_max = [cross_validate(rec, beta).reduced_rhs_max for rec in res.records]
     except Exception as exc:  # per-cell failures must not kill the sweep
@@ -692,13 +705,14 @@ def _sweep_cell(args) -> list[dict]:
         rows.append({**base, "kind": "continuum", "eta": None, "g": None,
                      "residual": None, "flags": ("degenerate_family",)})
         return rows
-    for rec, rhs in zip(res.records, rhs_max):
+    for rec, rhs, bad in zip(res.records, rhs_max, rq_mismatch):
+        flags = rec.flags + (("rq_mismatch",) if bad else ())
         rows.append({**base, "kind": "torus3", "eta": rec.eta, "g": rec.g,
-                     "residual": rec.residual, "flags": rec.flags, "reduced_rhs_max": rhs})
-    for sp in res.spurious:
+                     "residual": rec.residual, "flags": flags, "reduced_rhs_max": rhs})
+    for sp in res.spurious + published:
         rows.append({**base, "kind": "spurious", "eta": sp["eta"], "g": None,
                      "residual": None, "flags": (sp["reason"],)})
-    if not res.records and not res.spurious:
+    if not rows:
         rows.append({**base, "kind": "none", "eta": None, "g": None,
                      "residual": None, "flags": ()})
     return rows
@@ -708,10 +722,12 @@ def sweep(alpha_grid, w_grid, z_grid, workers: int = 1) -> list[dict]:
     """Deterministic enumeration of solve_tori3 over a parameter grid.
 
     Every record is cross-validated against the reduced Poisson flow in the
-    same cell, and its row carries ``reduced_rhs_max``; a cell that raises
-    becomes one ``error`` row.  Output ordering follows grid indices
-    regardless of the worker count, so sharded and serial runs produce
-    identical tables.  At most one worker process is started per cell.
+    same cell, and its row carries ``reduced_rhs_max``; ``published_audit``
+    adds its ``rq_mismatch`` flags and, after the cell's own, its spurious
+    rows.  A cell that raises becomes one ``error`` row.  Output ordering
+    follows grid indices regardless of the worker count, so sharded and
+    serial runs produce identical tables.  At most one worker process is
+    started per cell.
     """
     cells = [(ia, iw, iz, float(a), float(w), float(z))
              for ia, a in enumerate(alpha_grid)

@@ -337,11 +337,11 @@ def integrate(
 
 
 # Complex step h: Im f(x + ih)/h = f'(x) + O(h^2) takes no difference, so h can
-# sit far below roundoff and the partial is exact to working precision.  It is
-# the package's one differentiation mechanism: _complex_step_jacobian takes
-# every partial of a many-input function, the black-box oracles' included;
-# normalform.normalized_rhs perturbs its five inputs one call at a time, and
-# equilibria.branch_equation its one input, G, by the same step.
+# sit far below roundoff and the partial is exact to working precision.
+# _complex_step_jacobian takes every partial of a many-input function, the
+# black-box oracles' included; normalform.normalized_rhs perturbs its five
+# inputs one call at a time, equilibria.branch_equation its one input, G.  Only
+# equilibria._polish_branch still differences F+- (its Newton slope, h = 1e-7).
 _COMPLEX_STEP = 1e-30
 
 

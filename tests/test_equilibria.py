@@ -321,6 +321,11 @@ def test_sign_refinement_agrees_with_count_bisection(w, z, tie, alpha):
     assert [(r.g, r.flags) for r in new.records] == [(r.g, r.flags) for r in ref.records]
     assert all(abs(a.eta - b.eta) <= 1e-12 for a, b in zip(new.records, ref.records))
     assert [s["reason"] for s in new.spurious] == [s["reason"] for s in ref.spurious]
+    got, _ = eq.published_audit(w, z, alpha, new.records)
+    with mock.patch.object(eq, "_isolate_roots", _isolate_roots_by_counts):
+        want, _ = eq.published_audit(w, z, alpha, ref.records)
+    assert len(got) == len(want)
+    assert all(abs(a["eta"] - b["eta"]) <= 2e-15 for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("w, z, alpha", [(0.3, 0.0, 1.5), (0.2, 0.3, 1.0)],
@@ -529,28 +534,34 @@ class TestSolveTori3:
         res = eq.solve_tori3(w, z, alpha)
         coeffs = eq.assemble_eta_poly(w, z, alpha)
         assume(not res.continuum and max(abs(float(c)) for c in coeffs) >= 1e-12)
-        logged = [sp["eta"] for sp in res.spurious
-                  if sp["reason"].startswith("published-polynomial root")]
+        spurious, _ = eq.published_audit(w, z, alpha, res.records)
+        assert all(sp["reason"] == "published-polynomial root; no branch satisfied"
+                   for sp in spurious)
         roots = [min(r, 1.0) for r in eq._isolate_roots(coeffs, 1e-12, 1.0 + 1e-9)]
         near = [any(abs(rec.eta - r) < 1e-6 for rec in res.records) for r in roots]
-        assert logged == [r for r, n in zip(roots, near) if not n]
+        assert [sp["eta"] for sp in spurious] == [r for r, n in zip(roots, near) if not n]
 
     def test_published_roots_classified(self):
-        # every root of the published polynomial is matched or spurious
+        # every root of the published polynomial is matched or spurious, and
+        # R x +- Q is judged once per record, never on the circular one
         res = eq.solve_tori3(0.2, 0.1, 1.0)
-        assert len(res.spurious) >= 1
-        for sp in res.spurious:
+        spurious, rq_mismatch = eq.published_audit(0.2, 0.1, 1.0, res.records)
+        assert len(spurious) >= 1
+        for sp in res.spurious + spurious:
             assert "no branch satisfied" in sp["reason"]
+        assert len(rq_mismatch) == len(res.records)
+        assert not any(bad for rec, bad in zip(res.records, rq_mismatch) if "circular" in rec.flags)
 
     def test_spurious_square_root_filter(self):
         # at this cell the published polynomial has a root below the chart
         # domain; both R x + Q and R x - Q stay away from zero there
         res = eq.solve_tori3(0.2, 0.1, 1.0)
-        sp = [s for s in res.spurious if s["eta"] < 0.2]
+        spurious, _ = eq.published_audit(0.2, 0.1, 1.0, res.records)
+        sp = [s for s in spurious if s["eta"] < 0.2]
         assert sp
         for s in sp:
-            rq_plus, rq_minus = eq._rq_values(s["eta"], 0.2, 0.1, 1.0)
-            assert abs(rq_plus) > 0.0 and abs(rq_minus) > 0.0
+            R, Q, x = eq.rq_x(s["eta"], 0.2, 0.1, 1.0)
+            assert abs(R * x + Q) > 0.0 and abs(R * x - Q) > 0.0
 
     def test_sensitivity_off_root(self):
         res = eq.solve_tori3(0.2, 0.1, 1.0)
@@ -675,9 +686,12 @@ class TestSweep:
     def test_singleton_matches_direct(self):
         rows = eq.sweep([1.0], [0.2], [0.1])
         direct = eq.solve_tori3(0.2, 0.1, 1.0)
+        published, rq_mismatch = eq.published_audit(0.2, 0.1, 1.0, direct.records)
         kinds = [row["kind"] for row in rows]
         assert kinds.count("torus3") == len(direct.records)
-        assert kinds.count("spurious") == len(direct.spurious)
+        assert kinds.count("spurious") == len(direct.spurious) + len(published)
+        assert [("rq_mismatch" in row["flags"]) for row in rows if row["kind"] == "torus3"] == \
+            list(rq_mismatch)
         # each record row carries its cross-validation against the reduced flow
         checked = [row["reduced_rhs_max"] for row in rows if row["kind"] == "torus3"]
         assert checked == [eq.cross_validate(rec, math.sqrt(2.0)).reduced_rhs_max
@@ -739,6 +753,12 @@ class TestSweep:
         (row,) = eq.sweep([alpha], [0.0], [0.0])
         assert row["kind"] == "error"
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.5])
+    def test_periodic_branches_reject_what_the_solve_rejects(self, alpha):
+        # these used to return [] without a word while solve_tori3 raised
+        with pytest.raises(ValueError, match="must be >= -1 and finite"):
+            eq.periodic_branches(alpha)
+
 
 # -- the Sturm bisection against its former form --------------------------------------
 
@@ -796,13 +816,19 @@ def _sweep_cells():
 
 
 def _cell_bits(w, z, alpha):
-    """Every record, flag, spurious entry and CrossValidation field of a cell, floats as float.hex."""
+    """Every record, flag, spurious entry and CrossValidation field of a cell, floats as float.hex.
+
+    The published audit's spurious entries follow the solve's, and its
+    rq_mismatch verdict follows each record's fields.
+    """
     res = eq.solve_tori3(w, z, alpha)
+    published, rq_mismatch = eq.published_audit(w, z, alpha, res.records)
     beta = math.sqrt(alpha + 1.0)
     hexed = lambda v: v.hex() if type(v) is float else repr(v)  # noqa: E731
     return (res.continuum,
-            [[hexed(v) for v in dataclasses.astuple(rec)] for rec in res.records],
-            [{k: hexed(v) for k, v in sp.items()} for sp in res.spurious],
+            [[hexed(v) for v in dataclasses.astuple(rec)] + [repr(bad)]
+             for rec, bad in zip(res.records, rq_mismatch)],
+            [{k: hexed(v) for k, v in sp.items()} for sp in res.spurious + published],
             [[hexed(v) for v in dataclasses.astuple(eq.cross_validate(rec, beta))]
              for rec in res.records])
 
@@ -818,4 +844,157 @@ def test_sweep_cells_keep_their_bits():
     assert sum(continuum for continuum, _, _, _ in got) >= 1
     assert sum(len(recs) for _, recs, _, _ in got) > 500
     assert sum(len(sp) for _, _, sp, _ in got) > 100
-    assert any("'circular'" in rec[-1] for _, recs, _, _ in got for rec in recs)
+    assert any("'circular'" in rec[-2] for _, recs, _, _ in got for rec in recs)
+
+
+# -- the solve without the paper's printed forms ---------------------------------------
+
+def _solve_tori3_reference(w, z, alpha):
+    """solve_tori3 as it was, with rq_mismatch flags and published spurious roots inside."""
+    if not -1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha = beta^2 - 1 must be >= -1 and finite, got {alpha}")
+    pcoeffs = eq.assemble_eta_poly(w, z, alpha)
+    pscale = float(np.max(np.abs(pcoeffs)))
+    bcoeffs = eq.branch_product_coeffs(w, z, alpha)
+    bscale = float(np.max(np.abs(bcoeffs)))
+    if pscale < 1e-12 and bscale < 1e-12:
+        return eq.Tori3Result(records=(), spurious=(), continuum=True)
+    records = []
+    spurious = []
+    if abs(w * z) < 1e-14:
+        records.append(eq.EquilibriumRecord(
+            eta=1.0, g=0.0, residual=0.0, w=w, z=z, alpha=alpha,
+            flags=("circular", "g_undefined")))
+    t_lo = max(w * w, z * z) + 1e-11
+    t_roots = eq._isolate_roots(bcoeffs, t_lo, 1.0 - 1e-11) if bscale >= 1e-12 else []
+    for t in t_roots:
+        eta0 = math.sqrt(t)
+        hit = False
+        for cosg, gval in ((1.0, 0.0), (-1.0, math.pi)):
+            out = eq._polish_branch(eta0, w, z, alpha, cosg)
+            if out is None:
+                continue
+            eta_star, resid = out
+            if any(rec.g == gval and abs(rec.eta - eta_star) < 1e-8 for rec in records):
+                hit = True
+                continue
+            R, Q, x = eq.rq_x(eta_star, w, z, alpha)
+            rq_p_val, rq_m_val = R * x + Q, R * x - Q
+            rq_val = rq_p_val if cosg > 0 else rq_m_val
+            flags = []
+            if abs(rq_val) > 1e-6 * (1.0 + abs(rq_p_val) + abs(rq_m_val)):
+                flags.append("rq_mismatch")
+            records.append(eq.EquilibriumRecord(
+                eta=eta_star, g=gval, residual=resid, w=w, z=z, alpha=alpha,
+                flags=tuple(flags)))
+            hit = True
+        if not hit:
+            spurious.append({"eta": eta0, "reason": "branch-product root; no branch satisfied"})
+    if pscale >= 1e-12:
+        for r in eq._isolate_roots(pcoeffs, 1e-12, 1.0 + 1e-9):
+            r = min(r, 1.0)
+            if not any(abs(rec.eta - r) < 1e-6 for rec in records):
+                spurious.append({"eta": r,
+                                 "reason": "published-polynomial root; no branch satisfied"})
+    return eq.Tori3Result(records=tuple(records), spurious=tuple(spurious), continuum=False)
+
+
+def _sweep_rows_reference(w, z, alpha):
+    """The sweep's rows of one cell as they were built from _solve_tori3_reference."""
+    base = {"alpha": alpha, "w": w, "z": z, "ia": 0, "iw": 0, "iz": 0}
+    try:
+        res = _solve_tori3_reference(w, z, alpha)
+        beta = math.sqrt(alpha + 1.0)
+        rhs_max = [eq.cross_validate(rec, beta).reduced_rhs_max for rec in res.records]
+    except Exception as exc:
+        return [{**base, "kind": "error", "eta": None, "g": None,
+                 "residual": None, "flags": (f"error:{exc}",)}]
+    if res.continuum:
+        return [{**base, "kind": "continuum", "eta": None, "g": None,
+                 "residual": None, "flags": ("degenerate_family",)}]
+    rows = [{**base, "kind": "torus3", "eta": rec.eta, "g": rec.g,
+             "residual": rec.residual, "flags": rec.flags, "reduced_rhs_max": rhs}
+            for rec, rhs in zip(res.records, rhs_max)]
+    rows += [{**base, "kind": "spurious", "eta": sp["eta"], "g": None,
+              "residual": None, "flags": (sp["reason"],)} for sp in res.spurious]
+    if not rows:
+        rows.append({**base, "kind": "none", "eta": None, "g": None,
+                     "residual": None, "flags": ()})
+    return rows
+
+
+# Cells near alpha = -3/4 with tiny w and z, where the branch product is below
+# the 1e-12 scale and the published P(eta) is not: a circular record alone, a
+# published spurious root alone, both, and neither.
+_ALPHA_BAND_CELLS = [
+    (0.0, 5.5e-6, -0.7500000005),
+    (0.0, -3.93935146361373e-06, -0.7499999935754317),
+    (0.0, 7.6066430796165725e-06, -0.7500000069107784),
+    (5.513713804903871e-06, -5.495856200188163e-06, -0.7499999974980907),
+    (-6.758794934942181e-07, 8.343355463857045e-06, -0.7499999997022236),
+]
+
+
+def _hexed_row(row):
+    return {k: v.hex() if type(v) is float else v for k, v in row.items()}
+
+
+def test_sweep_rows_keep_the_bits_of_the_solve_with_the_comparison_inside():
+    for w, z, alpha in _sweep_cells() + _ALPHA_BAND_CELLS:
+        got = [_hexed_row(row) for row in eq.sweep([alpha], [w], [z])]
+        assert got == [_hexed_row(row) for row in _sweep_rows_reference(w, z, alpha)]
+
+
+def test_solve_keeps_the_derived_part_of_the_reference():
+    hexed = lambda v: v.hex() if type(v) is float else v  # noqa: E731
+    for w, z, alpha in _sweep_cells() + _ALPHA_BAND_CELLS:
+        new = eq.solve_tori3(w, z, alpha)
+        old = _solve_tori3_reference(w, z, alpha)
+        assert new.continuum == old.continuum
+        assert [[hexed(v) for v in dataclasses.astuple(rec)] for rec in new.records] == \
+            [[hexed(v) for v in dataclasses.astuple(rec)][:-1]
+             + [tuple(f for f in rec.flags if f != "rq_mismatch")] for rec in old.records]
+        assert [{k: hexed(v) for k, v in sp.items()} for sp in new.spurious] == \
+            [{k: hexed(v) for k, v in sp.items()} for sp in old.spurious
+             if sp["reason"].startswith("branch-product root")]
+
+
+def test_alpha_band_cells_are_no_continuum():
+    published = 0
+    for w, z, alpha in _ALPHA_BAND_CELLS:
+        bscale = max(abs(float(c)) for c in eq.branch_product_coeffs(w, z, alpha))
+        pscale = max(abs(float(c)) for c in eq.assemble_eta_poly(w, z, alpha))
+        assert bscale < 1e-12 <= pscale
+        res = eq.solve_tori3(w, z, alpha)
+        assert not res.continuum
+        assert [rec.flags for rec in res.records] == \
+            ([("circular", "g_undefined")] if abs(w * z) < 1e-14 else [])
+        published += len(eq.published_audit(w, z, alpha, res.records)[0])
+    assert published >= 2
+
+
+def test_the_solve_reads_no_printed_form(monkeypatch):
+    # rq_x is never called, and the one polynomial isolated is the branch product
+    cells = _sweep_cells() + _ALPHA_BAND_CELLS
+    want = [eq.solve_tori3(*cell) for cell in cells]
+    isolated = []
+    isolate_roots = eq._isolate_roots
+
+    def spy(c, lo, hi):
+        isolated.append([float(v) for v in c])
+        return isolate_roots(c, lo, hi)
+
+    def refuse(*args):
+        raise AssertionError("rq_x called")
+
+    monkeypatch.setattr(eq, "rq_x", refuse)
+    monkeypatch.setattr(eq, "_isolate_roots", spy)
+    solved = 0
+    for cell, res in zip(cells, want):
+        isolated.clear()
+        assert eq.solve_tori3(*cell) == res
+        bcoeffs = eq.branch_product_coeffs(*cell).tolist()
+        once = not res.continuum and max(map(abs, bcoeffs)) >= 1e-12
+        assert isolated == ([bcoeffs] if once else [])
+        solved += once
+    assert solved > 500
