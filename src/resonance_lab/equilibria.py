@@ -13,13 +13,18 @@ with eta = G/L and the state ratios w = U1/L, z = U3/L as parameters.
 The sin g = 0 slice C01 +- C11 + C21 of the normalized flow's own
 first-order terms (``normalform._kernel_terms``) is written once, in
 ``_sin_g_zero_slice``: ``branch_equation`` takes F+- as its complex-step
-G-partial and ``_periodic_residual`` its (G, U1, U3) partials.  The exact
-product F+ F- clears the square roots; its numerator, a polynomial in
-eta^2 (``branch_product_coeffs``), has its real roots isolated by a Sturm
-chain, and each root is Newton-polished against both branch equations.  A
-polished root becomes a record when |F| < 1e-9 there and it lies within 0.05
-of its start; nothing else is checked here, and the sweep then maps each
-record through ``cross_validate`` to the reduced Poisson flow.  The paper's
+G-partial and ``_periodic_residual`` its (G, U1, U3) partials.  F+- also
+has a closed form, ``_branch_model``, analytic in eta: one complex-step
+evaluation gives F+- and its exact slope, so Newton needs no difference and
+no finite difference is left in this package.  The exact product F+ F-
+clears the square roots; its numerator, a polynomial in eta^2
+(``branch_product_coeffs``), has its real roots isolated by a Sturm chain,
+and each root is Newton-polished on the closed form of both branch
+equations.  On the w z = 0 axes F+ = F- and its root is a closed form too,
+so the axes skip the isolation.  A polished root becomes a record when the
+kernel's |F| (``branch_equation``) is below 1e-9 there and it lies within
+0.05 of its start; nothing else is checked here, and the sweep then maps
+each record through ``cross_validate`` to the reduced Poisson flow.  The paper's
 printed forms, the degree-six P(eta) of ``assemble_eta_poly`` (verbatim) and
 R x +- Q of ``rq_x``, meet the records only in ``published_audit``, outside
 the solve, which keeps the squaring artifacts visible in the sweep.
@@ -38,6 +43,7 @@ L = 1, gamma = 1, so a record's (eta, w, z) is its (G, U1, U3).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -206,6 +212,45 @@ def branch_equation(eta: float, w: float, z: float, alpha: float, cosg: float) -
     if not max(abs(w), abs(z)) < eta <= 1.0:
         raise ValueError(f"need max(|w|,|z|) < eta <= 1, got eta={eta}, w={w}, z={z}")
     return _sin_g_zero_slice(complex(eta, _COMPLEX_STEP), w, z, beta, cosg).imag / _COMPLEX_STEP
+
+
+def _branch_model(eta, w: float, z: float, alpha: float, cosg: float):
+    """F+- of ``branch_equation`` in closed form, analytic in eta.
+
+    At L = gamma = 1, with t = eta^2, W = w^2, Z = z^2 and q = (t - W)(t - Z),
+    the slice is C01 + C21 + cosg C11 = A(t) + cosg B(t) sqrt(D(t)) with
+
+        A = (5 - 3t)(2 + alpha (2WZ + q)/t^2)/16 + 5 alpha (1 - t) q/(16 t^2),
+        B = -alpha w z (5 - t)/(4 t^2),    D = (1 - t) q,
+
+    so F = 2 eta (A' + cosg (B' sqrt(D) + B D'/(2 sqrt(D)))), ' = d/dt.  In
+    s = W + Z and p = W Z, 16 A = 10 + 10 alpha + 8 alpha s - (6 + 8 alpha) t
+    - alpha (10 s + 14 p)/t + 20 alpha p/t^2, which gives A'.  D is taken
+    as (1 - t)((eta - w)(eta + w))((eta - z)(eta + z)): the factors of q stay
+    exact to a few ulps near eta = max(|w|, |z|), where t - W cancels, and
+    1 - t is rounded as the kernel rounds its e^2 = 1 - eta^2, so near
+    eta = 1, where a root's |F| can sit at the 1e-9 acceptance level, Newton
+    settles where the kernel's F changes sign.  Every product is grouped so
+    that w <-> z, and w -> -w with cosg -> -cosg, leave the value's bits
+    unchanged.  Every operation is analytic, so at eta + ih the real part
+    is F and the imaginary part over h is dF/deta: one complex-step
+    evaluation gives a Newton step.  Inputs are not checked.
+    """
+    t = eta * eta
+    W = w * w
+    Z = z * z
+    s = W + Z
+    p = W * Z
+    u = 1.0 / t
+    u2 = u * u
+    da = (alpha * (10.0 * s + 14.0 * p - 40.0 * p * u) * u2 - (6.0 + 8.0 * alpha)) / 16.0
+    k = -0.25 * alpha * (cosg * (w * z))
+    b = k * (5.0 - t) * u2
+    db = k * (1.0 - 10.0 * u) * u2
+    d = (1.0 - t) * (((eta - w) * (eta + w)) * ((eta - z) * (eta + z)))
+    dd = (2.0 + 2.0 * s - 3.0 * t) * t - (s + p)
+    r = cmath.sqrt(d)
+    return 2.0 * eta * (da + db * r + 0.5 * b * dd / r)
 
 
 # -- Sturm-chain root isolation ------------------------------------------------
@@ -419,32 +464,32 @@ def _polish_branch(eta0: float, w: float, z: float, alpha: float,
     """Newton-polish a branch equation from eta0.
 
     Returns (eta, |F|) at the polished root, or None if the polish does not
-    converge or converges more than 0.05 from eta0.  Each iteration is a
-    function of eta alone, so once an iterate repeats the polish goes round
-    an exact cycle until the 60-iteration cap; it stops there at once with
-    the (eta, F) the cap would have left.
+    converge or converges more than 0.05 from eta0.  Newton runs on the
+    closed form ``_branch_model``: one complex-step evaluation a step gives F
+    and its exact slope.  Each iteration is a function of eta alone, so once
+    an iterate repeats the polish goes round an exact cycle until the
+    60-iteration cap; it stops there at once with the eta the cap would have
+    left.  Acceptance and the residual come from one ``branch_equation`` call
+    at the final eta, the complex-step G-partial of the kernel itself, so the
+    model can cost a record or time but never make a wrong one.
     """
     lo = max(abs(w), abs(z)) + 1e-12
     eta = min(max(eta0, lo + 1e-9), 1.0 - 1e-12)
-    h = 1e-7
     seen: dict[float, int] = {}
-    visited: list[tuple[float, float]] = []
+    visited: list[float] = []
     for it in range(60):
         j = seen.get(eta)
         if j is not None:
             # iterations j .. it - 1 repeat with period it - j up to the cap
-            eta, f = visited[j + (60 - j) % (it - j)]
+            eta = visited[j + (60 - j) % (it - j)]
             break
-        try:
-            f = branch_equation(eta, w, z, alpha, cosg)
-        except ValueError:
-            return None
+        v = _branch_model(complex(eta, _COMPLEX_STEP), w, z, alpha, cosg)
+        f = v.real
         if abs(f) < 1e-12:
             break
         seen[eta] = it
-        visited.append((eta, f))
-        fp = (branch_equation(min(eta + h, 1.0 - 1e-13), w, z, alpha, cosg)
-              - branch_equation(max(eta - h, lo + 1e-13), w, z, alpha, cosg)) / (2 * h)
+        visited.append(eta)
+        fp = v.imag / _COMPLEX_STEP
         if fp == 0.0:
             return None
         step = f / fp
@@ -452,14 +497,14 @@ def _polish_branch(eta0: float, w: float, z: float, alpha: float,
         eta_new = eta - step
         if not lo < eta_new < 1.0:
             eta_new = 0.5 * (eta + (lo if eta_new <= lo else 1.0))
-        # both exits below moved eta since f was taken, so they evaluate again
         if abs(eta_new - eta) < 1e-15:
             eta = eta_new
-            f = branch_equation(eta, w, z, alpha, cosg)
             break
         eta = eta_new
-    else:
+    try:
         f = branch_equation(eta, w, z, alpha, cosg)
+    except ValueError:
+        return None
     if abs(f) < 1e-9 and abs(eta - eta0) < 0.05:
         return eta, abs(f)
     return None
@@ -468,11 +513,16 @@ def _polish_branch(eta0: float, w: float, z: float, alpha: float,
 def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
     """Invariant 3-tori at one (w, z, alpha) cell, normalized to L = 1.
 
-    Candidate eccentricities are isolated with a Sturm chain on the exact
-    branch-product polynomial (``branch_product_coeffs``) and Newton-polished
-    against the branch equation of each of the cos g = +1 and -1 branches.
-    A polish that ends with |F| < 1e-9 within 0.05 of its candidate gives a
-    record with residual |F| there; that is all the check a record gets here
+    Off the w z = 0 axes, candidate eccentricities are isolated with a Sturm
+    chain on the exact branch-product polynomial (``branch_product_coeffs``)
+    and Newton-polished against the branch equation of each of the
+    cos g = +1 and -1 branches.  On an axis (w z == 0) C11 vanishes, so
+    F+ = F- = 2 eta A'(t) and F = 0 exactly where
+    (4 alpha + 3) t^2 = 5 alpha (w^2 + z^2): that root is the one candidate,
+    polished once for both g = 0 and g = pi (the branch product there is
+    F^2, whose double root float isolation can lose).  A polish that ends
+    with |F| < 1e-9 within 0.05 of its candidate gives a record with
+    residual |F| there; that is all the check a record gets here
     (``cross_validate`` maps it to the reduced flow).  A candidate that no
     branch accepts is logged as spurious.  The circular point eta = 1 is
     accepted (flagged ``circular`` and ``g_undefined``) whenever the cos g
@@ -501,20 +551,33 @@ def solve_tori3(w: float, z: float, alpha: float) -> Tori3Result:
             eta=1.0, g=0.0, residual=0.0, w=w, z=z, alpha=alpha,
             flags=("circular", "g_undefined")))
 
-    # 2. interior equilibria from the exact branch product, in t = eta^2
+    # 2. interior equilibria, in t = eta^2: on an axis the root of F in
+    #    closed form, one polish for both branches; elsewhere the roots of
+    #    the exact branch product, each polished on each branch
     t_lo = max(w * w, z * z) + 1e-11
-    t_roots = _isolate_roots(bcoeffs, t_lo, 1.0 - 1e-11) if bscale >= 1e-12 else []
+    t_hi = 1.0 - 1e-11
+    if bscale < 1e-12:
+        t_roots, branches = [], ()
+    elif w * z == 0.0:
+        den = 4.0 * alpha + 3.0
+        t = math.sqrt(max(5.0 * alpha * (w * w + z * z) / den, 0.0)) if den != 0.0 else 0.0
+        t_roots = [t] if t_lo < t < t_hi else []
+        branches = ((1.0, (0.0, math.pi)),)
+    else:
+        t_roots = _isolate_roots(bcoeffs, t_lo, t_hi)
+        branches = ((1.0, (0.0,)), (-1.0, (math.pi,)))
     for t in t_roots:
         eta0 = math.sqrt(t)
         hit = False
-        for cosg, gval in ((1.0, 0.0), (-1.0, math.pi)):
+        for cosg, gvals in branches:
             out = _polish_branch(eta0, w, z, alpha, cosg)
             if out is None:
                 continue
             eta_star, resid = out
-            if not any(rec.g == gval and abs(rec.eta - eta_star) < 1e-8 for rec in records):
-                records.append(EquilibriumRecord(
-                    eta=eta_star, g=gval, residual=resid, w=w, z=z, alpha=alpha))
+            for gval in gvals:
+                if not any(rec.g == gval and abs(rec.eta - eta_star) < 1e-8 for rec in records):
+                    records.append(EquilibriumRecord(
+                        eta=eta_star, g=gval, residual=resid, w=w, z=z, alpha=alpha))
             hit = True
         if not hit:
             spurious.append({"eta": eta0, "reason": "branch-product root; no branch satisfied"})

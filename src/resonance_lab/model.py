@@ -340,8 +340,9 @@ def integrate(
 # sit far below roundoff and the partial is exact to working precision.
 # _complex_step_jacobian takes every partial of a many-input function, the
 # black-box oracles' included; normalform.normalized_rhs perturbs its five
-# inputs one call at a time, equilibria.branch_equation its one input, G.  Only
-# equilibria._polish_branch still differences F+- (its Newton slope, h = 1e-7).
+# inputs one call at a time, equilibria.branch_equation its one input, G, and
+# equilibria._polish_branch takes its Newton slope from the closed form of F+-
+# at complex eta.  No finite difference is left in the package.
 _COMPLEX_STEP = 1e-30
 
 

@@ -415,20 +415,18 @@ def test_periodic_residual_keeps_its_bits(e, c, alpha, cosg):
             assert b.residual.hex() == want.hex()
 
 
-def _polish_branch_reference(eta0, w, z, alpha, cosg):
-    """The polish as it was before the cycle exit: every one of the 60 iterations run."""
+def _polish_branch_reference(eta0, w, z, alpha, cosg, model_calls=None):
+    """The polish without its cycle exit: Newton on the closed form, every one of the 60 iterations run."""
     lo = max(abs(w), abs(z)) + 1e-12
     eta = min(max(eta0, lo + 1e-9), 1.0 - 1e-12)
-    h = 1e-7
     for _ in range(60):
-        try:
-            f = eq.branch_equation(eta, w, z, alpha, cosg)
-        except ValueError:
-            return None
+        v = eq._branch_model(complex(eta, model._COMPLEX_STEP), w, z, alpha, cosg)
+        if model_calls is not None:
+            model_calls.append(eta)
+        f = v.real
         if abs(f) < 1e-12:
             break
-        fp = (eq.branch_equation(min(eta + h, 1.0 - 1e-13), w, z, alpha, cosg)
-              - eq.branch_equation(max(eta - h, lo + 1e-13), w, z, alpha, cosg)) / (2 * h)
+        fp = v.imag / model._COMPLEX_STEP
         if fp == 0.0:
             return None
         step = f / fp
@@ -438,11 +436,12 @@ def _polish_branch_reference(eta0, w, z, alpha, cosg):
             eta_new = 0.5 * (eta + (lo if eta_new <= lo else 1.0))
         if abs(eta_new - eta) < 1e-15:
             eta = eta_new
-            f = eq.branch_equation(eta, w, z, alpha, cosg)
             break
         eta = eta_new
-    else:
+    try:
         f = eq.branch_equation(eta, w, z, alpha, cosg)
+    except ValueError:
+        return None
     if abs(f) < 1e-9 and abs(eta - eta0) < 0.05:
         return eta, abs(f)
     return None
@@ -470,29 +469,40 @@ def test_polish_matches_the_full_sixty_iterations(start):
     assert _hex_or_none(eq._polish_branch(*start)) == _hex_or_none(_polish_branch_reference(*start))
 
 
-# (eta0, w, z, alpha, cosg) of failing polishes whose eta falls into a cycle of
-# period 2 from iteration 2, 12 and 7; run to the cap they take 181
-# branch_equation calls each
+# (eta0, w, z, alpha, cosg) of failing polishes whose Newton iterates on the
+# closed form fall into a cycle of period 2 from iteration 2, 12 and 7; run to
+# the cap they take 60 model evaluations each.  Picked from a seeded search
+# (numpy seed 1) of 20,000 starts drawn like _polish_starts, 1,658 of which cycle.
 _CYCLING_STARTS = [
-    (0.99899220386673, 0.05978776105505401, 0.2881392617199279, -0.5943694744631585, 1.0),
-    (0.19029920351423785, -0.15085407313644483, 0.12430537886514659, -0.1780046385425017, 1.0),
-    (0.9999840788170504, -0.15085407313644483, 0.12430537886514659, -0.1780046385425017, -1.0),
+    (0.26185604559240633, -0.18992150527460105, 0.19801000728424528, -0.1938929973448823, 1.0),
+    (0.7244341931988902, -0.05154901802516004, -0.3001940307778269, -0.8743906003454633, 1.0),
+    (0.13766755167571368, 0.12968382056311184, -0.10579733144969616, 0.022773424262784836, -1.0),
 ]
 
 
-@pytest.mark.parametrize("start", _CYCLING_STARTS, ids=["from_2", "from_12", "g_pi_from_7"])
-def test_a_cycling_polish_stops_at_the_repeat(start, monkeypatch):
-    want = _polish_branch_reference(*start)
+def _counting(monkeypatch, name):
     calls = []
-    branch_equation = eq.branch_equation
+    fn = getattr(eq, name)
 
     def counted(*args):
         calls.append(args[0])
-        return branch_equation(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(eq, "branch_equation", counted)
+    monkeypatch.setattr(eq, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("start, repeat_at", zip(_CYCLING_STARTS, [4, 14, 9]),
+                         ids=["from_2", "from_12", "g_pi_from_7"])
+def test_a_cycling_polish_stops_at_the_repeat(start, repeat_at, monkeypatch):
+    capped = []
+    want = _polish_branch_reference(*start, model_calls=capped)
+    assert len(capped) == 60 and want is None
+    models = _counting(monkeypatch, "_branch_model")
+    kernels = _counting(monkeypatch, "branch_equation")
     assert _hex_or_none(eq._polish_branch(*start)) == _hex_or_none(want)
-    assert len(calls) <= 45
+    assert [c.real for c in models] == capped[:repeat_at]
+    assert len(kernels) == 1
 
 
 class TestSolveTori3:
@@ -939,24 +949,67 @@ def _hexed_row(row):
     return {k: v.hex() if type(v) is float else v for k, v in row.items()}
 
 
+def _gained(new, old):
+    """Match each old (eta, g, flags) to a new record with the same g and flags and eta within 1e-10.
+
+    ``new`` pairs each record with its (eta, g, flags).  Fails on an old
+    record without a match; returns the new records left over.
+    """
+    left = list(new)
+    for eta, g, flags in old:
+        match = [k for k, (_, (e, gk, fk)) in enumerate(left)
+                 if gk == g and fk == flags and abs(e - eta) <= 1e-10]
+        assert match, (eta, g, flags)
+        del left[match[0]]
+    return [rec for rec, _ in left]
+
+
 def test_sweep_rows_keep_the_bits_of_the_solve_with_the_comparison_inside():
+    # off the w z = 0 axes bit for bit; on them every reference record is kept
+    # and a spurious row can only go, never come
+    key = lambda row: (row["eta"], row["g"], row["flags"])  # noqa: E731
+    gained = 0
     for w, z, alpha in _sweep_cells() + _ALPHA_BAND_CELLS:
-        got = [_hexed_row(row) for row in eq.sweep([alpha], [w], [z])]
-        assert got == [_hexed_row(row) for row in _sweep_rows_reference(w, z, alpha)]
+        rows = eq.sweep([alpha], [w], [z])
+        want = _sweep_rows_reference(w, z, alpha)
+        if w * z != 0.0:
+            assert [_hexed_row(row) for row in rows] == [_hexed_row(row) for row in want]
+            continue
+        for row in _gained([(row, key(row)) for row in rows if row["kind"] == "torus3"],
+                           [key(row) for row in want if row["kind"] == "torus3"]):
+            assert row["residual"] <= 1e-9 and row["reduced_rhs_max"] <= 1e-6
+            gained += 1
+        # the other rows are a subsequence of the reference's
+        others = iter([_hexed_row(row) for row in want if row["kind"] != "torus3"])
+        assert all(_hexed_row(row) in others for row in rows if row["kind"] not in ("torus3", "none"))
+    assert gained >= 2
 
 
 def test_solve_keeps_the_derived_part_of_the_reference():
     hexed = lambda v: v.hex() if type(v) is float else v  # noqa: E731
+    key = lambda rec: (rec.eta, rec.g, rec.flags)  # noqa: E731
+    gained = 0
     for w, z, alpha in _sweep_cells() + _ALPHA_BAND_CELLS:
         new = eq.solve_tori3(w, z, alpha)
         old = _solve_tori3_reference(w, z, alpha)
         assert new.continuum == old.continuum
-        assert [[hexed(v) for v in dataclasses.astuple(rec)] for rec in new.records] == \
-            [[hexed(v) for v in dataclasses.astuple(rec)][:-1]
-             + [tuple(f for f in rec.flags if f != "rq_mismatch")] for rec in old.records]
-        assert [{k: hexed(v) for k, v in sp.items()} for sp in new.spurious] == \
-            [{k: hexed(v) for k, v in sp.items()} for sp in old.spurious
-             if sp["reason"].startswith("branch-product root")]
+        old_records = [dataclasses.replace(rec, flags=tuple(f for f in rec.flags if f != "rq_mismatch"))
+                       for rec in old.records]
+        old_spurious = [{k: hexed(v) for k, v in sp.items()} for sp in old.spurious
+                        if sp["reason"].startswith("branch-product root")]
+        new_spurious = [{k: hexed(v) for k, v in sp.items()} for sp in new.spurious]
+        if w * z != 0.0:
+            assert [[hexed(v) for v in dataclasses.astuple(rec)] for rec in new.records] == \
+                [[hexed(v) for v in dataclasses.astuple(rec)] for rec in old_records]
+            assert new_spurious == old_spurious
+            continue
+        # on the axes the closed-form root: nothing lost, no new spurious root
+        for rec in _gained([(rec, key(rec)) for rec in new.records], map(key, old_records)):
+            assert rec.residual <= 1e-9
+            gained += 1
+        spurious = iter(old_spurious)
+        assert all(sp in spurious for sp in new_spurious)
+    assert gained >= 2
 
 
 def test_alpha_band_cells_are_no_continuum():
@@ -989,12 +1042,179 @@ def test_the_solve_reads_no_printed_form(monkeypatch):
 
     monkeypatch.setattr(eq, "rq_x", refuse)
     monkeypatch.setattr(eq, "_isolate_roots", spy)
-    solved = 0
+    # on the w z = 0 axes the one candidate is in closed form: nothing is isolated
+    solved = on_axis = 0
     for cell, res in zip(cells, want):
         isolated.clear()
         assert eq.solve_tori3(*cell) == res
         bcoeffs = eq.branch_product_coeffs(*cell).tolist()
-        once = not res.continuum and max(map(abs, bcoeffs)) >= 1e-12
+        once = (not res.continuum and max(map(abs, bcoeffs)) >= 1e-12
+                and cell[0] * cell[1] != 0.0)
         assert isolated == ([bcoeffs] if once else [])
         solved += once
-    assert solved > 500
+        on_axis += cell[0] * cell[1] == 0.0 and not res.continuum
+    assert solved > 100 and on_axis > 300
+
+
+# -- the branch equations in closed form ---------------------------------------------
+
+def _term_scale(eta, w, z, alpha):
+    """|dC01/dG| + |dC11/dG| + |dC21/dG| at G = eta: the size of the terms F sums."""
+    terms = normalform._kernel_terms(1.0, complex(eta, model._COMPLEX_STEP), w, z,
+                                     math.sqrt(alpha + 1.0), 1.0)
+    return sum(abs(v.imag) for v in terms) / model._COMPLEX_STEP
+
+
+@st.composite
+def _branch_points(draw):
+    """(eta, w, z, alpha, cosg) where the polish evaluates, a third within 1e-6 of each end."""
+    w, z = draw(_RATIO), draw(_RATIO)
+    alpha = draw(st.floats(-0.99, 5.0))
+    lo = max(abs(w), abs(z))
+    frac = draw(st.floats(0.0, 1.0, exclude_min=True))
+    eta = draw(st.sampled_from([lo + frac * (1.0 - lo), lo + 1e-6 * frac, 1.0 - 1e-6 * frac]))
+    assume(lo + 1e-12 < eta < 1.0)
+    return eta, w, z, alpha, draw(st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_branch_points())
+def test_the_closed_form_is_the_kernel_partial(point):
+    # rtol 1e-12 on the size of the terms.  Near eta = max(|w|, |z|) the
+    # kernel's 1 - (w/eta)^2 cancels, and loses t/(t - w^2) ulps that the
+    # closed form's (eta - w)(eta + w) keeps.  The kernel reads alpha as
+    # beta^2 - 1, beta = sqrt(alpha + 1), and the closed form gets that alpha.
+    eta, w, z, alpha, cosg = point
+    t = eta * eta
+    kappa = t / (t - max(w * w, z * z))
+    beta = math.sqrt(alpha + 1.0)
+    f = eq._branch_model(eta, w, z, beta * beta - 1.0, cosg).real
+    assert abs(f - eq.branch_equation(*point)) <= 1e-12 * kappa * _term_scale(eta, w, z, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIO, _RATIO, st.floats(-0.99, 5.0), st.sampled_from([1.0, -1.0]), st.floats(0.05, 0.95))
+def test_the_closed_form_slope_is_the_kernel_slope(w, z, alpha, cosg, frac):
+    # a central difference of branch_equation, with a step well inside the domain
+    lo = max(abs(w), abs(z))
+    eta = lo + frac * (1.0 - lo)
+    room = min(eta - lo, 1.0 - eta)
+    h = 1e-4 * room
+    fd = (eq.branch_equation(eta + h, w, z, alpha, cosg)
+          - eq.branch_equation(eta - h, w, z, alpha, cosg)) / (2.0 * h)
+    v = eq._branch_model(complex(eta, model._COMPLEX_STEP), w, z, alpha, cosg)
+    fp = v.imag / model._COMPLEX_STEP
+    assert abs(fp - fd) <= 1e-6 * max(abs(fd), _term_scale(eta, w, z, alpha) / room)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_branch_points())
+def test_the_closed_form_keeps_the_branch_symmetries(point):
+    # w <-> z, and w -> -w with g -> g + pi, bit for bit in F and in its slope
+    eta, w, z, alpha, cosg = point
+    x = complex(eta, model._COMPLEX_STEP)
+    f = eq._branch_model(x, w, z, alpha, cosg)
+    assert eq._branch_model(x, z, w, alpha, cosg) == f
+    assert eq._branch_model(x, -w, z, alpha, -cosg) == f
+    assert eq._branch_model(x, w, -z, alpha, -cosg) == f
+
+
+def test_a_polish_asks_the_kernel_once(monkeypatch):
+    # one branch_equation call per polish, accepted or not
+    w, z, alpha = 0.2, 0.1, 1.0
+    starts = [math.sqrt(t) for t in eq._isolate_roots(
+        eq.branch_product_coeffs(w, z, alpha), w * w + 1e-11, 1.0 - 1e-11)]
+    kernels = _counting(monkeypatch, "branch_equation")
+    outs = []
+    for eta0 in starts:
+        for cosg in (1.0, -1.0):
+            kernels.clear()
+            outs.append(eq._polish_branch(eta0, w, z, alpha, cosg))
+            assert len(kernels) == 1
+    assert any(out is None for out in outs) and any(out is not None for out in outs)
+
+
+def test_an_axis_root_is_polished_once(monkeypatch):
+    polishes = _counting(monkeypatch, "_polish_branch")
+    for cell in ((0.2, 0.0, 1.0), (0.0, -0.2, 1.0)):
+        polishes.clear()
+        res = eq.solve_tori3(*cell)
+        assert len(polishes) == 1
+        assert [rec.g for rec in res.records if not rec.flags] == [0.0, math.pi]
+
+
+def _axis_root(r, alpha):
+    """The eta of (4 alpha + 3) eta^4 = 5 alpha r^2 that solve_tori3 takes, or None when infeasible."""
+    den = 4.0 * alpha + 3.0
+    t2 = 5.0 * alpha * r * r / den if den != 0.0 else -1.0
+    if t2 > 0.0 and r * r + 1e-11 < math.sqrt(t2) < 1.0 - 1e-11:
+        return math.sqrt(math.sqrt(t2))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-6.0, math.log10(0.4)), st.booleans(), st.booleans(), st.floats(-0.9, 3.0))
+def test_the_axes_carry_the_closed_form_records(log_r, negative, on_w, alpha):
+    # every feasible root gives a record at g = 0 and g = pi, and there is no
+    # other non-circular record
+    r = (-1.0 if negative else 1.0) * 10.0 ** log_r
+    w, z = (r, 0.0) if on_w else (0.0, r)
+    res = eq.solve_tori3(w, z, alpha)
+    assume(not res.continuum)
+    recs = [rec for rec in res.records if "circular" not in rec.flags]
+    eta = _axis_root(r, alpha)
+    if eta is None:
+        assert recs == []
+    else:
+        assert sorted(rec.g for rec in recs) == [0.0, math.pi]
+        assert all(abs(rec.eta - eta) <= 1e-10 for rec in recs)
+
+
+@pytest.mark.parametrize("cell", [(-0.0048, 0.0, 1.137), (0.0, -0.0048, 1.137)],
+                         ids=["z_zero", "w_zero"])
+def test_an_axis_double_root_is_not_lost(cell):
+    # the branch product's double root at t = 4.17e-3 is a complex pair in
+    # floats, and the isolation used to return only the circular record here
+    res = eq.solve_tori3(*cell)
+    recs = [(rec.g, rec.eta) for rec in res.records if "circular" not in rec.flags]
+    assert [g for g, _ in recs] == [0.0, math.pi]
+    assert all(eta == pytest.approx(0.064542, abs=1e-6) for _, eta in recs)
+    assert res.spurious == ()
+
+
+def test_the_closed_form_is_exact():
+    # A, B and D reproduce the kernel's sin g = 0 slice symbolically; on z = 0
+    # F's numerator is (4 alpha + 3) t^2 - 5 alpha w^2; and _branch_model's own
+    # expression is the G-partial of the kernel to 60 digits at rational points
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    eta, w, z = sp.symbols("eta w z", positive=True)
+    alpha, T = sp.symbols("alpha t", real=True)
+    t, W, Z = eta ** 2, w ** 2, z ** 2
+    q = (t - W) * (t - Z)
+    A = (5 - 3 * t) * (2 + alpha * (2 * W * Z + q) / t ** 2) / 16 + 5 * alpha * (1 - t) * q / (16 * t ** 2)
+    B = -alpha * w * z * (5 - t) / (4 * t ** 2)
+    D = (1 - t) * q
+    with mock.patch.object(normalform, "_sqrt", sp.sqrt):
+        c01, c11, c21 = (sp.nsimplify(c, rational=True)
+                         for c in normalform._kernel_terms(1, eta, w, z, sp.sqrt(alpha + 1), 1))
+    assert sp.cancel(c01 + c21 - A) == 0
+    root = sp.powsimp(c11 / B)             # sqrt(D): square roots times eta^2 > 0
+    assert all(f.is_positive or f.is_Pow and f.exp == sp.Rational(1, 2)
+               for f in sp.Mul.make_args(root))
+    assert sp.cancel(root ** 2 - D) == 0
+    num = sp.numer(sp.together(sp.diff(A.subs({z: 0, eta: sp.sqrt(T)}), T)))
+    assert sp.cancel(num / ((4 * alpha + 3) * T ** 2 - 5 * alpha * W)).free_symbols <= {alpha}
+
+    with mock.patch.object(eq, "cmath", sp):
+        gaps = [eq._branch_model(eta, w, z, alpha, cosg) - sp.diff(c01 + cosg * c11 + c21, eta)
+                for cosg in (1, -1)]
+    gap = sp.lambdify([eta, w, z, alpha], gaps, "mpmath")
+    rng = np.random.default_rng(37)
+    with mpmath.workdps(60):
+        for _ in range(40):
+            wv, zv = (mpmath.mpf(int(k)) / 1000 for k in rng.integers(-400, 401, 2))
+            lo = max(abs(wv), abs(zv))
+            etav = lo + (1 - lo) * mpmath.mpf(int(rng.integers(1, 1000))) / 1000
+            av = mpmath.mpf(int(rng.integers(-990, 5001))) / 1000
+            assert max(abs(v) for v in gap(etav, wv, zv, av)) < 1e-45
